@@ -318,7 +318,8 @@ def _format_value(value):
     if value is None:
         return "none"
     if isinstance(value, float):
-        return repr(value)
+        # float() drops subclasses such as np.float64, whose repr is not config text.
+        return repr(float(value))
     if isinstance(value, (tuple, list)):
         return ", ".join(_format_value(v) for v in value)
     return str(value)

@@ -39,8 +39,9 @@ __all__ = ["extract_header_config", "run_experiment"]
 
 _SAMPLE_INTERVAL = 0.05  # us between CSV rows of continuous runs
 _RESIDUAL_TARGET = 1e-8  # operational "steady state reached" criterion
-_MAX_HORIZON = 2000.0  # us; give up on convergence beyond this
+_MAX_HORIZON = 2000.0  # us; longest run, fixed or to convergence
 _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
+_CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
 
 
 def _fmt_cell(value):
@@ -147,167 +148,72 @@ def _write_outputs(outdir, files):
 # continuous-evolution machinery
 
 
-class _Samples:
-    """Accumulated per-sample records of a continuous run."""
-
-    def __init__(self):
-        self.times = []
-        self.fidelity = []
-        self.purity = []
-        self.populations = []
-        self.trace_dev = []
-        self.states = []
-
-    def extend_traj(self, t_offset, traj, skip_first):
-        start = 1 if skip_first else 0
-        self.times.extend(t_offset + t for t in traj.times[start:])
-        self.fidelity.extend(traj.fidelity[start:])
-        self.purity.extend(traj.purity[start:])
-        self.populations.extend(traj.populations[start:])
-        self.trace_dev.extend(traj.trace_deviation[start:])
-        self.states.extend(traj.states[start:])
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-
-def _auto_dt(liouv):
-    # Default step sits at the stability guard; callers may go smaller.
-    return 0.1 / liouv.norm_bound()
-
-
-def _run_rk4(liouv, rho0, target, dt, t_end):
-    """Fixed-horizon RK4 run sampled every _SAMPLE_INTERVAL."""
-    sample_every = max(1, int(round(_SAMPLE_INTERVAL / dt)))
-    traj = engine.evolve_fixed_step(
-        rho0, liouv, t_end, dt, sample_every=sample_every, target=target,
-        store_states=True,
+def _liouvillian(p):
+    return engine.build_liouvillian(
+        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
     )
-    out = _Samples()
-    out.extend_traj(0.0, traj, skip_first=False)
-    return out
 
 
-def _run_rk4_adaptive(liouv, rho0, target, dt):
-    """RK4 in 1 us chunks until the stationarity residual drops below 1e-8,
-    then a 20% padding stretch.  Returns (samples, converged_time)."""
-    sample_every = max(1, int(round(_SAMPLE_INTERVAL / dt)))
-    chunk_steps = 20 * sample_every
-    chunk_dur = chunk_steps * dt
-    out = _Samples()
-    rho = rho0
-    t0 = 0.0
-    chunks = 0
-    while True:
-        traj = engine.evolve_fixed_step(
-            rho, liouv, chunk_dur, dt, sample_every=sample_every, target=target,
-            store_states=True,
-        )
-        out.extend_traj(t0, traj, skip_first=chunks > 0)
-        rho = traj.states[-1]
-        t0 += chunk_dur
-        chunks += 1
-        if engine.stationarity_residual(liouv, rho) < _RESIDUAL_TARGET:
-            break
-        if t0 > _MAX_HORIZON:
-            raise NumericalError(
-                f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
-            )
-    converged_time = t0
-    for _ in range(int(math.ceil(_PAD_FRACTION * chunks))):
-        traj = engine.evolve_fixed_step(
-            rho, liouv, chunk_dur, dt, sample_every=sample_every, target=target,
-            store_states=True,
-        )
-        out.extend_traj(t0, traj, skip_first=True)
-        rho = traj.states[-1]
-        t0 += chunk_dur
-    return out, converged_time
+def _sample_loop(liouv, rho0, target, step, delta, n=None):
+    """Apply the sample map ``step`` (``delta`` us per sample) ``n`` times.
 
-
-def _run_propagator(liouv, rho0, target, t_end):
-    """Stroboscopic exact propagation on the sampling grid."""
-    n = max(1, int(math.ceil(t_end / _SAMPLE_INTERVAL - 1e-12)))
-    delta = t_end / n
-    step = expm(liouv.matrix, delta)
-    out = _Samples()
+    With n = None the run goes to convergence instead: the stationarity
+    residual is checked every _CHECK_EVERY samples, and once it is below
+    _RESIDUAL_TARGET after c checks, ceil(_PAD_FRACTION * c) more chunks
+    of _CHECK_EVERY samples show the plateau.  Returns the trajectory (with
+    states) and the converged time (None for a fixed n).
+    """
     v = vectorize(rho0)
-    for k in range(n + 1):
-        rho = unvectorize(v, liouv.dim)
-        out.times.append(k * delta)
-        out.fidelity.append(engine.fidelity(rho, target) if target is not None else math.nan)
-        out.purity.append(engine.purity(rho))
-        out.populations.append(np.diag(rho).real.copy())
-        out.trace_dev.append(abs(complex(np.trace(rho)) - 1.0))
-        out.states.append(rho)
-        if k < n:
-            v = step @ v
-    return out
-
-
-def _run_propagator_adaptive(liouv, rho0, target):
-    step = expm(liouv.matrix, _SAMPLE_INTERVAL)
-    out = _Samples()
-    v = vectorize(rho0)
-    per_chunk = 20  # samples per residual check, i.e. every 1 us
+    states = [unvectorize(v, liouv.dim)]
+    converged = None
     k = 0
-    converged_time = None
-    pad_steps = None
-
-    def record(vec, t):
-        rho = unvectorize(vec, liouv.dim)
-        out.times.append(t)
-        out.fidelity.append(engine.fidelity(rho, target) if target is not None else math.nan)
-        out.purity.append(engine.purity(rho))
-        out.populations.append(np.diag(rho).real.copy())
-        out.trace_dev.append(abs(complex(np.trace(rho)) - 1.0))
-        out.states.append(rho)
-        return rho
-
-    rho = record(v, 0.0)
-    while True:
-        for _ in range(per_chunk):
-            v = step @ v
-            k += 1
-            rho = record(v, k * _SAMPLE_INTERVAL)
-        if converged_time is None:
-            if engine.stationarity_residual(liouv, rho) < _RESIDUAL_TARGET:
-                converged_time = k * _SAMPLE_INTERVAL
-                pad_steps = int(math.ceil(_PAD_FRACTION * k))
-            elif k * _SAMPLE_INTERVAL > _MAX_HORIZON:
+    while n is None or k < n:
+        v = step @ v
+        k += 1
+        states.append(unvectorize(v, liouv.dim))
+        if n is None and k % _CHECK_EVERY == 0:
+            if engine.stationarity_residual(liouv, states[-1]) < _RESIDUAL_TARGET:
+                converged = k * delta
+                n = k + _CHECK_EVERY * math.ceil(_PAD_FRACTION * (k // _CHECK_EVERY))
+            elif k * delta > _MAX_HORIZON:
                 raise NumericalError(
                     f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
                 )
-        else:
-            pad_steps -= per_chunk
-        if converged_time is not None and (pad_steps is None or pad_steps <= 0):
-            break
-    return out, converged_time
+    times = [i * delta for i in range(k + 1)]
+    return engine.Trajectory.from_states(times, states, target, keep_states=True), converged
 
 
 def _continuous_run(cfg, liouv, rho0, target):
-    """Dispatch on integrator/horizon; returns (samples, resolved_run_keys)."""
+    """Sample a continuous run every _SAMPLE_INTERVAL up to cfg.t_end, or to
+    convergence plus padding when t_end is unset.
+
+    Returns (trajectory with states, resolved run keys, converged time).
+    """
     resolved = {}
+    n = None
     if cfg.integrator == "rk4":
-        dt = cfg.dt if cfg.dt is not None else _auto_dt(liouv)
+        # Default step sits at the stability guard; callers may go smaller.
+        dt = cfg.dt if cfg.dt is not None else 0.1 / liouv.norm_bound()
         resolved["dt"] = dt
+        sample_every = max(1, int(round(_SAMPLE_INTERVAL / dt)))
         if cfg.t_end is not None:
-            samples = _run_rk4(liouv, rho0, target, dt, cfg.t_end)
+            traj = engine.evolve_fixed_step(
+                rho0, liouv, cfg.t_end, dt, sample_every=sample_every, target=target,
+                store_states=True,
+            )
             resolved["t_end"] = cfg.t_end
-            converged = None
-        else:
-            samples, converged = _run_rk4_adaptive(liouv, rho0, target, dt)
-            resolved["t_end"] = samples.times[-1]
+            return traj, resolved, None
+        delta = sample_every * dt
+        step = engine.rk4_map(liouv, dt, sample_every)
     else:
+        delta = _SAMPLE_INTERVAL
         if cfg.t_end is not None:
-            samples = _run_propagator(liouv, rho0, target, cfg.t_end)
-            resolved["t_end"] = cfg.t_end
-            converged = None
-        else:
-            samples, converged = _run_propagator_adaptive(liouv, rho0, target)
-            resolved["t_end"] = samples.times[-1]
-    return samples, resolved, converged
+            n = max(1, int(math.ceil(cfg.t_end / delta - 1e-12)))
+            delta = cfg.t_end / n
+        step = expm(liouv.matrix, delta)
+    traj, converged = _sample_loop(liouv, rho0, target, step, delta, n)
+    resolved["t_end"] = cfg.t_end if cfg.t_end is not None else traj.times[-1]
+    return traj, resolved, converged
 
 
 def _run_section(cfg, experiment, resolved):
@@ -316,24 +222,28 @@ def _run_section(cfg, experiment, resolved):
     return run
 
 
-def _certificate_pairs(liouv, target):
-    """Steady-state summary fields; tolerant of a degenerate null space."""
-    try:
-        res = engine.steady_state(liouv)
-    except NonUniqueSteadyState as exc:
-        return None, [
-            ("steady_state_unique", "false"),
-            ("null_dimension", exc.null_dimension),
-            ("spectral_gap_per_us", exc.spectral_gap),
-        ]
-    pairs = [
+def _unique_pairs(res, target):
+    """Summary fields of a unique steady state."""
+    return [
         ("steady_state_unique", "true"),
         ("null_dimension", res.null_dimension),
         ("spectral_gap_per_us", res.spectral_gap),
         ("steady_fidelity", engine.fidelity(res.rho, target)),
         ("steady_purity", engine.purity(res.rho)),
     ]
-    return res, pairs
+
+
+def _certificate_pairs(liouv, target):
+    """Steady-state summary fields; tolerant of a degenerate null space."""
+    try:
+        res = engine.steady_state(liouv)
+    except NonUniqueSteadyState as exc:
+        return [
+            ("steady_state_unique", "false"),
+            ("null_dimension", exc.null_dimension),
+            ("spectral_gap_per_us", exc.spectral_gap),
+        ]
+    return _unique_pairs(res, target)
 
 
 _GP_XY = """set datafile separator ","
@@ -364,7 +274,7 @@ def _time_series_rows(samples, extra=None):
         if extra is not None:
             row.extend(extra[i])
         row.extend(samples.populations[i])
-        row.append(samples.trace_dev[i])
+        row.append(samples.trace_deviation[i])
         rows.append(row)
     return rows
 
@@ -383,22 +293,13 @@ def _run_fig2(cfg):
     _require_variant(cfg, VARIANT_SINGLE, "fig2")
     p = resolve_params(cfg, {"variant": VARIANT_SINGLE})
     target = model.default_target(p.variant)
-    liouv = engine.build_liouvillian(
-        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-    )
+    liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     samples, resolved, converged = _continuous_run(cfg, liouv, rho0, target)
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
     res = engine.steady_state(liouv)
-    cert = [
-        ("steady_state_unique", "true"),
-        ("null_dimension", res.null_dimension),
-        ("spectral_gap_per_us", res.spectral_gap),
-        ("steady_fidelity", engine.fidelity(res.rho, target)),
-        ("steady_purity", engine.purity(res.rho)),
-    ]
-    endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
+    endpoint_gap = float(np.abs(samples.states[-1] - res.rho).max())
 
     run = _run_section(cfg, "fig2", resolved)
     header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
@@ -411,10 +312,10 @@ def _run_fig2(cfg):
             ("converged_time_us", converged if converged is not None else "none"),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
-            ("final_residual_per_us", engine.stationarity_residual(liouv, samples.final_state)),
+            ("final_residual_per_us", engine.stationarity_residual(liouv, samples.states[-1])),
             ("endpoint_vs_steady_maxnorm", endpoint_gap),
         ]
-        + cert
+        + _unique_pairs(res, target)
     )
     plot = _plot_script(
         "time (us)", "F, P",
@@ -426,14 +327,12 @@ def _run_fig2(cfg):
 def _run_evolve(cfg):
     p = resolve_params(cfg)
     target = model.default_target(p.variant)
-    liouv = engine.build_liouvillian(
-        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-    )
+    liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=10.0)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
-    _, cert = _certificate_pairs(liouv, target)
+    cert = _certificate_pairs(liouv, target)
     run = _run_section(cfg, "evolve", resolved)
     header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
     columns = ["time_us", "fidelity", "purity"] + _population_columns(p.variant) + ["trace_dev"]
@@ -444,7 +343,7 @@ def _run_evolve(cfg):
             ("final_time_us", samples.times[-1]),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
-            ("max_trace_deviation", max(samples.trace_dev)),
+            ("max_trace_deviation", samples.trace_deviation.max()),
         ]
         + cert
     )
@@ -455,28 +354,21 @@ def _run_evolve(cfg):
 def _run_steady(cfg):
     p = resolve_params(cfg)
     target = model.default_target(p.variant)
-    liouv = engine.build_liouvillian(
-        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-    )
+    liouv = _liouvillian(p)
     res = engine.steady_state(liouv)  # NonUniqueSteadyState propagates (exit 4)
-    fid = engine.fidelity(res.rho, target)
-    pur = engine.purity(res.rho)
+    cert = _unique_pairs(res, target)
     residual = engine.stationarity_residual(liouv, res.rho)
 
     run = _run_section(cfg, "steady", {})
     header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
     columns = ["fidelity", "purity", "spectral_gap_per_us", "null_dimension"]
-    data = _csv_text(header, columns, [[fid, pur, res.spectral_gap, res.null_dimension]])
+    values = dict(cert)
+    row = [values["steady_fidelity"], values["steady_purity"], res.spectral_gap,
+           res.null_dimension]
+    data = _csv_text(header, columns, [row])
     summary = _summary_text(
-        [
-            ("experiment", "steady"),
-            ("steady_state_unique", "true"),
-            ("null_dimension", res.null_dimension),
-            ("spectral_gap_per_us", res.spectral_gap),
-            ("steady_fidelity", fid),
-            ("steady_purity", pur),
-            ("stationarity_residual_per_us", residual),
-        ]
+        [("experiment", "steady")] + cert
+        + [("stationarity_residual_per_us", residual)]
     )
     plot = _plot_script("index", "fidelity", [("0:1", "steady fidelity")])
     return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
@@ -501,9 +393,7 @@ def _sweep_rows(cfg, grid):
         merged.update(overrides)
         p = resolve_params(replace(cfg, param_overrides=merged))
         target = model.default_target(p.variant)
-        liouv = engine.build_liouvillian(
-            model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-        )
+        liouv = _liouvillian(p)
         try:
             res = engine.steady_state(liouv)
             row = list(combo) + [
@@ -705,16 +595,14 @@ def _run_two_nuclei(cfg):
         defaults["omega_e"] = math.sqrt(2.0) * base.omega_n * mean_asym
     p = resolve_params(cfg, defaults)
     target = model.target_states(p.variant).psi_dark_two
-    liouv = engine.build_liouvillian(
-        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-    )
+    liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
     proj = _nuclear_singlet_projector()
     singlet = [float(np.trace(proj @ rho).real) for rho in samples.states]
-    _, cert = _certificate_pairs(liouv, target)
+    cert = _certificate_pairs(liouv, target)
 
     run = _run_section(cfg, "two-nuclei", resolved)
     header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
@@ -723,12 +611,7 @@ def _run_two_nuclei(cfg):
         + _population_columns(p.variant)
         + ["trace_dev"]
     )
-    rows = []
-    for i, t in enumerate(samples.times):
-        row = [t, samples.fidelity[i], samples.purity[i], singlet[i]]
-        row.extend(samples.populations[i])
-        row.append(samples.trace_dev[i])
-        rows.append(row)
+    rows = _time_series_rows(samples, extra=[[s] for s in singlet])
     data = _csv_text(header, columns, rows)
     summary = _summary_text(
         [
@@ -773,5 +656,7 @@ def run_experiment(cfg):
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if not cfg.output:
         raise ConfigError("no output directory given (CLI --out or 'out' key)")
+    if cfg.t_end is not None and cfg.t_end > _MAX_HORIZON:
+        raise ConfigError(f"t_end = {cfg.t_end} us exceeds the {_MAX_HORIZON} us limit")
     files = runner(cfg)
     _write_outputs(cfg.output, files)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, model
-from .engine import Trajectory, build_liouvillian, fidelity, purity
+from .engine import Trajectory, build_liouvillian
 from .errors import ConfigError, DimensionError, DomainError
 from .linalg import unvectorize, vectorize
 from .model import TWO_PI
@@ -273,7 +273,7 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
             kwargs["e_plus"] = seg.e_amplitude
             kwargs["e_minus"] = -seg.e_amplitude
         p2 = replace(p, **kwargs)
-        liouv = build_liouvillian(model.build_hamiltonian(p2), model.decay_ops(p2))
+        liouv = build_liouvillian(model.build_hamiltonian(p2), model.decay_ops(p2), p.layout)
         return linalg.expm(liouv.matrix, seg.duration), seg.duration
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
@@ -286,7 +286,7 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
             h = h + detuning * model.build_operators(p.variant)["S_z"]
         deph = None if quasistatic else model.dephasing_op(p2)
         if deph is not None:
-            liouv = build_liouvillian(h, [deph])
+            liouv = build_liouvillian(h, [deph], p.layout)
             return linalg.expm(liouv.matrix, seg.duration), seg.duration
         u = linalg.expm(-1j * h, seg.duration)
         return _unitary_map(u), seg.duration
@@ -302,13 +302,13 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
                 mat = _unitary_map(u_noise) @ mat
             else:
                 deph = model.dephasing_op(p)
-                liouv = build_liouvillian(np.zeros_like(sz), [deph])
+                liouv = build_liouvillian(np.zeros_like(sz), [deph], p.layout)
                 mat = linalg.expm(liouv.matrix, seg.duration) @ mat
         return mat, seg.duration
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
         liouv = build_liouvillian(
-            model.build_hamiltonian(p2), model.build_collapse_ops(p2)
+            model.build_hamiltonian(p2), model.build_collapse_ops(p2), p.layout
         )
         return linalg.expm(liouv.matrix, seg.duration), seg.duration
     raise ConfigError(f"unknown pulse segment {seg!r}")
@@ -424,20 +424,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         times = [float(c) for c in range(seq.cycles + 1)]
 
-    fids, purs, pops, tdevs = [], [], [], []
-    for v in vecs:
-        rho = unvectorize(v, d)
-        fids.append(fidelity(rho, target))
-        purs.append(purity(rho))
-        pops.append(np.diag(rho).real.copy())
-        tdevs.append(abs(complex(np.trace(rho)) - 1.0))
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        fidelity=np.asarray(fids, dtype=float),
-        purity=np.asarray(purs, dtype=float),
-        populations=np.asarray(pops, dtype=float),
-        trace_deviation=np.asarray(tdevs, dtype=float),
-        states=None,
+    return Trajectory.from_states(
+        times, (unvectorize(v, d) for v in vecs), target,
         cycles=np.arange(seq.cycles + 1, dtype=float),
     )
 

@@ -1,5 +1,6 @@
 """Config parsing: strictness, value validation, render round-trips."""
 
+import numpy as np
 import pytest
 
 from darksteady import config
@@ -177,6 +178,15 @@ def test_render_float_precision():
     text = render_config(run={}, params={"omega_e": v})
     cfg = parse_config(text)
     assert cfg.param_overrides["omega_e"] == v
+
+
+def test_render_numpy_float_round_trip():
+    # np.float64 subclasses float, but its repr is not config text
+    text = render_config(run={"t_end": np.float64(1.5)}, params={"omega_e": np.float64(0.1 + 0.2)})
+    assert "np.float64" not in text
+    cfg = parse_config(text)
+    assert cfg.t_end == 1.5
+    assert cfg.param_overrides["omega_e"] == 0.1 + 0.2
 
 
 def test_grid_axes_constant_matches_parser():

@@ -127,6 +127,31 @@ def test_matrix_step_equals_classical_rk4():
     assert np.abs(traj.states[-1] - ref).max() < 1e-13
 
 
+def test_rk4_samples_match_stepwise_stage_form():
+    """Every sample equals the four-stage update applied one step at a time,
+    including the last partial interval (47 steps, a sample every 10)."""
+    _, liouv = fig2_system()
+    rho0 = model.mixed_ground_state(model.VARIANT_SINGLE)
+    dt, n, every = 5e-5, 47, 10
+    traj = evolve_fixed_step(rho0, liouv, n * dt, dt, sample_every=every,
+                             store_states=True)
+    v = ds.vectorize(rho0)
+    a = liouv.matrix
+    ref = {0: v}
+    for step in range(1, n + 1):
+        k1 = a @ v
+        k2 = a @ (v + 0.5 * dt * k1)
+        k3 = a @ (v + 0.5 * dt * k2)
+        k4 = a @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ref[step] = v
+    steps = [0, 10, 20, 30, 40, 47]
+    assert traj.times == pytest.approx([k * dt for k in steps], rel=1e-12)
+    assert len(traj.states) == len(steps)
+    for k, state in zip(steps, traj.states):
+        assert np.abs(state - ds.unvectorize(ref[k], 12)).max() < 1e-12
+
+
 def test_step_size_guard():
     _, liouv = fig2_system()
     rho0 = model.mixed_ground_state(model.VARIANT_SINGLE)

@@ -11,8 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from darksteady import cli
+from darksteady import cli, engine
 from darksteady.config import parse_config, resolve_params
+from darksteady.errors import ConfigError
 from darksteady.experiments import extract_header_config, run_experiment
 
 FAST_STEADY = "experiment = steady\n"
@@ -88,6 +89,48 @@ def test_fig2_respects_fixed_horizon(tmp_path):
     assert code == 0
     _, rows = read_rows(out / "data.csv")
     assert float(rows[-1][0]) == pytest.approx(4.0)
+
+
+def test_fig2_adaptive_rk4_header_round_trips(tmp_path):
+    code, out = run_cli(tmp_path, "fig2", "experiment = fig2\n")
+    assert code == 0
+    text = (out / "data.csv").read_text()
+    cfg = parse_config(extract_header_config(text))
+    assert cfg.integrator == "rk4"
+    _, rows = read_rows(out / "data.csv")
+    assert "%.12g" % cfg.t_end == rows[-1][0]
+
+
+def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built a Liouvillian for a rejected config")
+
+    monkeypatch.setattr(engine, "build_liouvillian", never)
+    code, out = run_cli(tmp_path, "fig2", FAST_FIG2 + "t_end = 2000.5\n")
+    assert code == 2
+    assert not out.exists()
+    cfg = parse_config(f"experiment = evolve\nt_end = 2001\nout = {tmp_path / 'o'}\n")
+    with pytest.raises(ConfigError, match="t_end"):
+        run_experiment(cfg)
+
+
+def test_rk4_tiny_step_finishes(tmp_path):
+    """1e6 RK4 steps cost O(log sample_every) products, not one per step."""
+    (tmp_path / "rk4").mkdir()
+    (tmp_path / "prop").mkdir()
+    code, out = run_cli(tmp_path / "rk4", "evolve",
+                        "experiment = evolve\ndt = 1e-7\nt_end = 0.1\n")
+    assert code == 0
+    code, ref = run_cli(tmp_path / "prop", "evolve",
+                        "experiment = evolve\nintegrator = propagator\nt_end = 0.1\n")
+    assert code == 0
+    _, rows = read_rows(out / "data.csv")
+    _, ref_rows = read_rows(ref / "data.csv")
+    # t_end/dt lands just above 1e6, so the step is 0.1/1000001 us and a
+    # remainder sample closes the run on t_end.
+    assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.05, 0.1, 0.1])
+    for cell, ref_cell in zip(rows[-1], ref_rows[-1]):
+        assert float(cell) == pytest.approx(float(ref_cell), abs=1e-9)
 
 
 def test_evolve_any_variant(tmp_path):
