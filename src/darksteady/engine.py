@@ -120,7 +120,9 @@ class SteadyStateResult:
 
     ``null_dimension`` counts Liouvillian eigenvalues inside the null
     tolerance (1 on success) and ``spectral_gap`` is the smallest decay rate
-    among the remaining eigenvalues, min(-Re lambda), in 1/us.
+    min(-Re lambda), in 1/us, among the eigenvalues with Re lambda <= -tol
+    (the same tolerance).  Purely imaginary eigenvalues of a degenerate
+    stationary space are not decay rates and do not enter it.
     """
 
     rho: np.ndarray
@@ -291,8 +293,8 @@ def steady_state(liouv, tol=None):
     vals, vecs = linalg.eig_full(mat)
     null_mask = np.abs(vals) < tol
     n_null = int(null_mask.sum())
-    nonnull = vals[~null_mask]
-    gap = float((-nonnull.real).min()) if nonnull.size else math.inf
+    decaying = vals.real[vals.real <= -tol]
+    gap = float((-decaying).min()) if decaying.size else math.inf
     if n_null == 0:
         raise NumericalError(
             f"no eigenvalue below the null tolerance {tol:.3e}; "

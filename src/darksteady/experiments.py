@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -42,6 +42,8 @@ _RESIDUAL_TARGET = 1e-8  # operational "steady state reached" criterion
 _MAX_HORIZON = 2000.0  # us; longest run, fixed or to convergence
 _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
+# Pulsed runs record one row per cycle; cap them at a continuous run's rows.
+_MAX_CYCLES = round(_MAX_HORIZON / _SAMPLE_INTERVAL)
 
 
 def _fmt_cell(value):
@@ -64,11 +66,20 @@ def _summary_text(pairs):
     return "\n".join(f"{key} = {_fmt_cell(value)}" for key, value in pairs) + "\n"
 
 
-def _header_lines(notes, run, params, pulse=None, grid=None):
-    lines = [f"## darksteady {__version__}"]
-    for note in notes:
-        lines.append(f"## {note}")
-    cfg_text = render_config(run=run, params=params, pulse=pulse, grid=grid)
+def _header_lines(cfg, experiment, resolved, p, pulse=None, grid=None):
+    """Notes plus the resolved config: the [run] keys with ``resolved``
+    added, [params] from the SystemParams ``p`` and, for pulsed runs,
+    [pulse] from the resolved PulseOptions ``pulse``."""
+    notes = [_UNIT_NOTE, _SIGN_NOTE] + ([_RECORD_NOTE] if pulse is not None else [])
+    lines = [f"## darksteady {__version__}"] + [f"## {note}" for note in notes]
+    run = {"experiment": experiment, "seed": cfg.seed, "integrator": cfg.integrator}
+    run.update(resolved)
+    cfg_text = render_config(
+        run=run,
+        params=asdict(p),
+        pulse=asdict(pulse) if pulse is not None else None,
+        grid=grid,
+    )
     for line in cfg_text.splitlines():
         lines.append(f"# {line}" if line else "#")
     return lines
@@ -87,38 +98,6 @@ def extract_header_config(text):
         else:
             break
     return "\n".join(out) + "\n"
-
-
-def _params_section(p):
-    return {
-        "omega_e": p.omega_e,
-        "omega_n": p.omega_n,
-        "g": p.g,
-        "e_plus": p.e_plus,
-        "e_minus": p.e_minus,
-        "gamma_plus": p.gamma_plus,
-        "gamma_minus": p.gamma_minus,
-        "gamma_zero": p.gamma_zero,
-        "t2_star": p.t2_star,
-        "variant": p.variant,
-        "asymmetry": p.asymmetry,
-        "asymmetric_hyperfine": p.asymmetric_hyperfine,
-    }
-
-
-def _pulse_section(opts, tau):
-    return {
-        "tau": tau,
-        "pump_duration": opts.pump_duration,
-        "pump_e": opts.pump_e,
-        "nuclear_duration": opts.nuclear_duration,
-        "electron_duration": opts.electron_duration,
-        "axis": opts.axis,
-        "correction": opts.correction,
-        "dd_filter": opts.dd_filter,
-        "noise_mode": opts.noise_mode,
-        "noise_samples": opts.noise_samples,
-    }
 
 
 _UNIT_NOTE = "units: drives/rates in MHz, times in us; internal angular units 2*pi*MHz"
@@ -216,12 +195,6 @@ def _continuous_run(cfg, liouv, rho0, target):
     return traj, resolved, converged
 
 
-def _run_section(cfg, experiment, resolved):
-    run = {"experiment": experiment, "seed": cfg.seed, "integrator": cfg.integrator}
-    run.update(resolved)
-    return run
-
-
 def _unique_pairs(res, target):
     """Summary fields of a unique steady state."""
     return [
@@ -263,20 +236,53 @@ def _plot_script(xlabel, ylabel, spec):
     return _GP_XY.format(xlabel=xlabel, ylabel=ylabel, plots=plots)
 
 
-def _population_columns(variant):
-    return [f"p_{lab}" for lab in model.basis_labels(variant)]
+_FP_PLOT = _plot_script("time (us)", "F, P", [("1:2", "fidelity"), ("1:3", "purity")])
 
 
-def _time_series_rows(samples, extra=None):
-    rows = []
-    for i, t in enumerate(samples.times):
-        row = [t, samples.fidelity[i], samples.purity[i]]
-        if extra is not None:
-            row.extend(extra[i])
-        row.extend(samples.populations[i])
-        row.append(samples.trace_deviation[i])
-        rows.append(row)
-    return rows
+def _time_series_csv(cfg, experiment, resolved, p, samples, extra=()):
+    """data.csv of a continuous run: time, fidelity, purity, the ``extra``
+    (name, values) columns, one population per basis level and trace_dev."""
+    columns = (
+        ["time_us", "fidelity", "purity"]
+        + [name for name, _ in extra]
+        + [f"p_{lab}" for lab in model.basis_labels(p.variant)]
+        + ["trace_dev"]
+    )
+    rows = [
+        [t, samples.fidelity[i], samples.purity[i]]
+        + [values[i] for _, values in extra]
+        + list(samples.populations[i])
+        + [samples.trace_deviation[i]]
+        for i, t in enumerate(samples.times)
+    ]
+    return _csv_text(_header_lines(cfg, experiment, resolved, p), columns, rows)
+
+
+def _pulsed_setup(cfg, p, default_tau, default_cycles):
+    """Set-up shared by the pulsed experiments.
+
+    Returns the PulseOptions with tau resolved (the header's [pulse]), the
+    cycle count, a builder ``cycle(tau, correction)`` of the standard
+    cycle with the remaining options from cfg.pulse, and the noise
+    keywords of ``pulses.run_sequence``.
+    """
+    opts = cfg.pulse if cfg.pulse.tau is not None else replace(cfg.pulse, tau=default_tau)
+    cycles = cfg.cycles if cfg.cycles is not None else default_cycles
+    if cycles > _MAX_CYCLES:
+        raise ConfigError(f"cycles = {cycles} exceeds the {_MAX_CYCLES} limit")
+
+    def cycle(tau, correction):
+        return pulses.standard_cycle(
+            p, tau=tau, cycles=cycles, correction=correction,
+            pump_duration=opts.pump_duration, pump_e=opts.pump_e,
+            nuclear_duration=opts.nuclear_duration,
+            electron_duration=opts.electron_duration, axis=opts.axis,
+            dd_filter=opts.dd_filter,
+        )
+
+    noise = dict(noise_mode=opts.noise_mode, noise_samples=opts.noise_samples,
+                 seed=cfg.seed)
+    return opts, cycles, cycle, noise
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +307,7 @@ def _run_fig2(cfg):
     res = engine.steady_state(liouv)
     endpoint_gap = float(np.abs(samples.states[-1] - res.rho).max())
 
-    run = _run_section(cfg, "fig2", resolved)
-    header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
-    columns = ["time_us", "fidelity", "purity"] + _population_columns(p.variant) + ["trace_dev"]
-    data = _csv_text(header, columns, _time_series_rows(samples))
+    data = _time_series_csv(cfg, "fig2", resolved, p, samples)
     summary = _summary_text(
         [
             ("experiment", "fig2"),
@@ -317,11 +320,7 @@ def _run_fig2(cfg):
         ]
         + _unique_pairs(res, target)
     )
-    plot = _plot_script(
-        "time (us)", "F, P",
-        [("1:2", "fidelity"), ("1:3", "purity")],
-    )
-    return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
+    return {"data.csv": data, "summary.txt": summary, "plot.gp": _FP_PLOT}
 
 
 def _run_evolve(cfg):
@@ -333,10 +332,7 @@ def _run_evolve(cfg):
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
     cert = _certificate_pairs(liouv, target)
-    run = _run_section(cfg, "evolve", resolved)
-    header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
-    columns = ["time_us", "fidelity", "purity"] + _population_columns(p.variant) + ["trace_dev"]
-    data = _csv_text(header, columns, _time_series_rows(samples))
+    data = _time_series_csv(cfg, "evolve", resolved, p, samples)
     summary = _summary_text(
         [
             ("experiment", "evolve"),
@@ -347,8 +343,7 @@ def _run_evolve(cfg):
         ]
         + cert
     )
-    plot = _plot_script("time (us)", "F, P", [("1:2", "fidelity"), ("1:3", "purity")])
-    return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
+    return {"data.csv": data, "summary.txt": summary, "plot.gp": _FP_PLOT}
 
 
 def _run_steady(cfg):
@@ -359,8 +354,7 @@ def _run_steady(cfg):
     cert = _unique_pairs(res, target)
     residual = engine.stationarity_residual(liouv, res.rho)
 
-    run = _run_section(cfg, "steady", {})
-    header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
+    header = _header_lines(cfg, "steady", {}, p)
     columns = ["fidelity", "purity", "spectral_gap_per_us", "null_dimension"]
     values = dict(cert)
     row = [values["steady_fidelity"], values["steady_purity"], res.spectral_gap,
@@ -412,13 +406,7 @@ def _sweep_rows(cfg, grid):
 def _sweep_files(cfg, grid, experiment):
     names, rows, n_nonunique = _sweep_rows(cfg, grid)
     p_base = resolve_params(cfg)
-    run = _run_section(cfg, experiment, {})
-    header = _header_lines(
-        [_UNIT_NOTE, _SIGN_NOTE],
-        run,
-        _params_section(p_base),
-        grid={name: values for name, values in grid},
-    )
+    header = _header_lines(cfg, experiment, {}, p_base, grid=dict(grid))
     columns = names + ["fidelity", "purity", "spectral_gap_per_us", "unique"]
     data = _csv_text(header, columns, rows)
     unique_fids = [r[len(names)] for r in rows if r[-1] == 1]
@@ -458,33 +446,14 @@ def _run_fig3(cfg):
             "'correction' must stay false"
         )
     p = resolve_params(cfg, {"variant": VARIANT_SINGLE})
-    tau = cfg.pulse.tau if cfg.pulse.tau is not None else 0.02
-    cycles = cfg.cycles if cfg.cycles is not None else 200
-    opts = cfg.pulse
+    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.02, 200)
+    tau = opts.tau
     rho0 = model.mixed_ground_state(p.variant)
+    ideal = pulses.run_sequence(rho0, cycle(0.0, False), p, **noise)
+    uncorr = pulses.run_sequence(rho0, cycle(tau, False), p, **noise)
+    corr = pulses.run_sequence(rho0, cycle(tau, True), p, **noise)
 
-    def seq(tau_k, correction):
-        return pulses.standard_cycle(
-            p, tau=tau_k, cycles=cycles, correction=correction,
-            pump_duration=opts.pump_duration, pump_e=opts.pump_e,
-            nuclear_duration=opts.nuclear_duration,
-            electron_duration=opts.electron_duration, axis=opts.axis,
-            dd_filter=opts.dd_filter,
-        )
-
-    kw = dict(noise_mode=opts.noise_mode, noise_samples=opts.noise_samples,
-              seed=cfg.seed)
-    ideal = pulses.run_sequence(rho0, seq(0.0, False), p, **kw)
-    uncorr = pulses.run_sequence(rho0, seq(tau, False), p, **kw)
-    corr = pulses.run_sequence(rho0, seq(tau, True), p, **kw)
-
-    run = _run_section(cfg, "fig3", {"cycles": cycles})
-    header = _header_lines(
-        [_UNIT_NOTE, _SIGN_NOTE, _RECORD_NOTE],
-        run,
-        _params_section(p),
-        pulse=_pulse_section(opts, tau),
-    )
+    header = _header_lines(cfg, "fig3", {"cycles": cycles}, p, pulse=opts)
     columns = [
         "cycle", "time_us",
         "fidelity_ideal", "fidelity_uncorrected", "fidelity_corrected",
@@ -533,34 +502,20 @@ def _run_t2_inset(cfg):
     if "g" not in cfg.param_overrides:
         defaults["g"] = 2.0
     p = resolve_params(cfg, defaults)
-    tau = cfg.pulse.tau if cfg.pulse.tau is not None else 0.0
-    cycles = cfg.cycles if cfg.cycles is not None else 195
-    opts = cfg.pulse
+    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.0, 195)
     t2_values = _DEFAULT_T2_VALUES
     for name, values in cfg.grid:
         if name != "t2_star":
             raise ConfigError(f"t2-inset sweeps t2_star only, got grid axis {name!r}")
         t2_values = values
 
-    seq = pulses.standard_cycle(
-        p, tau=tau, cycles=cycles, correction=opts.correction,
-        pump_duration=opts.pump_duration, pump_e=opts.pump_e,
-        nuclear_duration=opts.nuclear_duration,
-        electron_duration=opts.electron_duration, axis=opts.axis,
-        dd_filter=opts.dd_filter,
-    )
-    kw = dict(noise_mode=opts.noise_mode, noise_samples=opts.noise_samples,
-              seed=cfg.seed)
-    rows = pulses.t2star_sweep(p, seq, t2_values, **kw)
+    seq = cycle(opts.tau, opts.correction)
+    rows = pulses.t2star_sweep(p, seq, t2_values, **noise)
     rho0 = model.mixed_ground_state(p.variant)
-    noiseless = pulses.run_sequence(rho0, seq, replace(p, t2_star=None), **kw)
+    noiseless = pulses.run_sequence(rho0, seq, replace(p, t2_star=None), **noise)
 
-    run = _run_section(cfg, "t2-inset", {"cycles": cycles})
     header = _header_lines(
-        [_UNIT_NOTE, _SIGN_NOTE, _RECORD_NOTE],
-        run,
-        _params_section(p),
-        pulse=_pulse_section(opts, tau),
+        cfg, "t2-inset", {"cycles": cycles}, p, pulse=opts,
         grid={"t2_star": tuple(t2 for t2, _ in rows)},
     )
     data = _csv_text(header, ["t2_star_us", "max_fidelity"], rows)
@@ -604,15 +559,9 @@ def _run_two_nuclei(cfg):
     singlet = [float(np.trace(proj @ rho).real) for rho in samples.states]
     cert = _certificate_pairs(liouv, target)
 
-    run = _run_section(cfg, "two-nuclei", resolved)
-    header = _header_lines([_UNIT_NOTE, _SIGN_NOTE], run, _params_section(p))
-    columns = (
-        ["time_us", "fidelity", "purity", "singlet_population"]
-        + _population_columns(p.variant)
-        + ["trace_dev"]
+    data = _time_series_csv(
+        cfg, "two-nuclei", resolved, p, samples, extra=[("singlet_population", singlet)]
     )
-    rows = _time_series_rows(samples, extra=[[s] for s in singlet])
-    data = _csv_text(header, columns, rows)
     summary = _summary_text(
         [
             ("experiment", "two-nuclei"),

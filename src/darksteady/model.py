@@ -74,6 +74,19 @@ _N1_INDEX = {lab: i for i, lab in enumerate(NUCLEAR_SPIN1_LEVELS)}
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def _level_state(label, index, what):
+    # Bare levels by index; "D" and "B" are the symmetric and antisymmetric
+    # superpositions of the +1 and -1 levels (indices 0 and 1 in both factors).
+    n = len(index)
+    if label in index:
+        return _basis(n, index[label])
+    if label == "D":
+        return _SQRT_HALF * (_basis(n, 0) + _basis(n, 1))
+    if label == "B":
+        return _SQRT_HALF * (_basis(n, 0) - _basis(n, 1))
+    raise ConfigError(f"unknown {what} level label {label!r}")
+
+
 def electron_state(label):
     """Electron single-party state vector (dimension 4) for a level label.
 
@@ -81,24 +94,12 @@ def electron_state(label):
     "D" (symmetric, drive-coupled, optically dark) and "B" (antisymmetric,
     optically bright).
     """
-    if label in _E_INDEX:
-        return _basis(4, _E_INDEX[label])
-    if label == "D":
-        return _SQRT_HALF * (_basis(4, 0) + _basis(4, 1))
-    if label == "B":
-        return _SQRT_HALF * (_basis(4, 0) - _basis(4, 1))
-    raise ConfigError(f"unknown electron level label {label!r}")
+    return _level_state(label, _E_INDEX, "electron")
 
 
 def nuclear_spin1_state(label):
     """Spin-1 nuclear state vector (dimension 3), including "D" and "B"."""
-    if label in _N1_INDEX:
-        return _basis(3, _N1_INDEX[label])
-    if label == "D":
-        return _SQRT_HALF * (_basis(3, 0) + _basis(3, 1))
-    if label == "B":
-        return _SQRT_HALF * (_basis(3, 0) - _basis(3, 1))
-    raise ConfigError(f"unknown spin-1 nuclear level label {label!r}")
+    return _level_state(label, _N1_INDEX, "spin-1 nuclear")
 
 
 def _check_variant(variant):
@@ -243,26 +244,18 @@ class TargetStates:
     bright_n: np.ndarray | None
 
 
-def _electron_ops():
-    sx = np.zeros((4, 4), dtype=complex)
-    sx[_E_INDEX["0"], _E_INDEX["+1"]] = 1.0
-    sx[_E_INDEX["0"], _E_INDEX["-1"]] = 1.0
-    sx = sx + dagger(sx)
-    sz = np.zeros((4, 4), dtype=complex)
-    sz[_E_INDEX["+1"], _E_INDEX["+1"]] = 1.0
-    sz[_E_INDEX["-1"], _E_INDEX["-1"]] = -1.0
-    return sx, sz
-
-
-def _spin1_ops():
-    ix = np.zeros((3, 3), dtype=complex)
-    ix[_N1_INDEX["0"], _N1_INDEX["+1"]] = 1.0
-    ix[_N1_INDEX["0"], _N1_INDEX["-1"]] = 1.0
-    ix = ix + dagger(ix)
-    iz = np.zeros((3, 3), dtype=complex)
-    iz[_N1_INDEX["+1"], _N1_INDEX["+1"]] = 1.0
-    iz[_N1_INDEX["-1"], _N1_INDEX["-1"]] = -1.0
-    return ix, iz
+def _spin1_ops(index):
+    """S_x and S_z of the spin-1 levels +1, -1, 0 within a factor whose
+    levels are numbered by ``index`` (any further level is left untouched)."""
+    n = len(index)
+    x = np.zeros((n, n), dtype=complex)
+    x[index["0"], index["+1"]] = 1.0
+    x[index["0"], index["-1"]] = 1.0
+    x = x + dagger(x)
+    z = np.zeros((n, n), dtype=complex)
+    z[index["+1"], index["+1"]] = 1.0
+    z[index["-1"], index["-1"]] = -1.0
+    return x, z
 
 
 def _half_ops():
@@ -297,13 +290,13 @@ def build_operators(variant):
     ``projectors``.
     """
     _check_variant(variant)
-    sx4, sz4 = _electron_ops()
+    sx4, sz4 = _spin1_ops(_E_INDEX)
     ops = {
         "S_x": _embed_electron(sx4, variant),
         "S_z": _embed_electron(sz4, variant),
     }
     if variant == VARIANT_SINGLE:
-        ix, iz = _spin1_ops()
+        ix, iz = _spin1_ops(_N1_INDEX)
         ops["I_x"] = (_embed_nucleus(ix, variant, 0),)
         ops["I_z"] = (_embed_nucleus(iz, variant, 0),)
     else:

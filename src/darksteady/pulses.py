@@ -266,7 +266,7 @@ def _unitary_map(u):
 
 def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
                         dd_filter=True, quasistatic=False):
-    """Superoperator map of one segment plus its wall-clock duration (us)."""
+    """Superoperator map of one segment."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
@@ -274,11 +274,11 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
             kwargs["e_minus"] = -seg.e_amplitude
         p2 = replace(p, **kwargs)
         liouv = build_liouvillian(model.build_hamiltonian(p2), model.decay_ops(p2), p.layout)
-        return linalg.expm(liouv.matrix, seg.duration), seg.duration
+        return linalg.expm(liouv.matrix, seg.duration)
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
         u = subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)
-        return _unitary_map(u), seg.duration
+        return _unitary_map(u)
     if isinstance(seg, FreeEvolution):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0, e_minus=0.0)
         h = model.build_hamiltonian(p2)
@@ -287,9 +287,9 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
         deph = None if quasistatic else model.dephasing_op(p2)
         if deph is not None:
             liouv = build_liouvillian(h, [deph], p.layout)
-            return linalg.expm(liouv.matrix, seg.duration), seg.duration
+            return linalg.expm(liouv.matrix, seg.duration)
         u = linalg.expm(-1j * h, seg.duration)
-        return _unitary_map(u), seg.duration
+        return _unitary_map(u)
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
         u = subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant)
@@ -304,13 +304,13 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
                 deph = model.dephasing_op(p)
                 liouv = build_liouvillian(np.zeros_like(sz), [deph], p.layout)
                 mat = linalg.expm(liouv.matrix, seg.duration) @ mat
-        return mat, seg.duration
+        return mat
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
         liouv = build_liouvillian(
             model.build_hamiltonian(p2), model.build_collapse_ops(p2), p.layout
         )
-        return linalg.expm(liouv.matrix, seg.duration), seg.duration
+        return linalg.expm(liouv.matrix, seg.duration)
     raise ConfigError(f"unknown pulse segment {seg!r}")
 
 
@@ -318,7 +318,7 @@ def apply_segment(rho, seg, p):
     """Apply a single segment to a density matrix (default sequence flags)."""
     d = p.dim
     rho = np.asarray(rho, dtype=complex)
-    mat, _ = _segment_propagator(seg, p)
+    mat = _segment_propagator(seg, p)
     return unvectorize(mat @ vectorize(rho), d)
 
 
@@ -342,9 +342,8 @@ def _electron_overrides(seq, p):
 
 def _build_maps(seq, p, detuning=0.0, quasistatic=False):
     overrides = _electron_overrides(seq, p)
-    maps, walls = [], []
-    for i, seg in enumerate(seq.segments):
-        mat, wall = _segment_propagator(
+    return [
+        _segment_propagator(
             seg,
             p,
             electron_angle=overrides.get(i),
@@ -352,9 +351,8 @@ def _build_maps(seq, p, detuning=0.0, quasistatic=False):
             dd_filter=seq.dd_filter,
             quasistatic=quasistatic,
         )
-        maps.append(mat)
-        walls.append(wall)
-    return maps, walls
+        for i, seg in enumerate(seq.segments)
+    ]
 
 
 def _run_vec(v0, maps, cycles, record_at):
@@ -400,22 +398,23 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     quasi = noise_mode == "quasistatic" and p.t2_star is not None
     if quasi:
         rng = np.random.default_rng(seed)
-        sigma = math.sqrt(2.0) / p.t2_star
-        detunings = rng.normal(0.0, sigma, size=noise_samples)
-        acc = None
-        for delta in detunings:
-            maps, walls = _build_maps(seq, p, detuning=float(delta), quasistatic=True)
-            vecs = _run_vec(v0, maps, seq.cycles, record_at)
-            if acc is None:
-                acc = [v.astype(complex) for v in vecs]
-            else:
-                for k, v in enumerate(vecs):
-                    acc[k] += v
-        vecs = [v / noise_samples for v in acc]
+        detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples)
     else:
-        maps, walls = _build_maps(seq, p)
-        vecs = _run_vec(v0, maps, seq.cycles, record_at)
+        detunings = (0.0,)
+    # Average over the detunings, accumulating into the first sample's vectors.
+    vecs = None
+    for delta in detunings:
+        maps = _build_maps(seq, p, detuning=float(delta), quasistatic=quasi)
+        sample = _run_vec(v0, maps, seq.cycles, record_at)
+        if vecs is None:
+            vecs = sample
+        else:
+            for acc, v in zip(vecs, sample):
+                acc += v
+    for acc in vecs:
+        acc /= len(detunings)
 
+    walls = [seg.duration for seg in seq.segments]
     record_offset = float(sum(walls[: record_at + 1]))
     cycle_duration = float(sum(walls))
     times = [0.0] + [

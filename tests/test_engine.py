@@ -263,6 +263,20 @@ def test_nonunique_steady_state_reported():
         assert np.abs(liouv.matrix @ ds.vectorize(b)).max() < 1e-8
 
 
+@pytest.mark.parametrize("omega_e,gap", [(1.0, 0.675005), (2.0 ** 0.5, 0.941949)])
+def test_degenerate_attractor_gap_is_a_decay_rate(omega_e, gap):
+    """The symmetric two-nuclei system has a 3-dimensional stationary space
+    whose purely imaginary eigenvalues must not pass for decay rates."""
+    p = ds.SystemParams(variant=model.VARIANT_TWO, omega_e=omega_e)
+    liouv = build_liouvillian(
+        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
+    )
+    with pytest.raises(NonUniqueSteadyState) as info:
+        steady_state(liouv)
+    assert info.value.null_dimension == 3
+    assert info.value.spectral_gap == pytest.approx(gap, abs=1e-6)
+
+
 def test_late_time_fidelity_monotone():
     """Once fidelity passes 0.9 it keeps rising toward the attractor."""
     p, liouv = fig2_system()

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from darksteady import cli, engine
-from darksteady.config import parse_config, resolve_params
+from darksteady import cli, engine, pulses
+from darksteady.config import EXPERIMENTS, parse_config, resolve_params
 from darksteady.errors import ConfigError
 from darksteady.experiments import extract_header_config, run_experiment
 
@@ -188,6 +188,26 @@ def test_fig3_files_and_curves(tmp_path):
     assert "dd_error_rad" in summary
 
 
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["fig3", "t2-inset"])
+def test_pulsed_cycles_bounded(tmp_path, monkeypatch, name):
+    """Pulsed runs above 40,000 cycles, the row cap of a continuous run,
+    are rejected before any pulse map is built; 40,000 itself gets there."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(pulses, "run_sequence", reached)
+    code, out = run_cli(tmp_path, name, f"experiment = {name}\ncycles = 40001\n")
+    assert code == 2
+    assert not out.exists()
+    with pytest.raises(_Reached):
+        run_cli(tmp_path, name, f"experiment = {name}\ncycles = 40000\n")
+
+
 def test_fig3_rejects_correction_flag(tmp_path):
     text = "experiment = fig3\ncycles = 10\n[pulse]\ncorrection = true\n"
     code, _ = run_cli(tmp_path, "fig3", text)
@@ -282,6 +302,39 @@ def test_seed_and_integrator_flags_override(tmp_path):
     cfg2 = parse_config(header)
     assert cfg2.seed == 5
     assert cfg2.integrator == "propagator"
+
+
+FAST_CONFIGS = {
+    "fig2": "integrator = propagator\nt_end = 1\n",
+    "fig2-inset": "[grid]\ne = 5, 10\n",
+    "fig3": "cycles = 3\n[params]\nt2_star = 10\n"
+            "[pulse]\nnoise_mode = quasistatic\nnoise_samples = 2\n",
+    "t2-inset": "cycles = 3\n[grid]\nt2_star = 2, 20\n",
+    "two-nuclei": "integrator = propagator\nt_end = 1\n",
+    "steady": "",
+    "evolve": "integrator = propagator\nt_end = 1\n",
+    "sweep": "[grid]\ng = 2, 3\n",
+}
+
+
+def test_fast_configs_cover_every_experiment():
+    assert sorted(FAST_CONFIGS) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(FAST_CONFIGS))
+def test_header_reruns_to_identical_data(tmp_path, name):
+    """The header of every experiment's data.csv is a complete config: run
+    from it alone, the experiment writes the same data.csv bytes."""
+    (tmp_path / "first").mkdir()
+    (tmp_path / "again").mkdir()
+    code, out = run_cli(tmp_path / "first", name,
+                        f"experiment = {name}\n" + FAST_CONFIGS[name])
+    assert code == 0
+    data = (out / "data.csv").read_bytes()
+    code, out = run_cli(tmp_path / "again", name,
+                        extract_header_config(data.decode()))
+    assert code == 0
+    assert (out / "data.csv").read_bytes() == data
 
 
 def test_byte_identical_reruns(tmp_path):
