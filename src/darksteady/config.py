@@ -63,6 +63,7 @@ GRID_AXES = (
 )
 
 _GRID_MAX_POINTS = 10_000
+_MAX_NOISE_SAMPLES = 10_000
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -125,13 +126,15 @@ def _parse_float(section, key, raw, minimum=None, strict_min=False):
     return val
 
 
-def _parse_int(section, key, raw, minimum=None):
+def _parse_int(section, key, raw, minimum=None, maximum=None):
     try:
         val = int(raw)
     except ValueError:
         raise ConfigError(f"{_ctx(section, key)}: expected an integer, got {raw!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{_ctx(section, key)}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{_ctx(section, key)}: must be <= {maximum}, got {val}")
     return val
 
 
@@ -252,7 +255,7 @@ def _parse_pulse(items):
         elif key == "noise_mode":
             kwargs[key] = _parse_choice("pulse", key, raw, ("markovian", "quasistatic"))
         elif key == "noise_samples":
-            kwargs[key] = _parse_int("pulse", key, raw, minimum=1)
+            kwargs[key] = _parse_int("pulse", key, raw, minimum=1, maximum=_MAX_NOISE_SAMPLES)
         else:
             raise ConfigError(f"{_ctx('pulse', key)}: unknown key")
     return PulseOptions(**kwargs)

@@ -22,7 +22,7 @@ products plus one product per sample instead of one per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class Trajectory:
     also fill ``cycles`` with the cycle count per sample).  ``fidelity`` is
     None when no target state was supplied.  ``trace_deviation`` records
     |Tr rho - 1| per sample; the integrator never renormalizes.
-    ``states`` holds the sampled density matrices only when requested.
+    ``expectations`` maps each name of :meth:`from_states`' ``observables``
+    to Tr(A rho) per sample.  ``final_state`` is the last sampled density
+    matrix; ``states`` holds them all only when requested.
     """
 
     times: np.ndarray
@@ -88,19 +90,27 @@ class Trajectory:
     trace_deviation: np.ndarray
     states: tuple | None = None
     cycles: np.ndarray | None = None
+    final_state: np.ndarray | None = None
+    expectations: dict = field(default_factory=dict)
 
     @classmethod
-    def from_states(cls, times, states, target=None, keep_states=False, cycles=None):
-        """Observe sampled density matrices in one pass over ``states``:
-        fidelity with ``target`` (if given), purity, populations and
-        |Tr rho - 1| per sample."""
-        kept, fids, purs, pops, tdevs = [], [], [], [], []
-        for rho in states:
+    def from_states(cls, samples, target=None, observables=None, keep_states=False, cycles=None):
+        """Observe a stream of (time, rho) pairs in one pass: fidelity with
+        ``target`` (if given), purity, populations, |Tr rho - 1| and
+        Tr(A rho) for each named operator A of ``observables`` per sample.
+        Only the last state is kept, unless ``keep_states``."""
+        times, kept, fids, purs, pops, tdevs = [], [], [], [], [], []
+        expect = {name: [] for name in observables or {}}
+        rho = None
+        for t, rho in samples:
+            times.append(t)
             if target is not None:
                 fids.append(fidelity(rho, target))
             purs.append(purity(rho))
             pops.append(np.diag(rho).real.copy())
             tdevs.append(abs(complex(np.trace(rho)) - 1.0))
+            for name, values in expect.items():
+                values.append(float(np.trace(observables[name] @ rho).real))
             if keep_states:
                 kept.append(rho)
         return cls(
@@ -111,6 +121,8 @@ class Trajectory:
             trace_deviation=np.asarray(tdevs, dtype=float),
             states=tuple(kept) if keep_states else None,
             cycles=cycles,
+            final_state=rho,
+            expectations={name: np.asarray(v, dtype=float) for name, v in expect.items()},
         )
 
 
@@ -229,14 +241,15 @@ def rk4_map(liouv, dt, steps):
 
 
 def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
-                      store_states=False):
+                      store_states=False, observables=None):
     """Integrate vec(rho) with fixed-step classical RK4.
 
     Samples are taken at t = 0, every ``sample_every`` steps, and at t_end.
     The requested dt must satisfy dt * ||L||_1 <= 0.1 or StepSizeError is
     raised with a suggested step.  The step actually used is t_end/n for the
     smallest n with t_end/n <= dt, so the final sample lands exactly on
-    t_end.
+    t_end.  ``expectations`` holds Tr(A rho) per sample for each named A of
+    ``observables``; ``final_state`` is the state at t_end.
     """
     rho0 = _check_state(rho0, liouv.dim)
     t_end = float(t_end)
@@ -254,15 +267,14 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     if rest:
         maps.append(_rk4_power(liouv, h, rest))
 
-    def states():
+    def samples():
         v = vectorize(rho0)
-        yield unvectorize(v, liouv.dim)
-        for sample_map in maps:
+        yield 0.0, unvectorize(v, liouv.dim)
+        for k, sample_map in enumerate(maps, 1):
             v = sample_map @ v
-            yield unvectorize(v, liouv.dim)
+            yield min(k * sample_every, n_steps) * h, unvectorize(v, liouv.dim)
 
-    times = [min(k * sample_every, n_steps) * h for k in range(len(maps) + 1)]
-    return Trajectory.from_states(times, states(), target, keep_states=store_states)
+    return Trajectory.from_states(samples(), target, observables, keep_states=store_states)
 
 
 def evolve_propagator(rho0, liouv, t):

@@ -133,40 +133,15 @@ def _liouvillian(p):
     )
 
 
-def _sample_loop(liouv, rho0, target, step, delta, n=None):
-    """Apply the sample map ``step`` (``delta`` us per sample) ``n`` times.
+def _continuous_run(cfg, liouv, rho0, target, observables=None):
+    """Sample a continuous run every _SAMPLE_INTERVAL, observing each sample
+    as it is taken (``observables`` as in engine.Trajectory.from_states).
 
-    With n = None the run goes to convergence instead: the stationarity
+    It runs to cfg.t_end or, when that is unset, to convergence: the
     residual is checked every _CHECK_EVERY samples, and once it is below
-    _RESIDUAL_TARGET after c checks, ceil(_PAD_FRACTION * c) more chunks
-    of _CHECK_EVERY samples show the plateau.  Returns the trajectory (with
-    states) and the converged time (None for a fixed n).
-    """
-    v = vectorize(rho0)
-    states = [unvectorize(v, liouv.dim)]
-    converged = None
-    k = 0
-    while n is None or k < n:
-        v = step @ v
-        k += 1
-        states.append(unvectorize(v, liouv.dim))
-        if n is None and k % _CHECK_EVERY == 0:
-            if engine.stationarity_residual(liouv, states[-1]) < _RESIDUAL_TARGET:
-                converged = k * delta
-                n = k + _CHECK_EVERY * math.ceil(_PAD_FRACTION * (k // _CHECK_EVERY))
-            elif k * delta > _MAX_HORIZON:
-                raise NumericalError(
-                    f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
-                )
-    times = [i * delta for i in range(k + 1)]
-    return engine.Trajectory.from_states(times, states, target, keep_states=True), converged
-
-
-def _continuous_run(cfg, liouv, rho0, target):
-    """Sample a continuous run every _SAMPLE_INTERVAL up to cfg.t_end, or to
-    convergence plus padding when t_end is unset.
-
-    Returns (trajectory with states, resolved run keys, converged time).
+    _RESIDUAL_TARGET after c checks, ceil(_PAD_FRACTION * c) more chunks of
+    _CHECK_EVERY samples show the plateau.  Returns (trajectory, resolved
+    run keys, converged time or None).
     """
     resolved = {}
     n = None
@@ -178,7 +153,7 @@ def _continuous_run(cfg, liouv, rho0, target):
         if cfg.t_end is not None:
             traj = engine.evolve_fixed_step(
                 rho0, liouv, cfg.t_end, dt, sample_every=sample_every, target=target,
-                store_states=True,
+                observables=observables,
             )
             resolved["t_end"] = cfg.t_end
             return traj, resolved, None
@@ -190,7 +165,28 @@ def _continuous_run(cfg, liouv, rho0, target):
             n = max(1, int(math.ceil(cfg.t_end / delta - 1e-12)))
             delta = cfg.t_end / n
         step = expm(liouv.matrix, delta)
-    traj, converged = _sample_loop(liouv, rho0, target, step, delta, n)
+    converged = None
+
+    def samples(n):
+        nonlocal converged
+        v = vectorize(rho0)
+        yield 0.0, unvectorize(v, liouv.dim)
+        k = 0
+        while n is None or k < n:
+            v = step @ v
+            k += 1
+            rho = unvectorize(v, liouv.dim)
+            yield k * delta, rho
+            if n is None and k % _CHECK_EVERY == 0:
+                if engine.stationarity_residual(liouv, rho) < _RESIDUAL_TARGET:
+                    converged = k * delta
+                    n = k + _CHECK_EVERY * math.ceil(_PAD_FRACTION * (k // _CHECK_EVERY))
+                elif k * delta > _MAX_HORIZON:
+                    raise NumericalError(
+                        f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
+                    )
+
+    traj = engine.Trajectory.from_states(samples(n), target, observables)
     resolved["t_end"] = cfg.t_end if cfg.t_end is not None else traj.times[-1]
     return traj, resolved, converged
 
@@ -239,22 +235,22 @@ def _plot_script(xlabel, ylabel, spec):
 _FP_PLOT = _plot_script("time (us)", "F, P", [("1:2", "fidelity"), ("1:3", "purity")])
 
 
-def _time_series_csv(cfg, experiment, resolved, p, samples, extra=()):
-    """data.csv of a continuous run: time, fidelity, purity, the ``extra``
-    (name, values) columns, one population per basis level and trace_dev."""
+def _time_series_csv(cfg, experiment, resolved, p, samples):
+    """data.csv of a continuous run: time, fidelity, purity, the columns of
+    ``samples.expectations``, one population per basis level and trace_dev."""
     columns = (
         ["time_us", "fidelity", "purity"]
-        + [name for name, _ in extra]
+        + list(samples.expectations)
         + [f"p_{lab}" for lab in model.basis_labels(p.variant)]
         + ["trace_dev"]
     )
-    rows = [
+    rows = (
         [t, samples.fidelity[i], samples.purity[i]]
-        + [values[i] for _, values in extra]
+        + [values[i] for values in samples.expectations.values()]
         + list(samples.populations[i])
         + [samples.trace_deviation[i]]
         for i, t in enumerate(samples.times)
-    ]
+    )
     return _csv_text(_header_lines(cfg, experiment, resolved, p), columns, rows)
 
 
@@ -305,7 +301,7 @@ def _run_fig2(cfg):
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
     res = engine.steady_state(liouv)
-    endpoint_gap = float(np.abs(samples.states[-1] - res.rho).max())
+    endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
 
     data = _time_series_csv(cfg, "fig2", resolved, p, samples)
     summary = _summary_text(
@@ -315,7 +311,7 @@ def _run_fig2(cfg):
             ("converged_time_us", converged if converged is not None else "none"),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
-            ("final_residual_per_us", engine.stationarity_residual(liouv, samples.states[-1])),
+            ("final_residual_per_us", engine.stationarity_residual(liouv, samples.final_state)),
             ("endpoint_vs_steady_maxnorm", endpoint_gap),
         ]
         + _unique_pairs(res, target)
@@ -553,22 +549,18 @@ def _run_two_nuclei(cfg):
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
-    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
-
-    proj = _nuclear_singlet_projector()
-    singlet = [float(np.trace(proj @ rho).real) for rho in samples.states]
+    observables = {"singlet_population": _nuclear_singlet_projector()}
+    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
     cert = _certificate_pairs(liouv, target)
 
-    data = _time_series_csv(
-        cfg, "two-nuclei", resolved, p, samples, extra=[("singlet_population", singlet)]
-    )
+    data = _time_series_csv(cfg, "two-nuclei", resolved, p, samples)
     summary = _summary_text(
         [
             ("experiment", "two-nuclei"),
             ("final_time_us", samples.times[-1]),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
-            ("final_singlet_population", singlet[-1]),
+            ("final_singlet_population", samples.expectations["singlet_population"][-1]),
         ]
         + cert
     )

@@ -424,7 +424,7 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         times = [float(c) for c in range(seq.cycles + 1)]
 
     return Trajectory.from_states(
-        times, (unvectorize(v, d) for v in vecs), target,
+        zip(times, (unvectorize(v, d) for v in vecs)), target,
         cycles=np.arange(seq.cycles + 1, dtype=float),
     )
 

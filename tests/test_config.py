@@ -83,6 +83,7 @@ def test_e_shorthand():
         "[pulse]\naxis = z\n",
         "[pulse]\nnoise_mode = telegraph\n",
         "[pulse]\nnoise_samples = 0\n",
+        "[pulse]\nnoise_samples = 10001\n",
         "[grid]\nbananas = 1, 2\n",
         "[grid]\nt2_star = 0, 1\n",
         "seed = -1\n",
@@ -112,6 +113,11 @@ def test_pulse_section():
     assert cfg.pulse.dd_filter is False
     assert cfg.pulse.noise_mode == "quasistatic"
     assert cfg.pulse.noise_samples == 77
+
+
+def test_noise_samples_limit():
+    # 10,000 is the limit itself; test_rejects_invalid_input covers 10,001.
+    assert parse_config("[pulse]\nnoise_samples = 10000\n").pulse.noise_samples == 10000
 
 
 def test_grid_sorted_by_axis_name():

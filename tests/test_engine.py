@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import darksteady as ds
-from darksteady import engine, model
+from darksteady import engine, model, pulses
 from darksteady.engine import (
     build_liouvillian,
     evolve_fixed_step,
@@ -150,6 +150,31 @@ def test_rk4_samples_match_stepwise_stage_form():
     assert len(traj.states) == len(steps)
     for k, state in zip(steps, traj.states):
         assert np.abs(state - ds.unvectorize(ref[k], 12)).max() < 1e-12
+
+
+def test_observables_and_final_state_match_stored_states():
+    """``expectations`` and ``final_state`` equal what the stored states
+    give, over a run whose last interval is partial (47 steps, a sample
+    every 10); a pulsed run's final state is its last sample."""
+    p, liouv = fig2_system()
+    target = model.default_target(p.variant)
+    rho0 = model.mixed_ground_state(p.variant)
+    proj = np.outer(target, target.conj())
+    dt = 5e-5
+    traj = evolve_fixed_step(rho0, liouv, 47 * dt, dt, sample_every=10, target=target,
+                             store_states=True, observables={"target": proj})
+    assert list(traj.expectations) == ["target"]
+    assert traj.expectations["target"].tolist() == [
+        float(np.trace(proj @ s).real) for s in traj.states
+    ]
+    assert np.array_equal(traj.final_state, traj.states[-1])
+
+    seq = pulses.standard_cycle(p, tau=0.02, cycles=3)
+    pulsed = pulses.run_sequence(rho0, seq, p)
+    assert pulsed.expectations == {}
+    assert fidelity(pulsed.final_state, target) == pulsed.fidelity[-1]
+    assert purity(pulsed.final_state) == pulsed.purity[-1]
+    assert np.array_equal(np.diag(pulsed.final_state).real, pulsed.populations[-1])
 
 
 def test_step_size_guard():

@@ -7,6 +7,7 @@ full-length runs.
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,18 @@ def test_pulsed_cycles_bounded(tmp_path, monkeypatch, name):
         run_cli(tmp_path, name, f"experiment = {name}\ncycles = 40000\n")
 
 
+def test_noise_samples_bounded(tmp_path):
+    """A quasi-static sample count the noise draw could not allocate is a
+    config error (exit 2) before anything runs or is written."""
+    text = (
+        "experiment = fig3\ncycles = 1\n[params]\nt2_star = 10\n"
+        "[pulse]\nnoise_mode = quasistatic\nnoise_samples = 10000000000000\n"
+    )
+    code, out = run_cli(tmp_path, "fig3", text)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_fig3_rejects_correction_flag(tmp_path):
     text = "experiment = fig3\ncycles = 10\n[pulse]\ncorrection = true\n"
     code, _ = run_cli(tmp_path, "fig3", text)
@@ -243,6 +256,27 @@ def test_two_nuclei_matched_drive_default(tmp_path):
     assert header[3] == "singlet_population"
     assert float(rows[-1][1]) == pytest.approx(0.75, abs=0.01)
     assert float(rows[-1][3]) == pytest.approx(0.25, abs=0.01)
+
+
+# Bytes that the 4001 sampled 16x16 complex states of a 200 us two-nuclei
+# run would take if a run kept them.
+_STATES_200US_BYTES = 4001 * 16 * 16 * 16
+
+
+@pytest.mark.parametrize("integrator", ["propagator", "rk4"])
+def test_two_nuclei_keeps_no_states(tmp_path, integrator):
+    """A continuous run observes each sample as it is taken: its traced
+    peak stays below the size of the sampled states alone."""
+    text = f"experiment = two-nuclei\nintegrator = {integrator}\nt_end = 200\n"
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "two-nuclei", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(read_rows(out / "data.csv")[1]) > 3990
+    assert peak < _STATES_200US_BYTES
 
 
 def test_two_nuclei_explicit_drive_wins(tmp_path):
