@@ -31,7 +31,7 @@ import numpy as np
 from . import engine, model, pulses
 from .config import render_config, resolve_params
 from .errors import ConfigError, NonUniqueSteadyState, NumericalError
-from .linalg import expm, kron, unvectorize, vectorize
+from .linalg import _one_blas_thread, expm, kron, unvectorize, vectorize
 from .model import VARIANT_SINGLE, VARIANT_TWO
 from .version import __version__
 
@@ -44,6 +44,11 @@ _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
 # Pulsed runs record one row per cycle; cap them at a continuous run's rows.
 _MAX_CYCLES = round(_MAX_HORIZON / _SAMPLE_INTERVAL)
+# One pulsed run propagates at most this many sample-cycles, at about 60 us
+# each on one core: about a minute per run.  Building a sample's maps
+# (about 15 ms) counts as _MAPS_CYCLES of them.
+_MAX_SAMPLE_CYCLES = 1_000_000
+_MAPS_CYCLES = 250
 
 
 def _fmt_cell(value):
@@ -254,18 +259,28 @@ def _time_series_csv(cfg, experiment, resolved, p, samples):
     return _csv_text(_header_lines(cfg, experiment, resolved, p), columns, rows)
 
 
-def _pulsed_setup(cfg, p, default_tau, default_cycles):
+def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
     """Set-up shared by the pulsed experiments.
 
-    Returns the PulseOptions with tau resolved (the header's [pulse]), the
-    cycle count, a builder ``cycle(tau, correction)`` of the standard
-    cycle with the remaining options from cfg.pulse, and the noise
-    keywords of ``pulses.run_sequence``.
+    ``t2_stars`` holds the T2* of each sequence the run propagates; with
+    quasi-static noise, as in ``pulses.run_sequence``, one that is not None
+    averages over noise_samples samples.  Returns the PulseOptions with tau
+    resolved (the header's [pulse]), the cycle count, a builder
+    ``cycle(tau, correction)`` of the standard cycle with the remaining
+    options from cfg.pulse, and the noise keywords of
+    ``pulses.run_sequence``.
     """
     opts = cfg.pulse if cfg.pulse.tau is not None else replace(cfg.pulse, tau=default_tau)
     cycles = cfg.cycles if cfg.cycles is not None else default_cycles
     if cycles > _MAX_CYCLES:
         raise ConfigError(f"cycles = {cycles} exceeds the {_MAX_CYCLES} limit")
+    quasi = opts.noise_mode == "quasistatic"
+    samples = sum(opts.noise_samples if quasi and t2 is not None else 1 for t2 in t2_stars)
+    if samples * (cycles + _MAPS_CYCLES) > _MAX_SAMPLE_CYCLES:
+        raise ConfigError(
+            f"{samples} samples x ({cycles} cycles + {_MAPS_CYCLES} for the maps) "
+            f"exceeds the {_MAX_SAMPLE_CYCLES} sample-cycle limit of a pulsed run"
+        )
 
     def cycle(tau, correction):
         return pulses.standard_cycle(
@@ -442,7 +457,7 @@ def _run_fig3(cfg):
             "'correction' must stay false"
         )
     p = resolve_params(cfg, {"variant": VARIANT_SINGLE})
-    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.02, 200)
+    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.02, 200, (p.t2_star,) * 3)
     tau = opts.tau
     rho0 = model.mixed_ground_state(p.variant)
     ideal = pulses.run_sequence(rho0, cycle(0.0, False), p, **noise)
@@ -498,12 +513,13 @@ def _run_t2_inset(cfg):
     if "g" not in cfg.param_overrides:
         defaults["g"] = 2.0
     p = resolve_params(cfg, defaults)
-    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.0, 195)
     t2_values = _DEFAULT_T2_VALUES
     for name, values in cfg.grid:
         if name != "t2_star":
             raise ConfigError(f"t2-inset sweeps t2_star only, got grid axis {name!r}")
         t2_values = values
+    # One sequence per T2*, then the noiseless one.
+    opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.0, 195, (*t2_values, None))
 
     seq = cycle(opts.tau, opts.correction)
     rows = pulses.t2star_sweep(p, seq, t2_values, **noise)
@@ -589,15 +605,17 @@ def run_experiment(cfg):
     Raises ConfigError for invalid configs, NonUniqueSteadyState when an
     experiment that requires a unique attractor hits a degenerate one, and
     numerical errors from the engine; the CLI maps these to exit codes.
+    BLAS runs single-threaded meanwhile (see linalg._one_blas_thread).
     """
-    if cfg.experiment is None:
-        raise ConfigError("no experiment selected")
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if not cfg.output:
-        raise ConfigError("no output directory given (CLI --out or 'out' key)")
-    if cfg.t_end is not None and cfg.t_end > _MAX_HORIZON:
-        raise ConfigError(f"t_end = {cfg.t_end} us exceeds the {_MAX_HORIZON} us limit")
-    files = runner(cfg)
-    _write_outputs(cfg.output, files)
+    with _one_blas_thread():
+        if cfg.experiment is None:
+            raise ConfigError("no experiment selected")
+        runner = _RUNNERS.get(cfg.experiment)
+        if runner is None:
+            raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+        if not cfg.output:
+            raise ConfigError("no output directory given (CLI --out or 'out' key)")
+        if cfg.t_end is not None and cfg.t_end > _MAX_HORIZON:
+            raise ConfigError(f"t_end = {cfg.t_end} us exceeds the {_MAX_HORIZON} us limit")
+        files = runner(cfg)
+        _write_outputs(cfg.output, files)

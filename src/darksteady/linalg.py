@@ -11,6 +11,10 @@ assume it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,3 +179,51 @@ def unvectorize(v, dim):
             f"vector of length {v.size} cannot unstack into {dim}x{dim}"
         )
     return v.reshape((dim, dim), order="F").copy()
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pools
+
+
+def _find_blas_pools():
+    """(get, set) thread-count functions of the scipy-openblas builds that
+    the numpy and scipy wheels bundle in ``numpy.libs`` / ``scipy.libs``:
+    numpy's 64-bit-integer build (symbol suffix ``64_``) and scipy's.  A
+    library that exports neither pair (another BLAS) gives no pool."""
+    pools = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and set_ is not None:
+                    pools.append((get, set_))
+                    break
+    return pools
+
+
+_blas_pools = None  # found on first use of _one_blas_thread, then kept
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled scipy-openblas pool at one thread.
+
+    At 144x144 and 256x256 a second thread costs more than it gains, and
+    one thread makes the summation order, and so the output bytes, the
+    same on every machine.  The counts found on entry are restored on
+    every exit.  Does nothing when no pool is found (another BLAS).
+    """
+    global _blas_pools
+    if _blas_pools is None:
+        _blas_pools = _find_blas_pools()
+    saved = [get() for get, _ in _blas_pools]
+    for _, set_ in _blas_pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(_blas_pools, saved):
+            set_(count)

@@ -356,15 +356,15 @@ def _build_maps(seq, p, detuning=0.0, quasistatic=False):
 
 
 def _run_vec(v0, maps, cycles, record_at):
-    """Vectors at the record point of each cycle (index 0 = initial state)."""
-    out = [v0.copy()]
+    """Yield the vector at the record point of each cycle, first the initial
+    state; each is a new array."""
     v = v0.copy()
+    yield v
     for _ in range(cycles):
         for i, mat in enumerate(maps):
             v = mat @ v
             if i == record_at:
-                out.append(v.copy())
-    return out
+                yield v
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
@@ -395,24 +395,25 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     record_at = seq.record_segment if seq.record_segment is not None else len(seq.segments) - 1
     v0 = vectorize(rho0)
 
-    quasi = noise_mode == "quasistatic" and p.t2_star is not None
-    if quasi:
+    if noise_mode == "quasistatic" and p.t2_star is not None:
         rng = np.random.default_rng(seed)
         detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples)
+        # Average over the detunings in sample order, accumulating into the
+        # first sample's vectors.
+        vecs = None
+        for delta in detunings:
+            maps = _build_maps(seq, p, detuning=float(delta), quasistatic=True)
+            sample = _run_vec(v0, maps, seq.cycles, record_at)
+            if vecs is None:
+                vecs = list(sample)
+            else:
+                for acc, v in zip(vecs, sample):
+                    acc += v
+        for acc in vecs:
+            acc /= len(detunings)
     else:
-        detunings = (0.0,)
-    # Average over the detunings, accumulating into the first sample's vectors.
-    vecs = None
-    for delta in detunings:
-        maps = _build_maps(seq, p, detuning=float(delta), quasistatic=quasi)
-        sample = _run_vec(v0, maps, seq.cycles, record_at)
-        if vecs is None:
-            vecs = sample
-        else:
-            for acc, v in zip(vecs, sample):
-                acc += v
-    for acc in vecs:
-        acc /= len(detunings)
+        # One detuning: each vector is observed as it is made.
+        vecs = _run_vec(v0, _build_maps(seq, p), seq.cycles, record_at)
 
     walls = [seg.duration for seg in seq.segments]
     record_offset = float(sum(walls[: record_at + 1]))

@@ -221,6 +221,60 @@ def test_noise_samples_bounded(tmp_path):
     assert not out.exists()
 
 
+def _quasi(samples):
+    return f"[pulse]\nnoise_mode = quasistatic\nnoise_samples = {samples}\n"
+
+
+def _t2_grid(points):
+    return "[grid]\nt2_star = " + ", ".join(str(i + 1) for i in range(points)) + "\n"
+
+
+_T2 = "[params]\nt2_star = 10\n"
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        # 3 sequences x 1000 samples x (83 cycles + 250 for the maps) = 999,000
+        ("experiment = fig3\ncycles = 83\n" + _T2 + _quasi(1000), True),
+        ("experiment = fig3\ncycles = 84\n" + _T2 + _quasi(1000), False),
+        # no T2*: quasi-static mode propagates each sequence once
+        ("experiment = fig3\ncycles = 200\n" + _quasi(10000), True),
+        # Markovian: one sample per sequence
+        ("experiment = fig3\ncycles = 40000\n" + _T2 + "[pulse]\nnoise_samples = 10000\n",
+         True),
+        # (2 x 1000 samples + the noiseless sequence) x (249 + 250) = 998,499
+        ("experiment = t2-inset\ncycles = 249\n" + _quasi(1000) + _t2_grid(2), True),
+        ("experiment = t2-inset\ncycles = 250\n" + _quasi(1000) + _t2_grid(2), False),
+        # the defaults: (5 x 200 + 1) x (195 + 250)
+        ("experiment = t2-inset\n" + _quasi(200), True),
+        # each sequence below the limit, the 1000 of them far above it
+        ("experiment = t2-inset\ncycles = 83\n" + _quasi(3000) + _t2_grid(1000), False),
+        ("experiment = t2-inset\ncycles = 40000\n" + _t2_grid(1000), False),
+    ],
+    ids=["fig3-limit", "fig3-over", "fig3-no-t2", "fig3-markovian", "t2-inset-limit",
+         "t2-inset-over", "t2-inset-defaults", "t2-inset-grid", "t2-inset-markovian-grid"],
+)
+def test_pulsed_sample_cycles_bounded(tmp_path, monkeypatch, text, accepted):
+    """A pulsed run above 1,000,000 sample-cycles over all its sequences is
+    rejected (exit 2) before any pulse map is built; one at the limit gets
+    there."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(pulses, "run_sequence", reached)
+    monkeypatch.setattr(pulses, "t2star_sweep", reached)
+    name = text.split("\n")[0].split(" = ")[1]
+    if accepted:
+        with pytest.raises(_Reached):
+            run_cli(tmp_path, name, text)
+    else:
+        code, out = run_cli(tmp_path, name, text)
+        assert code == 2
+        assert not out.exists()
+
+
 def test_fig3_rejects_correction_flag(tmp_path):
     text = "experiment = fig3\ncycles = 10\n[pulse]\ncorrection = true\n"
     code, _ = run_cli(tmp_path, "fig3", text)
@@ -414,3 +468,23 @@ def test_cli_reports_diagnostics_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "gamma_plus" in captured.err
     assert captured.out == ""
+
+
+# Bytes of the per-cycle 144-entry complex vectors of one 3000-cycle
+# sequence, were a run to keep them.
+_VECTORS_3000_CYCLES_BYTES = 3001 * 144 * 16
+
+
+def test_markovian_fig3_keeps_no_vectors(tmp_path):
+    """A Markovian pulsed run observes each cycle's vector as it is made:
+    its traced peak stays below the size of one sequence's vectors."""
+    text = "experiment = fig3\ncycles = 3000\n[params]\nt2_star = 10\n"
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "fig3", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(read_rows(out / "data.csv")[1]) == 3001
+    assert peak < _VECTORS_3000_CYCLES_BYTES
