@@ -23,9 +23,7 @@ liouv = engine.build_liouvillian(
     model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
 )
 
-anti = np.zeros(4, dtype=complex)
-anti[2], anti[1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-singlet_proj = np.kron(np.eye(4), np.outer(anti, anti.conj()))
+singlet_proj = model.nuclear_singlet_projector()  # I4 (x) |S><S|
 
 print("symmetric couplings, t = 120 us of evolution:")
 end = engine.evolve_propagator(rho0, liouv, 120.0)

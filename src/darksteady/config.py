@@ -206,6 +206,15 @@ def _parse_run(items):
     return out
 
 
+def _param_fields(name, value):
+    """The SystemParams fields that a [params] key or [grid] axis sets."""
+    if name == "e":
+        return {"e_plus": value, "e_minus": -value}
+    if name == "omega":
+        return {"omega_e": value, "omega_n": value}
+    return {name: value}
+
+
 def _parse_params(items):
     out = {}
     for key, raw in items.items():
@@ -214,9 +223,7 @@ def _parse_params(items):
         elif key in ("gamma_plus", "gamma_minus", "gamma_zero"):
             out[key] = _parse_float("params", key, raw, minimum=0.0)
         elif key == "e":
-            amp = _parse_float("params", key, raw)
-            out["e_plus"] = amp
-            out["e_minus"] = -amp
+            out.update(_param_fields(key, _parse_float("params", key, raw)))
         elif key in ("e_plus", "e_minus"):
             out[key] = _parse_float("params", key, raw)
         elif key == "t2_star":

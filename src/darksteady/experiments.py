@@ -29,9 +29,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import engine, model, pulses
-from .config import render_config, resolve_params
+from .config import _param_fields, render_config, resolve_params
 from .errors import ConfigError, NonUniqueSteadyState, NumericalError
-from .linalg import _one_blas_thread, expm, kron, unvectorize, vectorize
+from .linalg import _one_blas_thread, expm, unvectorize, vectorize
 from .model import VARIANT_SINGLE, VARIANT_TWO
 from .version import __version__
 
@@ -300,15 +300,17 @@ def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
 # experiments
 
 
-def _require_variant(cfg, variant, experiment):
+def _variant_params(cfg, variant, experiment, **defaults):
+    """SystemParams of an experiment that runs one variant only; explicit
+    config keys win over ``defaults``."""
     explicit = cfg.param_overrides.get("variant")
     if explicit is not None and explicit != variant:
         raise ConfigError(f"{experiment} runs the {variant} variant, got {explicit}")
+    return resolve_params(cfg, {"variant": variant, **defaults})
 
 
 def _run_fig2(cfg):
-    _require_variant(cfg, VARIANT_SINGLE, "fig2")
-    p = resolve_params(cfg, {"variant": VARIANT_SINGLE})
+    p = _variant_params(cfg, VARIANT_SINGLE, "fig2")
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
@@ -379,23 +381,15 @@ def _run_steady(cfg):
     return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
 
 
-_AXIS_SETTERS = {
-    "e": lambda v: {"e_plus": v, "e_minus": -v},
-    "omega": lambda v: {"omega_e": v, "omega_n": v},
-}
-
-
 def _sweep_rows(cfg, grid):
     names = [name for name, _ in grid]
     value_lists = [values for _, values in grid]
     rows = []
     n_nonunique = 0
     for combo in itertools.product(*value_lists):
-        overrides = {}
-        for name, value in zip(names, combo):
-            overrides.update(_AXIS_SETTERS.get(name, lambda v, _n=name: {_n: v})(value))
         merged = dict(cfg.param_overrides)
-        merged.update(overrides)
+        for name, value in zip(names, combo):
+            merged.update(_param_fields(name, value))
         p = resolve_params(replace(cfg, param_overrides=merged))
         target = model.default_target(p.variant)
         liouv = _liouvillian(p)
@@ -450,13 +444,12 @@ def _run_fig2_inset(cfg):
 
 
 def _run_fig3(cfg):
-    _require_variant(cfg, VARIANT_SINGLE, "fig3")
+    p = _variant_params(cfg, VARIANT_SINGLE, "fig3")
     if cfg.pulse.correction:
         raise ConfigError(
             "fig3 computes corrected and uncorrected curves itself; "
             "'correction' must stay false"
         )
-    p = resolve_params(cfg, {"variant": VARIANT_SINGLE})
     opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.02, 200, (p.t2_star,) * 3)
     tau = opts.tau
     rho0 = model.mixed_ground_state(p.variant)
@@ -507,12 +500,8 @@ _DEFAULT_T2_VALUES = (1.0, 5.0, 10.0, 50.0, 100.0)
 
 
 def _run_t2_inset(cfg):
-    _require_variant(cfg, VARIANT_SINGLE, "t2-inset")
     # Feasibility defaults: slower hyperfine g = 2 MHz, ~2 ms of cycles.
-    defaults = {"variant": VARIANT_SINGLE}
-    if "g" not in cfg.param_overrides:
-        defaults["g"] = 2.0
-    p = resolve_params(cfg, defaults)
+    p = _variant_params(cfg, VARIANT_SINGLE, "t2-inset", g=2.0)
     t2_values = _DEFAULT_T2_VALUES
     for name, values in cfg.grid:
         if name != "t2_star":
@@ -544,28 +533,18 @@ def _run_t2_inset(cfg):
     return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
 
 
-def _nuclear_singlet_projector():
-    h0 = np.array([1.0, 0.0], dtype=complex)
-    h1 = np.array([0.0, 1.0], dtype=complex)
-    anti = (np.kron(h1, h0) - np.kron(h0, h1)) / math.sqrt(2.0)
-    return kron(np.eye(4, dtype=complex), np.outer(anti, anti.conj()))
-
-
 def _run_two_nuclei(cfg):
-    _require_variant(cfg, VARIANT_TWO, "two-nuclei")
-    base = resolve_params(cfg, {"variant": VARIANT_TWO})
-    defaults = {"variant": VARIANT_TWO}
-    if "omega_e" not in cfg.param_overrides:
-        # Matched drive: the two nuclei couple collectively with a sqrt(2)
-        # enhancement, so darkness needs omega_e = sqrt(2) * mean drive.
-        mean_asym = sum(base.asymmetry) / len(base.asymmetry)
-        defaults["omega_e"] = math.sqrt(2.0) * base.omega_n * mean_asym
-    p = resolve_params(cfg, defaults)
+    base = _variant_params(cfg, VARIANT_TWO, "two-nuclei")
+    # Matched drive: the two nuclei couple collectively with a sqrt(2)
+    # enhancement, so darkness needs omega_e = sqrt(2) * mean drive.
+    mean_asym = sum(base.asymmetry) / len(base.asymmetry)
+    p = _variant_params(cfg, VARIANT_TWO, "two-nuclei",
+                        omega_e=math.sqrt(2.0) * base.omega_n * mean_asym)
     target = model.target_states(p.variant).psi_dark_two
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
-    observables = {"singlet_population": _nuclear_singlet_projector()}
+    observables = {"singlet_population": model.nuclear_singlet_projector()}
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
     cert = _certificate_pairs(liouv, target)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import math
 import os
 from dataclasses import dataclass
 
@@ -61,10 +62,7 @@ class SpaceLayout:
 
     @property
     def dim(self):
-        out = 1
-        for d in self.factor_dims:
-            out *= d
-        return out
+        return math.prod(self.factor_dims)
 
 
 def _as_square(a, what="operand"):
@@ -158,9 +156,7 @@ def partial_trace(rho, layout, keep):
     for idx in sorted((i for i in range(n) if i not in keep), reverse=True):
         t = np.trace(t, axis1=idx, axis2=idx + n)
         n -= 1
-    d_keep = 1
-    for k in keep:
-        d_keep *= dims[k]
+    d_keep = math.prod(dims[k] for k in keep)
     return t.reshape(d_keep, d_keep)
 
 

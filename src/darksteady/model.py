@@ -1,6 +1,12 @@
 """Level structure, spin and optical operators, Hamiltonian, collapse
 operators and target entangled states.
 
+One table maps each variant to the level tuples of its tensor factors,
+electron first: one spin-1 nucleus or two spin-1/2 nuclei.  Dimension,
+layout, basis labels, the ground mixture (labels whose electron level is not
+A1) and ``embed`` (a factor operator in the full space) derive from it, and
+an unknown variant fails its lookup with a ConfigError.
+
 Basis ordering is fixed and every golden number in the test suite depends on
 it: the electron factor varies slowest with levels ordered (+1, -1, 0, A1);
 a spin-1 nucleus orders its levels (+1, -1, 0); spin-1/2 nuclei order (0, 1).
@@ -18,12 +24,14 @@ sqrt(Gamma_phi/2) * S_z with Gamma_phi = 1/T2* (T2* in us, no 2*pi here).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .linalg import SpaceLayout, dagger, kron
 
 __all__ = [
@@ -45,8 +53,10 @@ __all__ = [
     "dephasing_op",
     "dim",
     "electron_state",
+    "embed",
     "layout",
     "mixed_ground_state",
+    "nuclear_singlet_projector",
     "nuclear_spin1_state",
     "target_states",
 ]
@@ -68,18 +78,20 @@ def _basis(n, i):
     return v
 
 
-_E_INDEX = {lab: i for i, lab in enumerate(ELECTRON_LEVELS)}
-_N1_INDEX = {lab: i for i, lab in enumerate(NUCLEAR_SPIN1_LEVELS)}
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+# The levels of one spin-1/2 nucleus and the singlet (|10> - |01>)/sqrt(2)
+# of two.
+_H0, _H1 = _basis(2, 0), _basis(2, 1)
+_NUCLEAR_SINGLET = _SQRT_HALF * (np.kron(_H1, _H0) - np.kron(_H0, _H1))
 
-def _level_state(label, index, what):
-    # Bare levels by index; "D" and "B" are the symmetric and antisymmetric
-    # superpositions of the +1 and -1 levels (indices 0 and 1 in both factors).
-    n = len(index)
-    if label in index:
-        return _basis(n, index[label])
+
+def _level_state(label, levels, what):
+    # Bare levels by position; "D" and "B" are the symmetric and antisymmetric
+    # superpositions of the +1 and -1 levels (positions 0 and 1 in both factors).
+    n = len(levels)
+    if label in levels:
+        return _basis(n, levels.index(label))
     if label == "D":
         return _SQRT_HALF * (_basis(n, 0) + _basis(n, 1))
     if label == "B":
@@ -94,51 +106,49 @@ def electron_state(label):
     "D" (symmetric, drive-coupled, optically dark) and "B" (antisymmetric,
     optically bright).
     """
-    return _level_state(label, _E_INDEX, "electron")
+    return _level_state(label, ELECTRON_LEVELS, "electron")
 
 
 def nuclear_spin1_state(label):
     """Spin-1 nuclear state vector (dimension 3), including "D" and "B"."""
-    return _level_state(label, _N1_INDEX, "spin-1 nuclear")
+    return _level_state(label, NUCLEAR_SPIN1_LEVELS, "spin-1 nuclear")
 
 
-def _check_variant(variant):
-    if variant not in VARIANTS:
+# The tensor factors of each variant as level tuples, electron first.
+# Dimensions, layouts, basis labels and embeddings all follow from it.
+_FACTORS = {
+    VARIANT_SINGLE: (ELECTRON_LEVELS, NUCLEAR_SPIN1_LEVELS),
+    VARIANT_TWO: (ELECTRON_LEVELS, NUCLEAR_HALF_LEVELS, NUCLEAR_HALF_LEVELS),
+}
+
+
+def _factors(variant):
+    try:
+        return _FACTORS[variant]
+    except (KeyError, TypeError):
         raise ConfigError(
             f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}"
-        )
+        ) from None
+
+
+def _factor_dims(variant):
+    return tuple(len(levels) for levels in _factors(variant))
 
 
 def dim(variant):
     """Total Hilbert-space dimension for a variant (12 or 16)."""
-    _check_variant(variant)
-    return 12 if variant == VARIANT_SINGLE else 16
+    return math.prod(_factor_dims(variant))
 
 
 def layout(variant):
     """Tensor-factor layout: (4, 3) or (4, 2, 2), electron first."""
-    _check_variant(variant)
-    if variant == VARIANT_SINGLE:
-        return SpaceLayout((4, 3))
-    return SpaceLayout((4, 2, 2))
-
-
-def _nucleus_count(variant):
-    return 1 if variant == VARIANT_SINGLE else 2
+    return SpaceLayout(_factor_dims(variant))
 
 
 def basis_labels(variant):
     """Human-readable label per basis index, e.g. "e+1:n0" or "e0:n10"."""
-    _check_variant(variant)
-    if variant == VARIANT_SINGLE:
-        return tuple(
-            f"e{e}:n{n}" for e in ELECTRON_LEVELS for n in NUCLEAR_SPIN1_LEVELS
-        )
     return tuple(
-        f"e{e}:n{a}{b}"
-        for e in ELECTRON_LEVELS
-        for a in NUCLEAR_HALF_LEVELS
-        for b in NUCLEAR_HALF_LEVELS
+        f"e{e}:n{''.join(nuclei)}" for e, *nuclei in itertools.product(*_factors(variant))
     )
 
 
@@ -170,7 +180,7 @@ class SystemParams:
     asymmetric_hyperfine: bool = False
 
     def __post_init__(self):
-        _check_variant(self.variant)
+        count = self.nucleus_count
         for name in ("omega_e", "omega_n", "g"):
             val = float(getattr(self, name))
             if not math.isfinite(val) or val < 0:
@@ -193,7 +203,6 @@ class SystemParams:
             if not math.isfinite(t2) or t2 <= 0:
                 raise ConfigError(f"t2_star must be > 0 us, got {t2}")
             object.__setattr__(self, "t2_star", t2)
-        count = _nucleus_count(self.variant)
         asym = self.asymmetry
         if asym is None:
             asym = (1.0,) * count
@@ -213,7 +222,7 @@ class SystemParams:
 
     @property
     def nucleus_count(self):
-        return _nucleus_count(self.variant)
+        return len(_factors(self.variant)) - 1
 
     @property
     def dim(self):
@@ -231,93 +240,78 @@ class TargetStates:
     ``psi_dark`` is the electron-nucleus singlet-like dark state of the
     single-nucleus variant; ``psi_dark_two`` and ``singlet_two`` belong to
     the two-nuclei variant (fields not applicable to a variant are None).
-    ``dark_e``/``bright_e`` are 4-dimensional electron party vectors,
-    ``dark_n``/``bright_n`` 3-dimensional spin-1 party vectors.
     """
 
     psi_dark: np.ndarray | None
     psi_dark_two: np.ndarray | None
     singlet_two: np.ndarray | None
-    dark_e: np.ndarray
-    bright_e: np.ndarray
-    dark_n: np.ndarray | None
-    bright_n: np.ndarray | None
 
 
-def _spin1_ops(index):
-    """S_x and S_z of the spin-1 levels +1, -1, 0 within a factor whose
-    levels are numbered by ``index`` (any further level is left untouched)."""
-    n = len(index)
+def _spin1_ops(levels):
+    """S_x and S_z of the spin-1 levels +1, -1, 0 within a factor with these
+    ``levels`` (any further level is left untouched)."""
+    n = len(levels)
+    i = levels.index
     x = np.zeros((n, n), dtype=complex)
-    x[index["0"], index["+1"]] = 1.0
-    x[index["0"], index["-1"]] = 1.0
+    x[i("0"), i("+1")] = 1.0
+    x[i("0"), i("-1")] = 1.0
     x = x + dagger(x)
     z = np.zeros((n, n), dtype=complex)
-    z[index["+1"], index["+1"]] = 1.0
-    z[index["-1"], index["-1"]] = -1.0
+    z[i("+1"), i("+1")] = 1.0
+    z[i("-1"), i("-1")] = -1.0
     return x, z
 
 
-def _half_ops():
-    ix = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    # order (0, 1): I_z = |1><1| - |0><0|
-    iz = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    return ix, iz
+# Single-factor operators.  (I_x, I_z) of a nucleus, keyed by its factor's
+# levels; spin-1/2 levels are ordered (0, 1), so I_z = |1><1| - |0><0|.
+_NUCLEAR_SPIN_OPS = {
+    NUCLEAR_SPIN1_LEVELS: _spin1_ops(NUCLEAR_SPIN1_LEVELS),
+    NUCLEAR_HALF_LEVELS: (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    ),
+}
+# The electron's S_x and S_z, optical lowering maps |k><A1| and projectors.
+_ELECTRON_SPIN_OPS = _spin1_ops(ELECTRON_LEVELS)
+_LOWERING = {
+    lab: np.outer(electron_state(lab), electron_state("A1")) for lab in ("+1", "-1", "0")
+}
+_PROJECTORS = {lab: np.outer(electron_state(lab), electron_state(lab)) for lab in ELECTRON_LEVELS}
 
 
-def _nuclear_identity(variant):
-    return np.eye(3, dtype=complex) if variant == VARIANT_SINGLE else np.eye(4, dtype=complex)
-
-
-def _embed_electron(op4, variant):
-    return kron(op4, _nuclear_identity(variant))
-
-
-def _embed_nucleus(op, variant, which):
-    if variant == VARIANT_SINGLE:
-        return kron(np.eye(4, dtype=complex), op)
-    eye2 = np.eye(2, dtype=complex)
-    nuc = kron(op, eye2) if which == 0 else kron(eye2, op)
-    return kron(np.eye(4, dtype=complex), nuc)
+def embed(op, variant, factor):
+    """Full-space operator acting as ``op`` on tensor factor ``factor`` (0
+    is the electron), or on the run of factors from there whose dimensions
+    multiply to its size, and as the identity on every other factor."""
+    dims = _factor_dims(variant)
+    n = len(op)
+    if n not in itertools.accumulate(dims[factor:], operator.mul):
+        raise DimensionError(
+            f"a {n}x{n} operator spans no run of the factors {dims[factor:]}"
+        )
+    after = math.prod(dims[factor:]) // n
+    out = op if after == 1 else kron(op, np.eye(after, dtype=complex))
+    for d in reversed(dims[:factor]):
+        out = kron(np.eye(d, dtype=complex), out)
+    return out
 
 
 def build_operators(variant):
     """Full-dimension spin and optical operators for a variant.
 
     Returns a dict with Hermitian ``S_x``/``S_z``, per-nucleus tuples
-    ``I_x``/``I_z``, unit-amplitude ``optical_lowering``/``optical_raising``
-    maps |k><A1| / |A1><k| keyed by ground level, and electron level
-    ``projectors``.
+    ``I_x``/``I_z``, unit-amplitude ``optical_lowering`` maps |k><A1|
+    keyed by ground level, and electron level ``projectors``.
     """
-    _check_variant(variant)
-    sx4, sz4 = _spin1_ops(_E_INDEX)
-    ops = {
-        "S_x": _embed_electron(sx4, variant),
-        "S_z": _embed_electron(sz4, variant),
+    nuclei = list(enumerate(_factors(variant)[1:], start=1))
+    return {
+        "S_x": embed(_ELECTRON_SPIN_OPS[0], variant, 0),
+        "S_z": embed(_ELECTRON_SPIN_OPS[1], variant, 0),
+        "I_x": tuple(embed(_NUCLEAR_SPIN_OPS[lv][0], variant, j) for j, lv in nuclei),
+        "I_z": tuple(embed(_NUCLEAR_SPIN_OPS[lv][1], variant, j) for j, lv in nuclei),
+        "optical_lowering": {lab: embed(m, variant, 0) for lab, m in _LOWERING.items()},
+        "projectors": {lab: embed(m, variant, 0) for lab, m in _PROJECTORS.items()},
     }
-    if variant == VARIANT_SINGLE:
-        ix, iz = _spin1_ops(_N1_INDEX)
-        ops["I_x"] = (_embed_nucleus(ix, variant, 0),)
-        ops["I_z"] = (_embed_nucleus(iz, variant, 0),)
-    else:
-        ix, iz = _half_ops()
-        ops["I_x"] = tuple(_embed_nucleus(ix, variant, j) for j in range(2))
-        ops["I_z"] = tuple(_embed_nucleus(iz, variant, j) for j in range(2))
-    a1 = _E_INDEX["A1"]
-    lowering = {}
-    for lab in ("+1", "-1", "0"):
-        m = np.zeros((4, 4), dtype=complex)
-        m[_E_INDEX[lab], a1] = 1.0
-        lowering[lab] = _embed_electron(m, variant)
-    ops["optical_lowering"] = lowering
-    ops["optical_raising"] = {lab: dagger(m) for lab, m in lowering.items()}
-    projectors = {}
-    for lab in ELECTRON_LEVELS:
-        m = np.zeros((4, 4), dtype=complex)
-        m[_E_INDEX[lab], _E_INDEX[lab]] = 1.0
-        projectors[lab] = _embed_electron(m, variant)
-    ops["projectors"] = projectors
-    return ops
 
 
 def apply_asymmetry(p):
@@ -385,40 +379,27 @@ def build_collapse_ops(p):
 
 def target_states(variant):
     """Normalized target state vectors for a variant."""
-    _check_variant(variant)
+    _factors(variant)  # an unknown variant raises ConfigError
     dark_e = electron_state("D")
-    bright_e = electron_state("B")
     e0 = electron_state("0")
     if variant == VARIANT_SINGLE:
-        dark_n = nuclear_spin1_state("D")
-        bright_n = nuclear_spin1_state("B")
         n0 = nuclear_spin1_state("0")
-        psi = _SQRT_HALF * (np.kron(dark_e, n0) - np.kron(e0, dark_n))
-        return TargetStates(
-            psi_dark=psi,
-            psi_dark_two=None,
-            singlet_two=None,
-            dark_e=dark_e,
-            bright_e=bright_e,
-            dark_n=dark_n,
-            bright_n=bright_n,
-        )
-    h0 = _basis(2, 0)
-    h1 = _basis(2, 1)
-    sym = _SQRT_HALF * (np.kron(h1, h0) + np.kron(h0, h1))
-    anti = _SQRT_HALF * (np.kron(h1, h0) - np.kron(h0, h1))
-    aligned = _SQRT_HALF * (np.kron(h1, h1) + np.kron(h0, h0))
+        psi = _SQRT_HALF * (np.kron(dark_e, n0) - np.kron(e0, nuclear_spin1_state("D")))
+        return TargetStates(psi_dark=psi, psi_dark_two=None, singlet_two=None)
+    sym = _SQRT_HALF * (np.kron(_H1, _H0) + np.kron(_H0, _H1))
+    aligned = _SQRT_HALF * (np.kron(_H1, _H1) + np.kron(_H0, _H0))
     psi_two = _SQRT_HALF * (np.kron(dark_e, sym) - np.kron(e0, aligned))
-    singlet = np.kron(e0, anti)
     return TargetStates(
         psi_dark=None,
         psi_dark_two=psi_two,
-        singlet_two=singlet,
-        dark_e=dark_e,
-        bright_e=bright_e,
-        dark_n=None,
-        bright_n=None,
+        singlet_two=np.kron(e0, _NUCLEAR_SINGLET),
     )
+
+
+def nuclear_singlet_projector():
+    """I4 (x) |S><S| of the two-nuclei variant: the population of the
+    nuclear singlet |S> = (|10> - |01>)/sqrt(2), whatever the electron does."""
+    return embed(np.outer(_NUCLEAR_SINGLET, _NUCLEAR_SINGLET.conj()), VARIANT_TWO, 1)
 
 
 def default_target(variant):
@@ -432,12 +413,8 @@ def mixed_ground_state(variant):
 
     9 states for the single-nucleus variant, 12 for two nuclei.
     """
-    _check_variant(variant)
-    d = dim(variant)
-    per_e = d // 4
-    rho = np.zeros((d, d), dtype=complex)
-    ground = [e * per_e + n for e in range(3) for n in range(per_e)]
-    w = 1.0 / len(ground)
-    for i in ground:
-        rho[i, i] = w
+    labels = basis_labels(variant)
+    ground = [i for i, lab in enumerate(labels) if not lab.startswith("eA1:")]
+    rho = np.zeros((len(labels), len(labels)), dtype=complex)
+    rho[ground, ground] = 1.0 / len(ground)
     return rho

@@ -255,9 +255,7 @@ def subspace_rotation(levels, angle, axis="y", variant=model.VARIANT_SINGLE):
         sigma = -1j * np.outer(u, v.conj()) + 1j * np.outer(v, u.conj())
     eye = np.eye(u.size, dtype=complex)
     r = (eye - proj) + math.cos(angle / 2.0) * proj - 1j * math.sin(angle / 2.0) * sigma
-    if party_u == "e":
-        return linalg.kron(r, np.eye(model.dim(variant) // 4, dtype=complex))
-    return linalg.kron(np.eye(4, dtype=complex), r)
+    return model.embed(r, variant, 0 if party_u == "e" else 1)
 
 
 def _unitary_map(u):

@@ -3,11 +3,22 @@
 The acceptance tests record one named pass/fail line per checked clause;
 the terminal summary prints them all so a run gives a one-line verdict per
 criterion without digging through tracebacks.
+
+The whole session runs BLAS on one thread, as the CLI does, so tests that
+call engine and pulses directly sum in the same order as a CLI run.
 """
 
 import pytest
 
+from darksteady import linalg
+
 ACCEPTANCE_RESULTS = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    with linalg._one_blas_thread():
+        yield
 
 
 @pytest.fixture

@@ -6,11 +6,13 @@ high-precision arithmetic before the builders existed, so they pin the
 builders rather than the other way round.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from darksteady import model
-from darksteady.errors import ConfigError
+from darksteady.errors import ConfigError, DimensionError
 from darksteady.model import (
     TWO_PI,
     SystemParams,
@@ -227,3 +229,52 @@ def test_apply_asymmetry():
     )
     _, couplings = model.apply_asymmetry(pa)
     assert couplings == (2.5, 2.0)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_factor_table_derivations(variant):
+    """Dimension, labels, embeddings and the ground mixture agree with the
+    tensor structure spelled out by hand."""
+    dims = model.layout(variant).factor_dims
+    labels = basis_labels(variant)
+    assert model.dim(variant) == len(labels) == math.prod(dims)
+    rng = np.random.default_rng(3)
+    for j, d in enumerate(dims):
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        explicit = np.ones((1, 1))
+        for k, dk in enumerate(dims):
+            explicit = np.kron(explicit, op if k == j else np.eye(dk))
+        assert np.array_equal(model.embed(op, variant, j), explicit)
+    diag = np.diag(mixed_ground_state(variant)).real
+    support = {labels[i] for i in np.nonzero(diag)[0]}
+    assert support == {lab for lab in labels if not lab.startswith("eA1:")}
+    with pytest.raises(DimensionError):
+        model.embed(np.eye(dims[-1] + 1), variant, len(dims) - 1)
+
+
+def test_nuclear_singlet_projector():
+    s = np.array([0.0, -1.0, 1.0, 0.0]) / np.sqrt(2.0)  # (|10> - |01>)/sqrt(2)
+    proj = model.nuclear_singlet_projector()
+    assert np.allclose(proj, np.kron(np.eye(4), np.outer(s, s)), atol=1e-15)
+    assert abs(np.trace(proj) - 4.0) < 1e-14
+    nuclear = target_states(VARIANT_TWO).singlet_two.reshape(4, 4)[2]
+    assert np.allclose(proj, np.kron(np.eye(4), np.outer(nuclear, nuclear.conj())))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        model.dim,
+        model.layout,
+        basis_labels,
+        lambda v: model.embed(np.eye(4), v, 0),
+        build_operators,
+        target_states,
+        mixed_ground_state,
+    ],
+    ids=["dim", "layout", "basis_labels", "embed", "build_operators",
+         "target_states", "mixed_ground_state"],
+)
+def test_unknown_variant_is_config_error(call):
+    with pytest.raises(ConfigError, match="unknown variant"):
+        call("three-nuclei")
