@@ -21,6 +21,7 @@ products plus one product per sample instead of one per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +56,9 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
+# States per block of Trajectory.from_states: few enough that a block of
+# 16x16 states stays far below a run's other memory.
+_OBSERVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,39 @@ class Trajectory:
         """Observe a stream of (time, rho) pairs in one pass: fidelity with
         ``target`` (if given), purity, populations, |Tr rho - 1| and
         Tr(A rho) for each named operator A of ``observables`` per sample.
-        Only the last state is kept, unless ``keep_states``."""
+        The stream is taken in blocks of at most ``_OBSERVE_BLOCK`` states,
+        each observed as one stack; only the last state is kept, unless
+        ``keep_states``."""
+        samples = iter(samples)
         times, kept, fids, purs, pops, tdevs = [], [], [], [], [], []
         expect = {name: [] for name in observables or {}}
         rho = None
-        for t, rho in samples:
-            times.append(t)
+        while block := list(itertools.islice(samples, _OBSERVE_BLOCK)):
+            ts, rhos = zip(*block)
+            stack = np.stack(rhos)
+            times.extend(ts)
             if target is not None:
-                fids.append(fidelity(rho, target))
-            purs.append(purity(rho))
-            pops.append(np.diag(rho).real.copy())
-            tdevs.append(abs(complex(np.trace(rho)) - 1.0))
+                fids.append(fidelity(stack, target))
+            purs.append(purity(stack))
+            # A copy, so that no kept row holds on to the whole stack.
+            pops.append(np.diagonal(stack, axis1=1, axis2=2).real.copy())
+            tr = np.trace(stack, axis1=1, axis2=2)
+            tdevs.append(np.hypot(tr.real - 1.0, tr.imag))
             for name, values in expect.items():
-                values.append(float(np.trace(observables[name] @ rho).real))
+                values.append(np.trace(observables[name] @ stack, axis1=1, axis2=2).real)
             if keep_states:
-                kept.append(rho)
+                kept.extend(rhos)
+            rho = rhos[-1]
         return cls(
             times=np.asarray(times, dtype=float),
-            fidelity=None if target is None else np.asarray(fids, dtype=float),
-            purity=np.asarray(purs, dtype=float),
-            populations=np.asarray(pops, dtype=float),
-            trace_deviation=np.asarray(tdevs, dtype=float),
+            fidelity=None if target is None else np.concatenate(fids),
+            purity=np.concatenate(purs),
+            populations=np.concatenate(pops),
+            trace_deviation=np.concatenate(tdevs),
             states=tuple(kept) if keep_states else None,
             cycles=cycles,
             final_state=rho,
-            expectations={name: np.asarray(v, dtype=float) for name, v in expect.items()},
+            expectations={name: np.concatenate(v) for name, v in expect.items()},
         )
 
 
@@ -179,27 +191,30 @@ def _check_state(rho, d, what="rho0"):
 
 
 def fidelity(rho, psi):
-    """<psi| rho |psi> as a real number.
+    """<psi| rho |psi> as a real number, or one per state of a stack of
+    density matrices (shape (k, d, d)).
 
     The imaginary residue must stay below 1e-12 (it does for any Hermitian
     rho); larger residues raise NumericalError instead of being discarded.
     """
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] != psi.size:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] != psi.size:
         raise DimensionError(
             f"state shape {rho.shape} incompatible with vector length {psi.size}"
         )
-    val = complex(psi.conj() @ (rho @ psi))
-    if abs(val.imag) > _FIDELITY_IMAG_TOL:
-        raise NumericalError(f"fidelity imaginary residue {val.imag:.3e} exceeds 1e-12")
-    return float(val.real)
+    vals = np.matmul(psi.conj(), (rho @ psi)[..., None])[..., 0]
+    worst = np.abs(vals.imag).max()
+    if worst > _FIDELITY_IMAG_TOL:
+        raise NumericalError(f"fidelity imaginary residue {worst:.3e} exceeds 1e-12")
+    return float(vals.real) if rho.ndim == 2 else vals.real
 
 
 def purity(rho):
-    """Tr(rho^2)."""
+    """Tr(rho^2), or one per state of a stack (shape (k, d, d))."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    vals = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return float(vals) if rho.ndim == 2 else vals
 
 
 def stationarity_residual(liouv, rho):

@@ -44,14 +44,17 @@ _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
 # Pulsed runs record one row per cycle; cap them at a continuous run's rows.
 _MAX_CYCLES = round(_MAX_HORIZON / _SAMPLE_INTERVAL)
-# One pulsed run propagates at most this many sample-cycles, at about 60 us
-# each on one core: about a minute per run.  Building a sample's maps
-# (about 15 ms) counts as _MAPS_CYCLES of them.
+# One pulsed run propagates at most this many sample-cycles, at about 17 us
+# each on one core.  Building a sample's maps (about 15 ms) counts as
+# _MAPS_CYCLES of them, so a run at the limit takes from about 17 s (all
+# propagation) to about a minute (all map builds).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
 
 
 def _fmt_cell(value):
+    if isinstance(value, float):  # the common case; np.float64 is a float
+        return "%.12g" % value
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):

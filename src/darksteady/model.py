@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -296,22 +297,41 @@ def embed(op, variant, factor):
     return out
 
 
+# One operator set per variant, built on first use and shared by every caller.
+_OPERATORS = {}
+
+
 def build_operators(variant):
     """Full-dimension spin and optical operators for a variant.
 
-    Returns a dict with Hermitian ``S_x``/``S_z``, per-nucleus tuples
+    Returns a mapping with Hermitian ``S_x``/``S_z``, per-nucleus tuples
     ``I_x``/``I_z``, unit-amplitude ``optical_lowering`` maps |k><A1|
-    keyed by ground level, and electron level ``projectors``.
+    keyed by ground level, and electron level ``projectors``.  The set is
+    built once per variant and shared, so its mappings and arrays are
+    read-only.
     """
-    nuclei = list(enumerate(_factors(variant)[1:], start=1))
-    return {
-        "S_x": embed(_ELECTRON_SPIN_OPS[0], variant, 0),
-        "S_z": embed(_ELECTRON_SPIN_OPS[1], variant, 0),
-        "I_x": tuple(embed(_NUCLEAR_SPIN_OPS[lv][0], variant, j) for j, lv in nuclei),
-        "I_z": tuple(embed(_NUCLEAR_SPIN_OPS[lv][1], variant, j) for j, lv in nuclei),
-        "optical_lowering": {lab: embed(m, variant, 0) for lab, m in _LOWERING.items()},
-        "projectors": {lab: embed(m, variant, 0) for lab, m in _PROJECTORS.items()},
-    }
+    ops = _OPERATORS.get(variant)
+    if ops is None:
+        nuclei = list(enumerate(_factors(variant)[1:], start=1))
+        ops = _OPERATORS[variant] = _read_only({
+            "S_x": embed(_ELECTRON_SPIN_OPS[0], variant, 0),
+            "S_z": embed(_ELECTRON_SPIN_OPS[1], variant, 0),
+            "I_x": tuple(embed(_NUCLEAR_SPIN_OPS[lv][0], variant, j) for j, lv in nuclei),
+            "I_z": tuple(embed(_NUCLEAR_SPIN_OPS[lv][1], variant, j) for j, lv in nuclei),
+            "optical_lowering": {lab: embed(m, variant, 0) for lab, m in _LOWERING.items()},
+            "projectors": {lab: embed(m, variant, 0) for lab, m in _PROJECTORS.items()},
+        })
+    return ops
+
+
+def _read_only(value):
+    """``value`` with each array made read-only and each dict a read-only view."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value
+    if isinstance(value, dict):
+        return MappingProxyType({key: _read_only(v) for key, v in value.items()})
+    return tuple(_read_only(v) for v in value)
 
 
 def apply_asymmetry(p):

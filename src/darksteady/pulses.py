@@ -355,14 +355,27 @@ def _build_maps(seq, p, detuning=0.0, quasistatic=False):
 
 def _run_vec(v0, maps, cycles, record_at):
     """Yield the vector at the record point of each cycle, first the initial
-    state; each is a new array."""
-    v = v0.copy()
+    state; each is a new array.
+
+    The segment maps are composed once: ``head`` = M_r ... M_0 takes the
+    initial state to the first record point and ``step`` = head M_{n-1}
+    ... M_{r+1} takes one record point to the next, so each cycle costs one
+    matrix-vector product.
+    """
+    yield v0.copy()
+    if not cycles:
+        return
+    head = maps[0]
+    for mat in maps[1:record_at + 1]:
+        head = mat @ head
+    step = head
+    for mat in reversed(maps[record_at + 1:]):
+        step = step @ mat
+    v = head @ v0
     yield v
-    for _ in range(cycles):
-        for i, mat in enumerate(maps):
-            v = mat @ v
-            if i == record_at:
-                yield v
+    for _ in range(cycles - 1):
+        v = step @ v
+        yield v
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",

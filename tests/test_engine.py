@@ -152,25 +152,39 @@ def test_rk4_samples_match_stepwise_stage_form():
         assert np.abs(state - ds.unvectorize(ref[k], 12)).max() < 1e-12
 
 
-def test_observables_and_final_state_match_stored_states():
+@pytest.mark.parametrize(
+    "steps, cycles",
+    [(47, 3), (1497, 150)],
+    ids=["one-block", "three-blocks"],
+)
+def test_observables_and_final_state_match_stored_states(steps, cycles):
     """``expectations`` and ``final_state`` equal what the stored states
-    give, over a run whose last interval is partial (47 steps, a sample
-    every 10); a pulsed run's final state is its last sample."""
+    give, over a run whose last interval is partial (a sample every 10
+    steps); a pulsed run's final state is its last sample.  The second
+    case observes 151 samples: two full blocks and a partial one."""
     p, liouv = fig2_system()
     target = model.default_target(p.variant)
     rho0 = model.mixed_ground_state(p.variant)
     proj = np.outer(target, target.conj())
     dt = 5e-5
-    traj = evolve_fixed_step(rho0, liouv, 47 * dt, dt, sample_every=10, target=target,
+    traj = evolve_fixed_step(rho0, liouv, steps * dt, dt, sample_every=10, target=target,
                              store_states=True, observables={"target": proj})
+    assert len(traj.states) == -(-steps // 10) + 1
     assert list(traj.expectations) == ["target"]
     assert traj.expectations["target"].tolist() == [
         float(np.trace(proj @ s).real) for s in traj.states
     ]
+    assert traj.fidelity.tolist() == [fidelity(s, target) for s in traj.states]
+    assert traj.purity.tolist() == [purity(s) for s in traj.states]
+    assert traj.trace_deviation.tolist() == [
+        abs(complex(np.trace(s)) - 1.0) for s in traj.states
+    ]
+    assert np.array_equal(traj.populations, [np.diag(s).real for s in traj.states])
     assert np.array_equal(traj.final_state, traj.states[-1])
 
-    seq = pulses.standard_cycle(p, tau=0.02, cycles=3)
+    seq = pulses.standard_cycle(p, tau=0.02, cycles=cycles)
     pulsed = pulses.run_sequence(rho0, seq, p)
+    assert len(pulsed.fidelity) == cycles + 1
     assert pulsed.expectations == {}
     assert fidelity(pulsed.final_state, target) == pulsed.fidelity[-1]
     assert purity(pulsed.final_state) == pulsed.purity[-1]
@@ -233,9 +247,17 @@ def test_fidelity_and_purity_contracts():
     assert fidelity(mixed, psi) == pytest.approx(1.0 / 9.0, abs=1e-14)
     with pytest.raises(DimensionError):
         fidelity(rho, psi[:5])
-    # a non-hermitian matrix makes the sandwich complex; that is an error
+    # a non-hermitian matrix makes the sandwich complex; that is an error,
+    # also when it is one state of a stack
     with pytest.raises(NumericalError):
         fidelity(1j * rho, psi)
+    with pytest.raises(NumericalError):
+        fidelity(np.stack([mixed, 1j * rho, mixed]), psi)
+    stack = np.stack([rho, mixed])
+    assert fidelity(stack, psi).tolist() == [fidelity(rho, psi), fidelity(mixed, psi)]
+    assert purity(stack).tolist() == [purity(rho), purity(mixed)]
+    with pytest.raises(DimensionError):
+        fidelity(np.stack([rho, mixed])[:, :5], psi)
 
 
 def test_steady_state_unique_and_stationary():

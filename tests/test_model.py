@@ -62,6 +62,26 @@ def test_electron_composites():
         electron_state("X")
 
 
+@pytest.mark.parametrize("variant", [VARIANT_SINGLE, VARIANT_TWO])
+def test_build_operators_is_shared_and_read_only(variant):
+    """Every call returns the one operator set of a variant, and no caller
+    can change it: writing into an array or a mapping raises."""
+    ops = build_operators(variant)
+    assert build_operators(variant) is ops
+    with pytest.raises(ValueError):
+        ops["S_z"][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ops["I_x"][0] *= 2.0
+    with pytest.raises(ValueError):
+        ops["projectors"]["A1"][...] = 0.0
+    with pytest.raises(TypeError):
+        ops["S_x"] = np.zeros((2, 2))
+    with pytest.raises(TypeError):
+        ops["optical_lowering"]["+1"] = None
+    h = build_hamiltonian(SystemParams(variant=variant))
+    h[0, 0] = 1.0  # products of shared operators are the caller's own
+
+
 def test_spin_operators_on_composites():
     """S_x couples |0> to |D> with sqrt(2) and annihilates |B>; S_z swaps
     the dark and bright superpositions."""

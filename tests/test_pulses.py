@@ -1,5 +1,7 @@
 """Pulsed protocol: segment propagators, the standard cycle, error models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,28 @@ def test_dd_filter_gates_nuclear_noise():
     on = run_sequence(rho0, standard_cycle(p, tau=0.0, cycles=60, dd_filter=True), p)
     off = run_sequence(rho0, standard_cycle(p, tau=0.0, cycles=60, dd_filter=False), p)
     assert off.fidelity.max() < on.fidelity.max() - 0.05
+
+
+@pytest.mark.parametrize("record_segment", [0, 2, None])
+@pytest.mark.parametrize("cycles", [0, 1, 5])
+@pytest.mark.parametrize("noise_mode", ["markovian", "quasistatic"])
+def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise_mode):
+    """One composed map per cycle gives the states that applying each
+    segment map in turn gives, at every record point."""
+    p = ds.SystemParams(t2_star=10.0)
+    seq = replace(standard_cycle(p, tau=0.02, cycles=cycles, dd_filter=False),
+                  record_segment=record_segment)
+    maps = pulses._build_maps(seq, p, detuning=0.3 if noise_mode == "quasistatic" else 0.0,
+                              quasistatic=noise_mode == "quasistatic")
+    record_at = len(maps) - 1 if record_segment is None else record_segment
+    v = ds.vectorize(model.mixed_ground_state(p.variant))
+    expect = [v]
+    for _ in range(cycles):
+        for i, mat in enumerate(maps):
+            v = mat @ v
+            if i == record_at:
+                expect.append(v)
+    got = list(pulses._run_vec(expect[0], maps, cycles, record_at))
+    assert len(got) == cycles + 1
+    for a, b in zip(got, expect):
+        assert np.abs(a - b).max() < 1e-12
