@@ -304,20 +304,76 @@ def evolve_propagator(rho0, liouv, t):
     return unvectorize(prop @ vectorize(rho0), liouv.dim)
 
 
+def _hermitian_pairs(d):
+    """Column-stacked indices of the real Hermitian operator basis of d x d
+    matrices: the d diagonal units E_jj at ``diag``, then for each j < k
+    (E_jk + E_kj)/sqrt2 and i(E_kj - E_jk)/sqrt2, both supported on ``p``
+    (the entry E_jk) and ``q`` (the entry E_kj)."""
+    j, k = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), k * d + j, j * d + k
+
+
+def _to_hermitian_basis(mat, d):
+    """T^H mat T for the unitary T whose columns are the vectorized real
+    Hermitian basis of :func:`_hermitian_pairs`.  Each column of T has at
+    most two nonzeros, so this takes index operations on mat, not products.
+    A generator that maps Hermitian matrices to Hermitian matrices comes
+    out real (up to round-off)."""
+    diag, p, q = _hermitian_pairs(d)
+    m, s = p.size, math.sqrt(0.5)
+    half = np.empty_like(mat)  # mat T
+    half[:, :d] = mat[:, diag]
+    half[:, d:d + m] = s * (mat[:, p] + mat[:, q])
+    half[:, d + m:] = (1j * s) * (mat[:, q] - mat[:, p])
+    out = np.empty_like(mat)  # T^H (mat T)
+    out[:d] = half[diag]
+    out[d:d + m] = s * (half[p] + half[q])
+    out[d + m:] = (1j * s) * (half[p] - half[q])
+    return out
+
+
+def _from_hermitian_basis(x, d):
+    """vec(rho) = T x: coordinates in the real Hermitian basis back to a
+    column-stacked matrix (a vector, or one per column of a 2-D ``x``)."""
+    diag, p, q = _hermitian_pairs(d)
+    m, s = p.size, math.sqrt(0.5)
+    sym, anti = s * x[d:d + m], (1j * s) * x[d + m:]
+    v = np.zeros((d * d,) + x.shape[1:], dtype=complex)
+    v[diag] = x[:d]
+    v[p] = sym - anti
+    v[q] = sym + anti
+    return v
+
+
 def steady_state(liouv, tol=None):
     """Solve L vec(rho) = 0 and certify uniqueness.
 
-    Null vectors are eigenvectors with |lambda| < tol (default
-    1e-10 * ||L||_1).  A unique null vector is normalized to trace one,
-    Hermitized, and negative eigenvalues are clipped to zero; the clipped
-    weight must stay below 1e-8 or NumericalError is raised.  Zero null
-    vectors raise NumericalError, several raise NonUniqueSteadyState with
-    the full stationary basis attached.
+    L is first written in the orthonormal basis of Hermitian matrices
+    (:func:`_to_hermitian_basis`), where a Lindblad generator is a real
+    matrix with the same eigenvalues; an imaginary part above
+    1e-10 * ||L||_1 there means L does not preserve Hermiticity and raises
+    NumericalError.  Null vectors are eigenvectors of that real matrix with
+    |lambda| < tol (default 1e-10 * ||L||_1), mapped back to vec(rho).  A
+    unique null vector is normalized to trace one, Hermitized, and negative
+    eigenvalues are clipped to zero; the clipped weight must stay below
+    1e-8 or NumericalError is raised.  Zero null vectors raise
+    NumericalError, several raise NonUniqueSteadyState with the full
+    stationary basis attached.
     """
-    mat = liouv.matrix
+    d = liouv.dim
+    norm = liouv.norm_bound()
     if tol is None:
-        tol = _NULL_TOL_REL * liouv.norm_bound()
-    vals, vecs = linalg.eig_full(mat)
+        tol = _NULL_TOL_REL * norm
+    full = _to_hermitian_basis(liouv.matrix, d)
+    leak = float(np.abs(full.imag).max())
+    if leak > _NULL_TOL_REL * norm:
+        raise NumericalError(
+            f"generator does not preserve Hermiticity: imaginary part {leak:.3e} "
+            f"in the Hermitian basis exceeds 1e-10*||L||_1"
+        )
+    real = full.real.copy()
+    del full  # not held through the eigendecomposition
+    vals, vecs = linalg.eig_full(real)
     null_mask = np.abs(vals) < tol
     n_null = int(null_mask.sum())
     decaying = vals.real[vals.real <= -tol]
@@ -327,17 +383,16 @@ def steady_state(liouv, tol=None):
             f"no eigenvalue below the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
+    null = _from_hermitian_basis(vecs[:, null_mask], d)
     if n_null > 1:
-        basis = tuple(
-            unvectorize(vecs[:, i], liouv.dim) for i in np.nonzero(null_mask)[0]
-        )
+        basis = tuple(unvectorize(null[:, i], d) for i in range(n_null))
         raise NonUniqueSteadyState(
             f"stationary space has dimension {n_null} (tolerance {tol:.3e})",
             stationary_basis=basis,
             null_dimension=n_null,
             spectral_gap=gap,
         )
-    rho = unvectorize(vecs[:, int(np.nonzero(null_mask)[0][0])], liouv.dim)
+    rho = unvectorize(null[:, 0], d)
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-12:
         raise NumericalError("stationary eigenvector has (near) zero trace")

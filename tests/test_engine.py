@@ -1,10 +1,13 @@
 """Lindblad engine: Liouvillian structure, both integrators, steady states."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import darksteady as ds
-from darksteady import engine, model, pulses
+from darksteady import engine, linalg, model, pulses
 from darksteady.engine import (
     build_liouvillian,
     evolve_fixed_step,
@@ -322,6 +325,113 @@ def test_degenerate_attractor_gap_is_a_decay_rate(omega_e, gap):
         steady_state(liouv)
     assert info.value.null_dimension == 3
     assert info.value.spectral_gap == pytest.approx(gap, abs=1e-6)
+    # the same certificate as the complex eigendecomposition of L
+    n_null, complex_gap, _ = complex_path(liouv)
+    assert n_null == 3
+    assert info.value.spectral_gap == pytest.approx(complex_gap, rel=1e-10)
+
+
+def asymmetric_two_nuclei_system():
+    p = ds.SystemParams(variant=model.VARIANT_TWO, asymmetry=(1.0, 0.8),
+                        omega_e=math.sqrt(2) * 0.9)
+    liouv = build_liouvillian(
+        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
+    )
+    return p, liouv
+
+
+def random_generator(rng, d):
+    """Lindblad generator of a random Hermitian H and two random collapse
+    operators on a flat d-dimensional space."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    cs = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+    return build_liouvillian(a + a.conj().T, cs)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_generator_is_real_in_hermitian_basis(d):
+    liouv = random_generator(np.random.default_rng(d), d)
+    full = engine._to_hermitian_basis(liouv.matrix, d)
+    assert np.abs(full.imag).max() <= 1e-12 * liouv.norm_bound()
+    # The index form equals the dense product T^H L T.
+    t = engine._from_hermitian_basis(np.eye(d * d), d)
+    assert np.abs(full - t.conj().T @ liouv.matrix @ t).max() <= 1e-12 * liouv.norm_bound()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 16])
+def test_hermitian_back_map_is_unitary(d):
+    t = engine._from_hermitian_basis(np.eye(d * d), d)
+    assert np.abs(t.conj().T @ t - np.eye(d * d)).max() < 1e-15
+    # every basis element is a Hermitian matrix
+    for col in t.T:
+        b = ds.unvectorize(col, d)
+        assert np.array_equal(b, b.conj().T)
+
+
+def complex_path(liouv):
+    """The certificate from all eigenpairs of the complex L: the null
+    count, the gap and, when unique, the trace-one Hermitized null vector."""
+    tol = engine._NULL_TOL_REL * liouv.norm_bound()
+    vals, vecs = linalg.eig_full(liouv.matrix)
+    null = np.abs(vals) < tol
+    gap = float(-vals.real[vals.real <= -tol].max())
+    if null.sum() != 1:
+        return int(null.sum()), gap, None
+    rho = ds.unvectorize(vecs[:, null][:, 0], liouv.dim)
+    rho = rho / np.trace(rho)
+    return 1, gap, 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
+def test_steady_state_matches_complex_path(system):
+    _, liouv = system()
+    n_null, gap, rho = complex_path(liouv)
+    res = steady_state(liouv)
+    assert res.null_dimension == n_null == 1
+    assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
+    assert np.abs(res.rho - rho).max() < 1e-12
+
+
+def test_non_hermitian_generator_raises():
+    """-i[H, rho] preserves Hermiticity only for Hermitian H."""
+    d = 4
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    eye = np.eye(d)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    liouv = engine.Liouvillian(matrix=mat, dim=d, layout=ds.SpaceLayout((d,)))
+    with pytest.raises(NumericalError, match="Hermiticity"):
+        steady_state(liouv)
+
+
+def test_steady_state_memory_bound():
+    """The basis change and the residual check hold no more than four
+    n x n complex arrays at once (n = 256)."""
+    _, liouv = asymmetric_two_nuclei_system()
+    n = liouv.matrix.shape[0]
+    tracemalloc.start()
+    try:
+        steady_state(liouv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 16
+
+
+@pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
+def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
+    _, liouv = system()
+    operands = []
+    original = linalg.eig_full
+
+    def recording(a):
+        operands.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "eig_full", recording)
+    steady_state(liouv)
+    n = liouv.dim ** 2
+    assert [(a.dtype, a.shape) for a in operands] == [(np.float64, (n, n))]
 
 
 def test_late_time_fidelity_monotone():

@@ -82,6 +82,58 @@ def test_eig_full_ordering_and_residual():
         assert r <= 1e-8 * np.linalg.norm(a)
 
 
+def test_eig_full_real_input():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(8, 8))
+    vals, vecs = eig_full(a)
+    order = np.lexsort((vals.imag, vals.real))
+    assert np.array_equal(order, np.arange(8))
+    for k in range(8):
+        r = np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k])
+        assert r <= 1e-8 * np.linalg.norm(a)
+    # complex eigenvalues come in exact conjugate pairs, adjacent once sorted
+    pairs = vals[vals.imag != 0]
+    assert pairs.size > 0
+    assert np.array_equal(pairs[0::2], pairs[1::2].conj())
+    promoted, _ = eig_full(a.astype(complex))
+    dist = np.abs(vals[:, None] - promoted[None, :])
+    assert dist.min(axis=1).max() < 1e-12
+    assert dist.min(axis=0).max() < 1e-12
+    with pytest.raises(DimensionError):
+        eig_full(rng.normal(size=(3, 4)))
+
+
+def test_eig_full_keeps_real_input_real(monkeypatch):
+    seen = []
+    original = linalg.scipy.linalg.eig
+
+    def recording(a):
+        seen.append(a.dtype)
+        return original(a)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "eig", recording)
+    eig_full(np.eye(3))
+    eig_full(np.eye(3, dtype=complex))
+    assert seen == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
+    """A bad pair sorted last, in the last block of columns, is caught."""
+    a = np.random.default_rng(6).normal(size=(150, 150)).astype(dtype)
+    original = linalg.scipy.linalg.eig
+
+    def corrupted(m):
+        vals, vecs = original(m)
+        vals[np.argmax(vals.real)] += 1.0
+        return vals, vecs
+
+    eig_full(a)
+    monkeypatch.setattr(linalg.scipy.linalg, "eig", corrupted)
+    with pytest.raises(NumericalError, match="residual"):
+        eig_full(a)
+
+
 def test_eig_full_dimension_cap():
     with pytest.raises(DimensionError):
         eig_full(np.eye(513))
