@@ -20,10 +20,12 @@ sign convention; it cannot be combined with explicit e_plus/e_minus.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .model import SystemParams, VARIANTS
+from .pulses import AXES, NOISE_MODES
 
 __all__ = [
     "EXPERIMENTS",
@@ -218,9 +220,7 @@ def _param_fields(name, value):
 def _parse_params(items):
     out = {}
     for key, raw in items.items():
-        if key in ("omega_e", "omega_n", "g"):
-            out[key] = _parse_float("params", key, raw, minimum=0.0)
-        elif key in ("gamma_plus", "gamma_minus", "gamma_zero"):
+        if key in ("omega_e", "omega_n", "g", "gamma_plus", "gamma_minus", "gamma_zero"):
             out[key] = _parse_float("params", key, raw, minimum=0.0)
         elif key == "e":
             out.update(_param_fields(key, _parse_float("params", key, raw)))
@@ -249,18 +249,16 @@ def _parse_params(items):
 def _parse_pulse(items):
     kwargs = {}
     for key, raw in items.items():
-        if key == "tau":
-            kwargs["tau"] = _parse_float("pulse", key, raw, minimum=0.0)
-        elif key in ("pump_duration", "nuclear_duration", "electron_duration"):
+        if key in ("tau", "pump_duration", "nuclear_duration", "electron_duration"):
             kwargs[key] = _parse_float("pulse", key, raw, minimum=0.0)
         elif key == "pump_e":
             kwargs[key] = _parse_float("pulse", key, raw)
         elif key == "axis":
-            kwargs[key] = _parse_choice("pulse", key, raw, ("x", "y"))
+            kwargs[key] = _parse_choice("pulse", key, raw, AXES)
         elif key in ("correction", "dd_filter"):
             kwargs[key] = _parse_bool("pulse", key, raw)
         elif key == "noise_mode":
-            kwargs[key] = _parse_choice("pulse", key, raw, ("markovian", "quasistatic"))
+            kwargs[key] = _parse_choice("pulse", key, raw, NOISE_MODES)
         elif key == "noise_samples":
             kwargs[key] = _parse_int("pulse", key, raw, minimum=1, maximum=_MAX_NOISE_SAMPLES)
         else:
@@ -281,9 +279,7 @@ def _parse_grid(items):
             raise ConfigError("[grid] t2_star: values must be > 0")
         axes.append((key, values))
     axes.sort(key=lambda kv: kv[0])
-    total = 1
-    for _, values in axes:
-        total *= len(values)
+    total = math.prod(len(values) for _, values in axes)
     if total > _GRID_MAX_POINTS:
         raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
     return tuple(axes)

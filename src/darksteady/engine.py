@@ -16,7 +16,9 @@ raised by repeated squaring to the sample interval (``sample_every`` steps)
 and each sample costs one product with the resulting map; a remainder map
 covers a last partial interval.  This is algebraically identical to
 stepping the stage form, and a run costs O(log sample_every) matrix
-products plus one product per sample instead of one per step.
+products plus one product per sample instead of one per step.  One stepping
+generator, :func:`iterate`, applies the sample maps of both integrators and
+the composed cycle map of the pulsed protocol.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "evolve_fixed_step",
     "evolve_propagator",
     "fidelity",
+    "iterate",
     "purity",
     "rk4_map",
     "stationarity_residual",
@@ -255,6 +258,28 @@ def rk4_map(liouv, dt, steps):
     return _rk4_power(liouv, dt, int(steps))
 
 
+def iterate(v, step, count=None, first=None, last=None, until=None):
+    """Yield a copy of ``v``, then ``count`` more vectors, each a new array:
+    ``first @ v`` (``step @ v`` without ``first``), then ``step`` applied to
+    the one before, the last made by ``last`` when it is given.  With
+    ``count=None`` it runs until ``until(k, v)``, called with the k-th
+    vector before it is yielded, returns the total count (None goes on); it
+    may raise."""
+    yield v.copy()
+    k = 0
+    while count is None or k < count:
+        k += 1
+        if k == 1 and first is not None:
+            v = first @ v
+        elif k == count and last is not None:
+            v = last @ v
+        else:
+            v = step @ v
+        if count is None:
+            count = until(k, v)
+        yield v
+
+
 def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
                       store_states=False, observables=None):
     """Integrate vec(rho) with fixed-step classical RK4.
@@ -278,18 +303,11 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     h = t_end / n_steps
     sample_every = min(max(1, int(sample_every)), n_steps)
     full, rest = divmod(n_steps, sample_every)
-    maps = [_rk4_power(liouv, h, sample_every)] * full
-    if rest:
-        maps.append(_rk4_power(liouv, h, rest))
-
-    def samples():
-        v = vectorize(rho0)
-        yield 0.0, unvectorize(v, liouv.dim)
-        for k, sample_map in enumerate(maps, 1):
-            v = sample_map @ v
-            yield min(k * sample_every, n_steps) * h, unvectorize(v, liouv.dim)
-
-    return Trajectory.from_states(samples(), target, observables, keep_states=store_states)
+    vecs = iterate(vectorize(rho0), _rk4_power(liouv, h, sample_every), full + bool(rest),
+                   last=_rk4_power(liouv, h, rest) if rest else None)
+    samples = ((min(k * sample_every, n_steps) * h, unvectorize(v, liouv.dim))
+               for k, v in enumerate(vecs))
+    return Trajectory.from_states(samples, target, observables, keep_states=store_states)
 
 
 def evolve_propagator(rho0, liouv, t):

@@ -15,12 +15,14 @@ uniqueness certificate where one is computed.  ``plot.gp`` is a gnuplot
 script referencing only data.csv; plotting is optional and external.
 
 All drivers are deterministic for a fixed config and seed.  Files are
-written only after a run finishes, and anything partially written is
-removed on failure.
+written only after a run's numbers are computed; data.csv rows are
+formatted as they are written, and anything partially written is removed
+on failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -62,12 +64,12 @@ def _fmt_cell(value):
     return "%.12g" % float(value)
 
 
-def _csv_text(header_lines, columns, rows):
-    out = list(header_lines)
-    out.append(",".join(columns))
+def _csv_lines(header_lines, columns, rows):
+    """The lines of a data.csv, each formatted as it is taken."""
+    for line in [*header_lines, ",".join(columns)]:
+        yield line + "\n"
     for row in rows:
-        out.append(",".join(_fmt_cell(v) for v in row))
-    return "\n".join(out) + "\n"
+        yield ",".join(map(_fmt_cell, row)) + "\n"
 
 
 def _summary_text(pairs):
@@ -114,20 +116,20 @@ _RECORD_NOTE = "pulsed samples are taken after the free-evolution segment of eac
 
 
 def _write_outputs(outdir, files):
+    """Write each of ``files`` (name -> text, or an iterable of lines
+    written as they come); on failure remove every file begun."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
+    begun = []
     try:
         for name, text in files.items():
             path = os.path.join(outdir, name)
+            begun.append(path)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            written.append(path)
+                fh.writelines([text] if isinstance(text, str) else text)
     except BaseException:
-        for path in written:
-            try:
+        for path in begun:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
         raise
 
 
@@ -175,26 +177,21 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
         step = expm(liouv.matrix, delta)
     converged = None
 
-    def samples(n):
+    def until(k, v):
+        # The total sample count once converged, else None (keep going).
         nonlocal converged
-        v = vectorize(rho0)
-        yield 0.0, unvectorize(v, liouv.dim)
-        k = 0
-        while n is None or k < n:
-            v = step @ v
-            k += 1
-            rho = unvectorize(v, liouv.dim)
-            yield k * delta, rho
-            if n is None and k % _CHECK_EVERY == 0:
-                if engine.stationarity_residual(liouv, rho) < _RESIDUAL_TARGET:
-                    converged = k * delta
-                    n = k + _CHECK_EVERY * math.ceil(_PAD_FRACTION * (k // _CHECK_EVERY))
-                elif k * delta > _MAX_HORIZON:
-                    raise NumericalError(
-                        f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
-                    )
+        if k % _CHECK_EVERY == 0:
+            if engine.stationarity_residual(liouv, unvectorize(v, liouv.dim)) < _RESIDUAL_TARGET:
+                converged = k * delta
+                return k + _CHECK_EVERY * math.ceil(_PAD_FRACTION * (k // _CHECK_EVERY))
+            if k * delta > _MAX_HORIZON:
+                raise NumericalError(
+                    f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
+                )
 
-    traj = engine.Trajectory.from_states(samples(n), target, observables)
+    vecs = engine.iterate(vectorize(rho0), step, n, until=until)
+    samples = ((k * delta, unvectorize(v, liouv.dim)) for k, v in enumerate(vecs))
+    traj = engine.Trajectory.from_states(samples, target, observables)
     resolved["t_end"] = cfg.t_end if cfg.t_end is not None else traj.times[-1]
     return traj, resolved, converged
 
@@ -255,11 +252,11 @@ def _time_series_csv(cfg, experiment, resolved, p, samples):
     rows = (
         [t, samples.fidelity[i], samples.purity[i]]
         + [values[i] for values in samples.expectations.values()]
-        + list(samples.populations[i])
+        + samples.populations[i].tolist()
         + [samples.trace_deviation[i]]
         for i, t in enumerate(samples.times)
     )
-    return _csv_text(_header_lines(cfg, experiment, resolved, p), columns, rows)
+    return _csv_lines(_header_lines(cfg, experiment, resolved, p), columns, rows)
 
 
 def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
@@ -321,6 +318,7 @@ def _run_fig2(cfg):
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
     res = engine.steady_state(liouv)
+    cert = _unique_pairs(res, target)
     endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
 
     data = _time_series_csv(cfg, "fig2", resolved, p, samples)
@@ -334,7 +332,7 @@ def _run_fig2(cfg):
             ("final_residual_per_us", engine.stationarity_residual(liouv, samples.final_state)),
             ("endpoint_vs_steady_maxnorm", endpoint_gap),
         ]
-        + _unique_pairs(res, target)
+        + cert
     )
     return {"data.csv": data, "summary.txt": summary, "plot.gp": _FP_PLOT}
 
@@ -375,7 +373,7 @@ def _run_steady(cfg):
     values = dict(cert)
     row = [values["steady_fidelity"], values["steady_purity"], res.spectral_gap,
            res.null_dimension]
-    data = _csv_text(header, columns, [row])
+    data = _csv_lines(header, columns, [row])
     summary = _summary_text(
         [("experiment", "steady")] + cert
         + [("stationarity_residual_per_us", residual)]
@@ -388,7 +386,6 @@ def _sweep_rows(cfg, grid):
     names = [name for name, _ in grid]
     value_lists = [values for _, values in grid]
     rows = []
-    n_nonunique = 0
     for combo in itertools.product(*value_lists):
         merged = dict(cfg.param_overrides)
         for name, value in zip(names, combo):
@@ -405,24 +402,23 @@ def _sweep_rows(cfg, grid):
                 1,
             ]
         except NonUniqueSteadyState as exc:
-            n_nonunique += 1
             row = list(combo) + [math.nan, math.nan, exc.spectral_gap, 0]
         rows.append(row)
-    return names, rows, n_nonunique
+    return names, rows
 
 
 def _sweep_files(cfg, grid, experiment):
-    names, rows, n_nonunique = _sweep_rows(cfg, grid)
+    names, rows = _sweep_rows(cfg, grid)
     p_base = resolve_params(cfg)
     header = _header_lines(cfg, experiment, {}, p_base, grid=dict(grid))
     columns = names + ["fidelity", "purity", "spectral_gap_per_us", "unique"]
-    data = _csv_text(header, columns, rows)
+    data = _csv_lines(header, columns, rows)
     unique_fids = [r[len(names)] for r in rows if r[-1] == 1]
     summary = _summary_text(
         [
             ("experiment", experiment),
             ("grid_points", len(rows)),
-            ("nonunique_points", n_nonunique),
+            ("nonunique_points", len(rows) - len(unique_fids)),
             ("min_fidelity", min(unique_fids) if unique_fids else "none"),
             ("max_fidelity", max(unique_fids) if unique_fids else "none"),
         ]
@@ -466,15 +462,15 @@ def _run_fig3(cfg):
         "fidelity_ideal", "fidelity_uncorrected", "fidelity_corrected",
         "purity_ideal", "purity_uncorrected", "purity_corrected",
     ]
-    rows = [
+    rows = (
         [
             int(ideal.cycles[i]), ideal.times[i],
             ideal.fidelity[i], uncorr.fidelity[i], corr.fidelity[i],
             ideal.purity[i], uncorr.purity[i], corr.purity[i],
         ]
         for i in range(len(ideal.times))
-    ]
-    data = _csv_text(header, columns, rows)
+    )
+    data = _csv_lines(header, columns, rows)
 
     tail = max(1, cycles // 5)
     eps = pulses.dd_error(p.g, p.omega_n, tau)
@@ -522,7 +518,7 @@ def _run_t2_inset(cfg):
         cfg, "t2-inset", {"cycles": cycles}, p, pulse=opts,
         grid={"t2_star": tuple(t2 for t2, _ in rows)},
     )
-    data = _csv_text(header, ["t2_star_us", "max_fidelity"], rows)
+    data = _csv_lines(header, ["t2_star_us", "max_fidelity"], rows)
     diffs = [b[1] - a[1] for a, b in zip(rows, rows[1:])]
     summary = _summary_text(
         [

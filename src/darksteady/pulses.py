@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, model
-from .engine import Trajectory, build_liouvillian
+from .engine import Trajectory, build_liouvillian, iterate
 from .errors import ConfigError, DimensionError, DomainError
 from .linalg import unvectorize, vectorize
 from .model import TWO_PI
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 NOISE_MODES = ("markovian", "quasistatic")
+AXES = ("x", "y")
 
 
 def _check_duration(value, what):
@@ -76,7 +77,7 @@ def _check_angle(value, what):
 
 
 def _check_axis(axis):
-    if axis not in ("x", "y"):
+    if axis not in AXES:
         raise ConfigError(f"rotation axis must be 'x' or 'y', got {axis!r}")
     return axis
 
@@ -314,10 +315,7 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
 
 def apply_segment(rho, seg, p):
     """Apply a single segment to a density matrix (default sequence flags)."""
-    d = p.dim
-    rho = np.asarray(rho, dtype=complex)
-    mat = _segment_propagator(seg, p)
-    return unvectorize(mat @ vectorize(rho), d)
+    return unvectorize(_segment_propagator(seg, p) @ vectorize(rho), p.dim)
 
 
 def _electron_overrides(seq, p):
@@ -353,29 +351,18 @@ def _build_maps(seq, p, detuning=0.0, quasistatic=False):
     ]
 
 
-def _run_vec(v0, maps, cycles, record_at):
-    """Yield the vector at the record point of each cycle, first the initial
-    state; each is a new array.
-
-    The segment maps are composed once: ``head`` = M_r ... M_0 takes the
+def _compose(maps, record_at):
+    """Compose a cycle's segment maps once: ``head`` = M_r ... M_0 takes the
     initial state to the first record point and ``step`` = head M_{n-1}
     ... M_{r+1} takes one record point to the next, so each cycle costs one
-    matrix-vector product.
-    """
-    yield v0.copy()
-    if not cycles:
-        return
+    matrix-vector product.  Returns (head, step)."""
     head = maps[0]
     for mat in maps[1:record_at + 1]:
         head = mat @ head
     step = head
     for mat in reversed(maps[record_at + 1:]):
         step = step @ mat
-    v = head @ v0
-    yield v
-    for _ in range(cycles - 1):
-        v = step @ v
-        yield v
+    return head, step
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
@@ -414,7 +401,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         vecs = None
         for delta in detunings:
             maps = _build_maps(seq, p, detuning=float(delta), quasistatic=True)
-            sample = _run_vec(v0, maps, seq.cycles, record_at)
+            head, step = _compose(maps, record_at)
+            sample = iterate(v0, step, seq.cycles, first=head)
             if vecs is None:
                 vecs = list(sample)
             else:
@@ -424,7 +412,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
             acc /= len(detunings)
     else:
         # One detuning: each vector is observed as it is made.
-        vecs = _run_vec(v0, _build_maps(seq, p), seq.cycles, record_at)
+        head, step = _compose(_build_maps(seq, p), record_at)
+        vecs = iterate(v0, step, seq.cycles, first=head)
 
     walls = [seg.duration for seg in seq.segments]
     record_offset = float(sum(walls[: record_at + 1]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from darksteady import config
+from darksteady import config, pulses
 from darksteady.config import (
     ExperimentConfig,
     parse_config,
@@ -113,6 +113,19 @@ def test_pulse_section():
     assert cfg.pulse.dd_filter is False
     assert cfg.pulse.noise_mode == "quasistatic"
     assert cfg.pulse.noise_samples == 77
+
+
+@pytest.mark.parametrize("text, message", [
+    ("axis = z", "[pulse] axis: expected one of x, y, got 'z'"),
+    ("noise_mode = telegraph",
+     "[pulse] noise_mode: expected one of markovian, quasistatic, got 'telegraph'"),
+])
+def test_pulse_choices_come_from_pulses(text, message):
+    """The [pulse] choices are the ones the pulsed protocol accepts."""
+    assert config.AXES is pulses.AXES and config.NOISE_MODES is pulses.NOISE_MODES
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[pulse]\n{text}\n")
+    assert str(err.value) == message
 
 
 def test_noise_samples_limit():

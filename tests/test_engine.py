@@ -155,6 +155,61 @@ def test_rk4_samples_match_stepwise_stage_form():
         assert np.abs(state - ds.unvectorize(ref[k], 12)).max() < 1e-12
 
 
+def test_iterate_count_zero_yields_only_a_copy():
+    v = np.arange(4, dtype=complex)
+    out = list(engine.iterate(v, np.eye(4), 0))
+    assert len(out) == 1 and np.array_equal(out[0], v)
+    out[0] += 1.0  # accumulating into the yielded vector leaves v alone
+    assert np.array_equal(v, np.arange(4))
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_iterate_applies_first_and_last_once(count):
+    """Diagonal maps with distinct prime factors show which map made each
+    vector: first, then step, ..., then last."""
+    step, first, last = (np.diag([f, 1.0]) for f in (2.0, 3.0, 5.0))
+    v = np.ones(2)
+    out = list(engine.iterate(v, step, count, first=first, last=last))
+    expect = [1.0] + [3.0 * 2.0 ** j for j in range(count - 1)] + [3.0 * 2.0 ** (count - 2) * 5.0]
+    assert [w[0] for w in out] == expect
+    assert [w[1] for w in out] == [1.0] * (count + 1)
+    assert len({id(w) for w in out} | {id(v)}) == count + 2
+    no_first = list(engine.iterate(v, step, count))
+    assert [w[0] for w in no_first] == [2.0 ** k for k in range(count + 1)]
+
+
+def test_iterate_until_matches_fixed_count():
+    """A run stopped by ``until`` is bitwise the run of the count it
+    returned; ``until`` sees each vector up to the one that set it."""
+    _, liouv = fig2_system()
+    step = engine.rk4_map(liouv, 0.1 / liouv.norm_bound(), 50)
+    v = ds.vectorize(model.mixed_ground_state(model.VARIANT_SINGLE))
+    seen = []
+
+    def until(k, w):
+        seen.append(k)
+        return k + 3 if k == 7 else None
+
+    stopped = list(engine.iterate(v, step, until=until))
+    fixed = list(engine.iterate(v, step, 10))
+    assert seen == list(range(1, 8))
+    assert len(stopped) == len(fixed) == 11
+    for a, b in zip(stopped, fixed):
+        assert np.array_equal(a, b)
+
+
+def test_iterate_until_may_raise():
+    def until(k, w):
+        if k == 3:
+            raise NumericalError("stop")
+
+    got = []
+    with pytest.raises(NumericalError, match="stop"):
+        for w in engine.iterate(np.ones(2), 0.5 * np.eye(2), until=until):
+            got.append(w[0])
+    assert got == [1.0, 0.5, 0.25]
+
+
 @pytest.mark.parametrize(
     "steps, cycles",
     [(47, 3), (1497, 150)],

@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from darksteady import cli, engine, pulses
+from darksteady import cli, engine, experiments, pulses
 from darksteady.config import EXPERIMENTS, parse_config, resolve_params
-from darksteady.errors import ConfigError
+from darksteady.errors import ConfigError, NumericalError
 from darksteady.experiments import extract_header_config, run_experiment
 
 FAST_STEADY = "experiment = steady\n"
@@ -333,6 +333,34 @@ def test_two_nuclei_keeps_no_states(tmp_path, integrator):
     assert peak < _STATES_200US_BYTES
 
 
+def test_two_nuclei_data_csv_is_streamed(tmp_path):
+    """data.csv rows are written as they are formatted: a run whose
+    data.csv dominates its memory peaks below twice the file's size."""
+    text = "experiment = two-nuclei\nintegrator = propagator\nt_end = 1000\n"
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "two-nuclei", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * (out / "data.csv").stat().st_size
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    def rows():
+        yield "a,b\n"
+        raise NumericalError("formatting failed")
+
+    out = tmp_path / "out"
+    with pytest.raises(TypeError):
+        experiments._write_outputs(out, {"a.csv": "x\n", "b.csv": None})
+    assert list(out.iterdir()) == []
+    with pytest.raises(NumericalError, match="formatting"):
+        experiments._write_outputs(out, {"summary.txt": "x\n", "data.csv": rows()})
+    assert list(out.iterdir()) == []
+
+
 def test_two_nuclei_explicit_drive_wins(tmp_path):
     text = (
         "experiment = two-nuclei\nintegrator = propagator\nt_end = 5\n"
@@ -374,6 +402,19 @@ def test_nonunique_exit_code_and_no_partial_files(tmp_path):
 def test_step_size_exit_code(tmp_path):
     code, out = run_cli(tmp_path, "fig2", "experiment = fig2\ndt = 0.5\nt_end = 1\n")
     assert code == 3
+    assert not out.exists()
+
+
+def test_no_convergence_within_horizon_exit_code(tmp_path, capsys):
+    """The adaptive horizon's residual check stops a run that has not
+    converged by 2000 us: exit 3, no output files."""
+    text = (
+        "experiment = fig2\nintegrator = propagator\n"
+        "[params]\nomega_e = 0.001\nomega_n = 0.001\n"
+    )
+    code, out = run_cli(tmp_path, "fig2", text)
+    assert code == 3
+    assert "no convergence below 1e-08 within 2000.0 us" in capsys.readouterr().err
     assert not out.exists()
 
 

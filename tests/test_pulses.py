@@ -295,7 +295,8 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
             v = mat @ v
             if i == record_at:
                 expect.append(v)
-    got = list(pulses._run_vec(expect[0], maps, cycles, record_at))
+    head, step = pulses._compose(maps, record_at)
+    got = list(engine.iterate(expect[0], step, cycles, first=head))
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() < 1e-12
