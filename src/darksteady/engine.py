@@ -8,6 +8,14 @@ The Liouvillian acts on column-stacked density matrices:
 
 ``unvectorize(L vec(rho))`` then equals -i(H_eff rho - rho H_eff^dag)
 + sum_k C_k rho C_k^dag, i.e. the usual master-equation right-hand side.
+``Liouvillian.matrix`` is this column-stacked L.
+
+Propagation runs in the orthonormal basis of Hermitian matrices
+(:class:`linalg.HermitianBasis`): there a density matrix is a real
+coordinate vector and L is a real matrix with the same eigenvalues
+(``Liouvillian.real``), so every map, step and steady-state solve
+is real arithmetic.  Coordinates become density matrices only to be
+observed, one block of samples at a time.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4
@@ -37,7 +45,7 @@ from .errors import (
     NumericalError,
     StepSizeError,
 )
-from .linalg import SpaceLayout, unvectorize, vectorize
+from .linalg import HermitianBasis, SpaceLayout, vectorize
 
 __all__ = [
     "Liouvillian",
@@ -59,7 +67,7 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
-# States per block of Trajectory.from_states: few enough that a block of
+# States per block of Trajectory.from_coords: few enough that a block of
 # 16x16 states stays far below a run's other memory.
 _OBSERVE_BLOCK = 64
 
@@ -76,6 +84,12 @@ class Liouvillian:
         """Max column sum of |L|, an upper bound on the spectral radius."""
         return float(np.abs(self.matrix).sum(axis=0).max())
 
+    def real(self):
+        """L in the real Hermitian basis, ``HermitianBasis(dim).real(matrix)``:
+        a real matrix with the eigenvalues of L, made anew on each call.
+        Raises NumericalError if L does not preserve Hermiticity."""
+        return HermitianBasis(self.dim).real(self.matrix)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -85,7 +99,7 @@ class Trajectory:
     also fill ``cycles`` with the cycle count per sample).  ``fidelity`` is
     None when no target state was supplied.  ``trace_deviation`` records
     |Tr rho - 1| per sample; the integrator never renormalizes.
-    ``expectations`` maps each name of :meth:`from_states`' ``observables``
+    ``expectations`` maps each name of :meth:`from_coords`' ``observables``
     to Tr(A rho) per sample.  ``final_state`` is the last sampled density
     matrix; ``states`` holds them all only when requested.
     """
@@ -101,20 +115,23 @@ class Trajectory:
     expectations: dict = field(default_factory=dict)
 
     @classmethod
-    def from_states(cls, samples, target=None, observables=None, keep_states=False, cycles=None):
-        """Observe a stream of (time, rho) pairs in one pass: fidelity with
-        ``target`` (if given), purity, populations, |Tr rho - 1| and
-        Tr(A rho) for each named operator A of ``observables`` per sample.
-        The stream is taken in blocks of at most ``_OBSERVE_BLOCK`` states,
-        each observed as one stack; only the last state is kept, unless
-        ``keep_states``."""
+    def from_coords(cls, samples, basis, target=None, observables=None, keep_states=False,
+                    cycles=None):
+        """Observe a stream of (time, x) pairs, x the real coordinates of a
+        state rho in ``basis`` (a linalg.HermitianBasis), in one pass:
+        fidelity with ``target`` (if given), purity, populations,
+        |Tr rho - 1| and Tr(A rho) for each named operator A of
+        ``observables`` per sample.  The stream is taken in blocks of at
+        most ``_OBSERVE_BLOCK`` samples; each block becomes one stack of
+        states in one ``basis.states`` call and is observed as a whole.
+        Only the last state is kept, unless ``keep_states``."""
         samples = iter(samples)
         times, kept, fids, purs, pops, tdevs = [], [], [], [], [], []
         expect = {name: [] for name in observables or {}}
         rho = None
         while block := list(itertools.islice(samples, _OBSERVE_BLOCK)):
-            ts, rhos = zip(*block)
-            stack = np.stack(rhos)
+            ts, xs = zip(*block)
+            stack = basis.states(np.stack(xs).T)
             times.extend(ts)
             if target is not None:
                 fids.append(fidelity(stack, target))
@@ -126,8 +143,9 @@ class Trajectory:
             for name, values in expect.items():
                 values.append(np.trace(observables[name] @ stack, axis1=1, axis2=2).real)
             if keep_states:
-                kept.extend(rhos)
-            rho = rhos[-1]
+                kept.extend(stack)
+            # A copy, so that the final state does not hold on to the stack.
+            rho = stack[-1].copy()
         return cls(
             times=np.asarray(times, dtype=float),
             fidelity=None if target is None else np.concatenate(fids),
@@ -236,11 +254,11 @@ def _check_step(liouv, dt):
         )
 
 
-def _rk4_power(liouv, h, steps):
-    # Degree-4 Taylor polynomial of h*L == one RK4 step for a linear system,
-    # raised to ``steps`` by repeated squaring.
-    a = h * liouv.matrix
-    eye = np.eye(a.shape[0], dtype=complex)
+def _rk4_power(gen, h, steps):
+    # Degree-4 Taylor polynomial of h*gen == one RK4 step for a linear
+    # system, raised to ``steps`` by repeated squaring.
+    a = h * gen
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     step = eye.copy()
     for k in (4, 3, 2, 1):
         step = eye + (a @ step) / k
@@ -248,14 +266,15 @@ def _rk4_power(liouv, h, steps):
 
 
 def rk4_map(liouv, dt, steps):
-    """Superoperator of ``steps`` classical RK4 steps of size dt.
+    """Map of ``steps`` classical RK4 steps of size dt, a real matrix on
+    coordinates in ``HermitianBasis(liouv.dim)``.
 
-    dt must satisfy dt * ||L||_1 <= 0.1 or StepSizeError is raised with a
-    suggested step.
+    dt must satisfy dt * ||L||_1 <= 0.1, with ||L||_1 the column-stacked
+    ``liouv.norm_bound()``, or StepSizeError is raised with a suggested step.
     """
     dt = float(dt)
     _check_step(liouv, dt)
-    return _rk4_power(liouv, dt, int(steps))
+    return _rk4_power(liouv.real(), dt, int(steps))
 
 
 def iterate(v, step, count=None, first=None, last=None, until=None):
@@ -285,10 +304,11 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     """Integrate vec(rho) with fixed-step classical RK4.
 
     Samples are taken at t = 0, every ``sample_every`` steps, and at t_end.
-    The requested dt must satisfy dt * ||L||_1 <= 0.1 or StepSizeError is
-    raised with a suggested step.  The step actually used is t_end/n for the
-    smallest n with t_end/n <= dt, so the final sample lands exactly on
-    t_end.  ``expectations`` holds Tr(A rho) per sample for each named A of
+    The requested dt must satisfy dt * ||L||_1 <= 0.1 (``liouv.norm_bound()``)
+    or StepSizeError is raised with a suggested step.  The step actually
+    used is t_end/n for the smallest n with t_end/n <= dt, so the final
+    sample lands exactly on t_end; steps act on real coordinates
+    (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named A of
     ``observables``; ``final_state`` is the state at t_end.
     """
     rho0 = _check_state(rho0, liouv.dim)
@@ -303,11 +323,13 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     h = t_end / n_steps
     sample_every = min(max(1, int(sample_every)), n_steps)
     full, rest = divmod(n_steps, sample_every)
-    vecs = iterate(vectorize(rho0), _rk4_power(liouv, h, sample_every), full + bool(rest),
-                   last=_rk4_power(liouv, h, rest) if rest else None)
-    samples = ((min(k * sample_every, n_steps) * h, unvectorize(v, liouv.dim))
-               for k, v in enumerate(vecs))
-    return Trajectory.from_states(samples, target, observables, keep_states=store_states)
+    gen = liouv.real()
+    basis = HermitianBasis(liouv.dim)
+    vecs = iterate(basis.coords(rho0), _rk4_power(gen, h, sample_every), full + bool(rest),
+                   last=_rk4_power(gen, h, rest) if rest else None)
+    samples = ((min(k * sample_every, n_steps) * h, v) for k, v in enumerate(vecs))
+    return Trajectory.from_coords(samples, basis, target, observables,
+                                  keep_states=store_states)
 
 
 def evolve_propagator(rho0, liouv, t):
@@ -318,56 +340,15 @@ def evolve_propagator(rho0, liouv, t):
         raise DomainError(f"propagation time must be >= 0, got {t}")
     if t == 0.0:
         return rho0.astype(complex)
-    prop = linalg.expm(liouv.matrix, t)
-    return unvectorize(prop @ vectorize(rho0), liouv.dim)
-
-
-def _hermitian_pairs(d):
-    """Column-stacked indices of the real Hermitian operator basis of d x d
-    matrices: the d diagonal units E_jj at ``diag``, then for each j < k
-    (E_jk + E_kj)/sqrt2 and i(E_kj - E_jk)/sqrt2, both supported on ``p``
-    (the entry E_jk) and ``q`` (the entry E_kj)."""
-    j, k = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), k * d + j, j * d + k
-
-
-def _to_hermitian_basis(mat, d):
-    """T^H mat T for the unitary T whose columns are the vectorized real
-    Hermitian basis of :func:`_hermitian_pairs`.  Each column of T has at
-    most two nonzeros, so this takes index operations on mat, not products.
-    A generator that maps Hermitian matrices to Hermitian matrices comes
-    out real (up to round-off)."""
-    diag, p, q = _hermitian_pairs(d)
-    m, s = p.size, math.sqrt(0.5)
-    half = np.empty_like(mat)  # mat T
-    half[:, :d] = mat[:, diag]
-    half[:, d:d + m] = s * (mat[:, p] + mat[:, q])
-    half[:, d + m:] = (1j * s) * (mat[:, q] - mat[:, p])
-    out = np.empty_like(mat)  # T^H (mat T)
-    out[:d] = half[diag]
-    out[d:d + m] = s * (half[p] + half[q])
-    out[d + m:] = (1j * s) * (half[p] - half[q])
-    return out
-
-
-def _from_hermitian_basis(x, d):
-    """vec(rho) = T x: coordinates in the real Hermitian basis back to a
-    column-stacked matrix (a vector, or one per column of a 2-D ``x``)."""
-    diag, p, q = _hermitian_pairs(d)
-    m, s = p.size, math.sqrt(0.5)
-    sym, anti = s * x[d:d + m], (1j * s) * x[d + m:]
-    v = np.zeros((d * d,) + x.shape[1:], dtype=complex)
-    v[diag] = x[:d]
-    v[p] = sym - anti
-    v[q] = sym + anti
-    return v
+    basis = HermitianBasis(liouv.dim)
+    return basis.states(linalg.expm(liouv.real(), t) @ basis.coords(rho0))
 
 
 def steady_state(liouv, tol=None):
     """Solve L vec(rho) = 0 and certify uniqueness.
 
     L is first written in the orthonormal basis of Hermitian matrices
-    (:func:`_to_hermitian_basis`), where a Lindblad generator is a real
+    (``Liouvillian.real``), where a Lindblad generator is a real
     matrix with the same eigenvalues; an imaginary part above
     1e-10 * ||L||_1 there means L does not preserve Hermiticity and raises
     NumericalError.  Null vectors are eigenvectors of that real matrix with
@@ -378,20 +359,9 @@ def steady_state(liouv, tol=None):
     NumericalError, several raise NonUniqueSteadyState with the full
     stationary basis attached.
     """
-    d = liouv.dim
-    norm = liouv.norm_bound()
     if tol is None:
-        tol = _NULL_TOL_REL * norm
-    full = _to_hermitian_basis(liouv.matrix, d)
-    leak = float(np.abs(full.imag).max())
-    if leak > _NULL_TOL_REL * norm:
-        raise NumericalError(
-            f"generator does not preserve Hermiticity: imaginary part {leak:.3e} "
-            f"in the Hermitian basis exceeds 1e-10*||L||_1"
-        )
-    real = full.real.copy()
-    del full  # not held through the eigendecomposition
-    vals, vecs = linalg.eig_full(real)
+        tol = _NULL_TOL_REL * liouv.norm_bound()
+    vals, vecs = linalg.eig_full(liouv.real())
     null_mask = np.abs(vals) < tol
     n_null = int(null_mask.sum())
     decaying = vals.real[vals.real <= -tol]
@@ -401,16 +371,15 @@ def steady_state(liouv, tol=None):
             f"no eigenvalue below the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
-    null = _from_hermitian_basis(vecs[:, null_mask], d)
+    null = HermitianBasis(liouv.dim).states(vecs[:, null_mask])
     if n_null > 1:
-        basis = tuple(unvectorize(null[:, i], d) for i in range(n_null))
         raise NonUniqueSteadyState(
             f"stationary space has dimension {n_null} (tolerance {tol:.3e})",
-            stationary_basis=basis,
+            stationary_basis=tuple(null),
             null_dimension=n_null,
             spectral_gap=gap,
         )
-    rho = unvectorize(null[:, 0], d)
+    rho = null[0]
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-12:
         raise NumericalError("stationary eigenvector has (near) zero trace")

@@ -1,13 +1,17 @@
 """Dense linear algebra used by the model, engine and pulse layers.
 
-Everything operates on plain ``numpy`` arrays, promoted to complex128
-except where ``eig_full`` keeps a real input real, and is pure.  State
-spaces here are at most 16-dimensional and superoperators at most
-256-dimensional, so dense storage is used throughout.
+Everything operates on plain ``numpy`` arrays and is pure.  ``expm`` and
+``eig_full`` keep a real input real; other operands are promoted to
+complex128.  State spaces here are at most 16-dimensional and
+superoperators at most 256-dimensional, so dense storage is used
+throughout.
 
 Vectorization follows the column-stacking convention: ``vec(A rho B) =
 (B^T kron A) vec(rho)``.  All superoperator formulas elsewhere in the package
-assume it.
+assume it.  :class:`HermitianBasis` changes to the orthonormal basis of
+Hermitian matrices, where a density matrix has real coordinates and a
+superoperator that preserves Hermiticity is a real matrix; the engine and
+the pulse layer propagate there.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
 
 __all__ = [
+    "HermitianBasis",
     "SpaceLayout",
     "dagger",
     "eig_full",
@@ -35,6 +40,8 @@ __all__ = [
     "vectorize",
 ]
 
+# HermitianBasis rejects an imaginary part above this times the 1-norm.
+_LEAK_REL = 1e-10
 # eig_full residuals are checked against this relative bound.
 _EIG_RESIDUAL_REL = 1e-8
 _EIG_MAX_DIM = 512
@@ -91,9 +98,10 @@ def kron(a, b):
 def expm(a, s=1.0):
     """Matrix exponential exp(s*a) for a square matrix and a real scalar.
 
+    A real input stays real; anything else is promoted to complex128.
     Raises NumericalError if the scaling overflows to non-finite entries.
     """
-    a = _as_square(a, "expm operand")
+    a = _as_square(a, "expm operand", dtype=float if np.isrealobj(a) else complex)
     s = float(s)
     if not np.isfinite(s):
         raise NumericalError(f"expm scalar must be finite, got {s}")
@@ -188,6 +196,111 @@ def unvectorize(v, dim):
             f"vector of length {v.size} cannot unstack into {dim}x{dim}"
         )
     return v.reshape((dim, dim), order="F").copy()
+
+
+class HermitianBasis:
+    """The orthonormal basis of the real space of d x d Hermitian matrices:
+    the d diagonal units E_jj, then for each j < k (E_jk + E_kj)/sqrt2,
+    then for each j < k i(E_kj - E_jk)/sqrt2.
+
+    T, the d^2 x d^2 unitary whose columns are these matrices column-stacked,
+    is never formed: each of its columns has at most two nonzeros, so every
+    change of basis is a few index operations.  A Hermitian rho has real
+    coordinates T^H vec(rho), and a superoperator M that maps Hermitian
+    matrices to Hermitian matrices is the real matrix T^H M T; both keep
+    the Euclidean norm, so ||M vec(rho)|| = ||(T^H M T) x||.
+    """
+
+    def __init__(self, d):
+        d = int(d)
+        if d < 1:
+            raise DimensionError(f"basis dimension must be >= 1, got {d}")
+        self.dim = d
+        self._j, self._k = j, k = np.triu_indices(d, 1)
+        # Column-stacked indices of E_jj, E_jk and E_kj (j < k); a
+        # row-major index swaps the last two.
+        self._diag, self._p, self._q = np.arange(d) * (d + 1), k * d + j, j * d + k
+
+    def _rows(self, v):
+        """T^H v for a vector or the rows of a 2-D array."""
+        d, p, q = self.dim, self._p, self._q
+        m, s = p.size, math.sqrt(0.5)
+        out = np.empty_like(v, dtype=complex)
+        out[:d] = v[self._diag]
+        out[d:d + m] = s * (v[p] + v[q])
+        out[d + m:] = (1j * s) * (v[p] - v[q])
+        return out
+
+    @staticmethod
+    def _real(out, scale, error, what):
+        leak = float(np.abs(out.imag).max())
+        if leak > _LEAK_REL * scale:
+            raise error(
+                f"{what}: imaginary part {leak:.3e} in the Hermitian basis "
+                f"exceeds 1e-10*||.||_1"
+            )
+        return out.real
+
+    def real(self, mat):
+        """T^H mat T for a d^2 x d^2 superoperator (a generator or a map),
+        as a real matrix.  An imaginary part above 1e-10 * ||mat||_1 (max
+        column sum) means mat does not preserve Hermiticity and raises
+        NumericalError."""
+        n = self.dim ** 2
+        mat = _as_square(mat, "superoperator")
+        if mat.shape[0] != n:
+            raise DimensionError(f"superoperator of shape {mat.shape} does not act on {n}-vectors")
+        scale = float(np.abs(mat).sum(axis=0).max())
+        # T^H mat T = (T^H (T^H mat)^H)^H: two passes of row operations,
+        # which are much faster than the same on columns.
+        out = self._rows(np.conjugate(self._rows(mat).T, order="C"))
+        return self._real(out, scale, NumericalError,
+                          "superoperator does not preserve Hermiticity").T.copy()
+
+    def unitary(self, u):
+        """The map rho -> u rho u^dag, T^H (conj(u) kron u) T, as a real
+        orthogonal matrix.  Column b holds the coordinates of u B_b u^dag
+        for the b-th basis matrix B_b, made from products of entries of u
+        on and above the diagonal (a Hermitian matrix needs no more), so no
+        d^2 x d^2 complex array is formed."""
+        u = np.asarray(u, dtype=complex)
+        d, j, k = self.dim, self._j, self._k
+        if u.shape != (d, d):
+            raise DimensionError(f"unitary of shape {u.shape} is not {d}x{d}")
+        s = math.sqrt(0.5)
+        rows = np.arange(d)
+        ul, um = u[np.concatenate([rows, j])], u[np.concatenate([rows, k])].conj()
+        jk, kj = ul[:, j] * um[:, k], ul[:, k] * um[:, j]
+        # (u B_b u^dag)[l, m] for l = m, then l < m; one column per B_b.
+        w = np.concatenate([ul * um, s * (jk + kj), (1j * s) * (kj - jk)], axis=1)
+        return np.concatenate([w[:d].real, (2 * s) * w[d:].real, (-2 * s) * w[d:].imag])
+
+    def coords(self, rho):
+        """Real coordinates T^H vec(rho) of a Hermitian d x d matrix; an
+        anti-Hermitian part above 1e-10 times their 1-norm raises
+        DomainError."""
+        x = self._rows(vectorize(rho))
+        if x.size != self.dim ** 2:
+            raise DimensionError(f"state of shape {np.shape(rho)} is not {self.dim}x{self.dim}")
+        return self._real(x, float(np.abs(x).sum()), DomainError, "state is not Hermitian").copy()
+
+    def states(self, x):
+        """The matrices T x: one d x d matrix for a vector of coordinates,
+        or a C-contiguous stack of shape (k, d, d) for the k columns of a
+        2-D ``x``.  Real coordinates give exactly Hermitian matrices."""
+        x = np.asarray(x)
+        d, n = self.dim, self.dim ** 2
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise DimensionError(f"coordinates of shape {x.shape} do not match dimension {d}")
+        rows = np.atleast_2d(x.T)  # one state per row
+        m, s = self._p.size, math.sqrt(0.5)
+        sym, anti = s * rows[:, d:d + m], (1j * s) * rows[:, d + m:]
+        flat = np.empty((rows.shape[0], n), dtype=complex)
+        flat[:, self._diag] = rows[:, :d]
+        flat[:, self._q] = sym - anti  # E_jk, row-major
+        flat[:, self._p] = sym + anti  # E_kj
+        out = flat.reshape(-1, d, d)
+        return out[0] if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

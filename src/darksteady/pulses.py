@@ -23,6 +23,11 @@ pulse.  By default the decoupling also filters the quasi-static T2* noise
 during the nuclear pulse (``dd_filter=True``), so dephasing acts during
 FreeEvolution only.
 
+Every segment map is a real matrix on coordinates in the orthonormal
+basis of Hermitian matrices (:class:`linalg.HermitianBasis`): generators
+are exponentiated there, and unitary maps U* kron U become orthogonal
+matrices, so composing and applying a cycle is real arithmetic.
+
 The entangled target lives mid-cycle: the closing nuclear rotation re-poses
 the state for the next pump, so the per-cycle sample is taken right after
 FreeEvolution (``record_segment`` of the standard cycle).  The cycle map's
@@ -40,7 +45,7 @@ import numpy as np
 from . import linalg, model
 from .engine import Trajectory, build_liouvillian, iterate
 from .errors import ConfigError, DimensionError, DomainError
-from .linalg import unvectorize, vectorize
+from .linalg import HermitianBasis
 from .model import TWO_PI
 
 __all__ = [
@@ -260,20 +265,28 @@ def subspace_rotation(levels, angle, axis="y", variant=model.VARIANT_SINGLE):
 
 
 def _unitary_map(u):
-    return np.kron(u.conj(), u)
+    """rho -> u rho u^dag, an orthogonal matrix in the Hermitian basis."""
+    return HermitianBasis(u.shape[0]).unitary(u)
+
+
+def _generator_map(h, cs, p, duration):
+    """exp(duration * L) of the Liouvillian of ``h`` and ``cs``, real."""
+    liouv = build_liouvillian(h, cs, p.layout)
+    return linalg.expm(liouv.real(), duration)
 
 
 def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
                         dd_filter=True, quasistatic=False):
-    """Superoperator map of one segment."""
+    """Map of one segment: a real matrix on coordinates in
+    ``HermitianBasis(p.dim)``."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
             kwargs["e_plus"] = seg.e_amplitude
             kwargs["e_minus"] = -seg.e_amplitude
         p2 = replace(p, **kwargs)
-        liouv = build_liouvillian(model.build_hamiltonian(p2), model.decay_ops(p2), p.layout)
-        return linalg.expm(liouv.matrix, seg.duration)
+        return _generator_map(model.build_hamiltonian(p2), model.decay_ops(p2), p,
+                              seg.duration)
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
         u = subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)
@@ -285,8 +298,7 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
             h = h + detuning * model.build_operators(p.variant)["S_z"]
         deph = None if quasistatic else model.dephasing_op(p2)
         if deph is not None:
-            liouv = build_liouvillian(h, [deph], p.layout)
-            return linalg.expm(liouv.matrix, seg.duration)
+            return _generator_map(h, [deph], p, seg.duration)
         u = linalg.expm(-1j * h, seg.duration)
         return _unitary_map(u)
     if isinstance(seg, NuclearRotation):
@@ -301,21 +313,19 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
                 mat = _unitary_map(u_noise) @ mat
             else:
                 deph = model.dephasing_op(p)
-                liouv = build_liouvillian(np.zeros_like(sz), [deph], p.layout)
-                mat = linalg.expm(liouv.matrix, seg.duration) @ mat
+                mat = _generator_map(np.zeros_like(sz), [deph], p, seg.duration) @ mat
         return mat
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
-        liouv = build_liouvillian(
-            model.build_hamiltonian(p2), model.build_collapse_ops(p2), p.layout
-        )
-        return linalg.expm(liouv.matrix, seg.duration)
+        return _generator_map(model.build_hamiltonian(p2), model.build_collapse_ops(p2), p,
+                              seg.duration)
     raise ConfigError(f"unknown pulse segment {seg!r}")
 
 
 def apply_segment(rho, seg, p):
     """Apply a single segment to a density matrix (default sequence flags)."""
-    return unvectorize(_segment_propagator(seg, p) @ vectorize(rho), p.dim)
+    basis = HermitianBasis(p.dim)
+    return basis.states(_segment_propagator(seg, p) @ basis.coords(rho))
 
 
 def _electron_overrides(seq, p):
@@ -391,7 +401,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     if target is None:
         target = model.default_target(p.variant)
     record_at = seq.record_segment if seq.record_segment is not None else len(seq.segments) - 1
-    v0 = vectorize(rho0)
+    basis = HermitianBasis(d)
+    v0 = basis.coords(rho0)
 
     if noise_mode == "quasistatic" and p.t2_star is not None:
         rng = np.random.default_rng(seed)
@@ -424,9 +435,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         times = [float(c) for c in range(seq.cycles + 1)]
 
-    return Trajectory.from_states(
-        zip(times, (unvectorize(v, d) for v in vecs)), target,
-        cycles=np.arange(seq.cycles + 1, dtype=float),
+    return Trajectory.from_coords(
+        zip(times, vecs), basis, target, cycles=np.arange(seq.cycles + 1, dtype=float),
     )
 
 

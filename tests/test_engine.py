@@ -183,7 +183,7 @@ def test_iterate_until_matches_fixed_count():
     returned; ``until`` sees each vector up to the one that set it."""
     _, liouv = fig2_system()
     step = engine.rk4_map(liouv, 0.1 / liouv.norm_bound(), 50)
-    v = ds.vectorize(model.mixed_ground_state(model.VARIANT_SINGLE))
+    v = linalg.HermitianBasis(12).coords(model.mixed_ground_state(model.VARIANT_SINGLE))
     seen = []
 
     def until(k, w):
@@ -403,23 +403,29 @@ def random_generator(rng, d):
     return build_liouvillian(a + a.conj().T, cs)
 
 
+def hermitian_t(d):
+    """T, whose columns are the column-stacked matrices of the real
+    Hermitian basis, and those matrices."""
+    mats = linalg.HermitianBasis(d).states(np.eye(d * d))
+    return np.stack([ds.vectorize(b) for b in mats], axis=1), mats
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_generator_is_real_in_hermitian_basis(d):
     liouv = random_generator(np.random.default_rng(d), d)
-    full = engine._to_hermitian_basis(liouv.matrix, d)
-    assert np.abs(full.imag).max() <= 1e-12 * liouv.norm_bound()
-    # The index form equals the dense product T^H L T.
-    t = engine._from_hermitian_basis(np.eye(d * d), d)
-    assert np.abs(full - t.conj().T @ liouv.matrix @ t).max() <= 1e-12 * liouv.norm_bound()
+    real = liouv.real()
+    assert real.dtype == np.float64
+    # The index form equals the dense product T^H L T, imaginary part and all.
+    t, _ = hermitian_t(d)
+    assert np.abs(real - t.conj().T @ liouv.matrix @ t).max() <= 1e-12 * liouv.norm_bound()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 16])
 def test_hermitian_back_map_is_unitary(d):
-    t = engine._from_hermitian_basis(np.eye(d * d), d)
+    t, mats = hermitian_t(d)
     assert np.abs(t.conj().T @ t - np.eye(d * d)).max() < 1e-15
     # every basis element is a Hermitian matrix
-    for col in t.T:
-        b = ds.unvectorize(col, d)
+    for b in mats:
         assert np.array_equal(b, b.conj().T)
 
 

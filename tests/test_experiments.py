@@ -5,6 +5,7 @@ physics allows it, to keep the suite fast; the acceptance tests cover the
 full-length runs.
 """
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from darksteady import cli, engine, experiments, pulses
+from darksteady import cli, engine, experiments, linalg, pulses
 from darksteady.config import EXPERIMENTS, parse_config, resolve_params
 from darksteady.errors import ConfigError, NumericalError
 from darksteady.experiments import extract_header_config, run_experiment
@@ -100,6 +101,17 @@ def test_fig2_adaptive_rk4_header_round_trips(tmp_path):
     assert cfg.integrator == "rk4"
     _, rows = read_rows(out / "data.csv")
     assert "%.12g" % cfg.t_end == rows[-1][0]
+
+
+def test_fig2_default_dt_sits_on_the_column_stacked_guard(tmp_path):
+    """The default RK4 step is 0.1 / ||L||_1 of the column-stacked L, bit
+    for bit, not of the real matrix that propagates (whose 1-norm differs)."""
+    code, out = run_cli(tmp_path, "fig2", "experiment = fig2\n")
+    assert code == 0
+    cfg = parse_config(extract_header_config((out / "data.csv").read_text()))
+    liouv = experiments._liouvillian(resolve_params(cfg))
+    assert cfg.dt == 0.1 / liouv.norm_bound()
+    assert np.abs(liouv.real()).sum(axis=0).max() != liouv.norm_bound()
 
 
 def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):
@@ -529,3 +541,29 @@ def test_markovian_fig3_keeps_no_vectors(tmp_path):
     assert code == 0
     assert len(read_rows(out / "data.csv")[1]) == 3001
     assert peak < _VECTORS_3000_CYCLES_BYTES
+
+
+def test_pulsed_run_makes_states_in_blocks(tmp_path, monkeypatch):
+    """A pulsed run propagates coordinates and turns them into density
+    matrices one observation block (up to 64 samples) at a time: no
+    per-sample unvectorize."""
+    calls = {"unvectorize": 0, "states": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (linalg, engine, pulses, experiments):
+        if hasattr(module, "unvectorize"):
+            monkeypatch.setattr(module, "unvectorize", counting("unvectorize", module.unvectorize))
+    monkeypatch.setattr(linalg.HermitianBasis, "states",
+                        counting("states", linalg.HermitianBasis.states))
+    text = "experiment = fig3\ncycles = 200\n[params]\nt2_star = 10\n"
+    code, out = run_cli(tmp_path, "fig3", text)
+    assert code == 0
+    assert len(read_rows(out / "data.csv")[1]) == 201
+    assert calls["unvectorize"] == 0
+    # three sequences of 201 samples each
+    assert 0 < calls["states"] <= 3 * math.ceil(201 / engine._OBSERVE_BLOCK)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darksteady import linalg
-from darksteady.errors import DimensionError, NumericalError
+from darksteady.errors import DimensionError, DomainError, NumericalError
 from darksteady.linalg import (
     SpaceLayout,
     dagger,
@@ -69,6 +69,63 @@ def test_expm_rejects_nonfinite_scale():
         expm(np.eye(2), float("nan"))
     with pytest.raises(NumericalError):
         expm(np.eye(2), float("inf"))
+
+
+def test_expm_keeps_real_input_real():
+    a = np.random.default_rng(7).normal(size=(9, 9))
+    out = expm(a, 0.3)
+    assert out.dtype == np.float64
+    assert np.abs(out - expm(a.astype(complex), 0.3)).max() < 1e-13
+
+
+def hermitian_t(basis):
+    """The dense d^2 x d^2 matrix T whose columns are the basis matrices,
+    column-stacked."""
+    n = basis.dim ** 2
+    return np.stack([vectorize(b) for b in basis.states(np.eye(n))], axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_hermitian_basis_coords_and_states(d):
+    """coords is T^H vec(rho), real for a Hermitian rho; states inverts it
+    for one vector and for a block of columns."""
+    rng = np.random.default_rng(d)
+    basis = linalg.HermitianBasis(d)
+    t = hermitian_t(basis)
+    rhos = [a + a.conj().T for a in (random_complex(rng, d, d) for _ in range(3))]
+    xs = np.stack([basis.coords(r) for r in rhos], axis=1)
+    assert xs.dtype == np.float64
+    for x, r in zip(xs.T, rhos):
+        assert np.abs(x - t.conj().T @ vectorize(r)).max() < 1e-13
+        assert np.abs(basis.states(x) - r).max() < 1e-13
+    block = basis.states(xs)
+    assert block.shape == (3, d, d) and block.flags.c_contiguous
+    assert all(np.array_equal(b, basis.states(x)) for b, x in zip(block, xs.T))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_hermitian_basis_unitary_is_the_orthogonal_image(d):
+    basis = linalg.HermitianBasis(d)
+    u, _ = np.linalg.qr(random_complex(np.random.default_rng(d), d, d))
+    t = hermitian_t(basis)
+    r = basis.unitary(u)
+    assert r.dtype == np.float64
+    assert np.abs(r - t.conj().T @ np.kron(u.conj(), u) @ t).max() < 1e-13
+    assert np.abs(r.T @ r - np.eye(d * d)).max() < 1e-13
+
+
+def test_hermitian_basis_rejects_what_breaks_hermiticity():
+    d = 3
+    basis = linalg.HermitianBasis(d)
+    a = random_complex(np.random.default_rng(8), d, d)
+    # rho -> a rho a^dag keeps Hermiticity; rho -> a rho does not.
+    assert basis.real(np.kron(a.conj(), a)).dtype == np.float64
+    with pytest.raises(NumericalError, match="Hermiticity"):
+        basis.real(np.kron(np.eye(d), a))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        basis.coords(a)
+    with pytest.raises(DimensionError):
+        basis.real(np.eye(d))
 
 
 def test_eig_full_ordering_and_residual():

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import darksteady as ds
-from darksteady import engine, model, pulses
+from darksteady import engine, linalg, model, pulses
 from darksteady.errors import ConfigError, DimensionError, DomainError
 from darksteady.pulses import (
     ElectronRotation,
@@ -288,7 +289,7 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
     maps = pulses._build_maps(seq, p, detuning=0.3 if noise_mode == "quasistatic" else 0.0,
                               quasistatic=noise_mode == "quasistatic")
     record_at = len(maps) - 1 if record_segment is None else record_segment
-    v = ds.vectorize(model.mixed_ground_state(p.variant))
+    v = linalg.HermitianBasis(p.dim).coords(model.mixed_ground_state(p.variant))
     expect = [v]
     for _ in range(cycles):
         for i, mat in enumerate(maps):
@@ -300,3 +301,58 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() < 1e-12
+
+
+def unitary_superop(u):
+    return np.kron(u.conj(), u)
+
+
+def generator_superop(h, cs, p, duration):
+    return scipy.linalg.expm(duration * engine.build_liouvillian(h, cs, p.layout).matrix)
+
+
+def complex_segment_maps(p, delta):
+    """(name, segment, _segment_propagator keywords, the column-stacked
+    complex map written out from the segment's physics, unitary?)."""
+    sz = model.build_operators(p.variant)["S_z"]
+    free = replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0, e_minus=0.0)
+    pump = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None, e_plus=30.0, e_minus=-30.0)
+    idle = replace(free, g=0.0)
+    u_e = subspace_rotation(("e0", "eD"), 1.2, "x")
+    eps = dd_error(p.g, p.omega_n, 0.02)
+    u_n = unitary_superop(subspace_rotation(("n0", "nD"), np.pi / 2 - eps, "y"))
+    u_free = scipy.linalg.expm(-0.1j * (model.build_hamiltonian(free) + delta * sz))
+    nuclear = NuclearRotation(np.pi / 2, dd_interval=0.02, duration=10.0)
+    quasi = dict(detuning=delta, quasistatic=True)
+    return [
+        ("pump", OpticalPump(0.1, 30.0), {},
+         generator_superop(model.build_hamiltonian(pump), model.decay_ops(pump), p, 0.1), False),
+        ("electron", ElectronRotation(1.2, "x"), {}, unitary_superop(u_e), True),
+        ("free-dephased", FreeEvolution(0.1), {},
+         generator_superop(model.build_hamiltonian(free), [model.dephasing_op(free)], p, 0.1),
+         False),
+        ("free-unitary", FreeEvolution(0.1), quasi, unitary_superop(u_free), True),
+        ("nuclear-filtered", nuclear, {}, u_n, True),
+        ("nuclear-markovian", nuclear, dict(dd_filter=False),
+         generator_superop(np.zeros_like(sz), [model.dephasing_op(p)], p, 10.0) @ u_n, False),
+        ("nuclear-quasistatic", nuclear, dict(dd_filter=False, **quasi),
+         unitary_superop(scipy.linalg.expm(-10j * delta * sz)) @ u_n, True),
+        ("idle", Idle(0.1), {},
+         generator_superop(model.build_hamiltonian(idle), model.build_collapse_ops(idle), p, 0.1),
+         False),
+    ]
+
+
+def test_segment_maps_are_real_images_of_complex_maps():
+    """Every segment type's map is T^H M T of its complex map M, real; the
+    unitary ones are orthogonal."""
+    p = ds.SystemParams(t2_star=10.0)
+    mats = linalg.HermitianBasis(p.dim).states(np.eye(p.dim ** 2))
+    t = np.stack([ds.vectorize(b) for b in mats], axis=1)
+    eye = np.eye(p.dim ** 2)
+    for name, seg, kwargs, m, unitary in complex_segment_maps(p, 0.3):
+        real = pulses._segment_propagator(seg, p, **kwargs)
+        assert real.dtype == np.float64, name
+        assert np.abs(real - t.conj().T @ m @ t).max() < 1e-12, name
+        if unitary:
+            assert np.abs(real.T @ real - eye).max() < 1e-12, name
