@@ -14,8 +14,8 @@ Propagation runs in the orthonormal basis of Hermitian matrices
 (:class:`linalg.HermitianBasis`): there a density matrix is a real
 coordinate vector and L is a real matrix with the same eigenvalues
 (``Liouvillian.real``), so every map, step and steady-state solve
-is real arithmetic.  Coordinates become density matrices only to be
-observed, one block of samples at a time.
+is real arithmetic, and so is observation (:meth:`Trajectory.from_coords`):
+a density matrix is made only for a final state and for states a caller keeps.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4
@@ -67,8 +67,7 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
-# States per block of Trajectory.from_coords: few enough that a block of
-# 16x16 states stays far below a run's other memory.
+# Samples per observation block: few enough to stay small beside a run.
 _OBSERVE_BLOCK = 64
 
 
@@ -99,9 +98,9 @@ class Trajectory:
     also fill ``cycles`` with the cycle count per sample).  ``fidelity`` is
     None when no target state was supplied.  ``trace_deviation`` records
     |Tr rho - 1| per sample; the integrator never renormalizes.
-    ``expectations`` maps each name of :meth:`from_coords`' ``observables``
-    to Tr(A rho) per sample.  ``final_state`` is the last sampled density
-    matrix; ``states`` holds them all only when requested.
+    ``expectations`` maps each name of :meth:`from_coords`' Hermitian
+    ``observables`` to Tr(A rho) per sample.  ``final_state`` is the last
+    sampled density matrix; ``states`` holds them all only when requested.
     """
 
     times: np.ndarray
@@ -121,41 +120,40 @@ class Trajectory:
         state rho in ``basis`` (a linalg.HermitianBasis), in one pass:
         fidelity with ``target`` (if given), purity, populations,
         |Tr rho - 1| and Tr(A rho) for each named operator A of
-        ``observables`` per sample.  The stream is taken in blocks of at
-        most ``_OBSERVE_BLOCK`` samples; each block becomes one stack of
-        states in one ``basis.states`` call and is observed as a whole.
-        Only the last state is kept, unless ``keep_states``."""
+        ``observables`` per sample.  The basis is orthonormal, so in blocks
+        of at most ``_OBSERVE_BLOCK`` samples populations are x[:d], purity
+        is ||x||^2, and fidelity and each Tr(A rho) are dot products with the
+        coordinates of |target><target| and of A (a non-Hermitian A raises
+        DomainError).  Only the final state becomes a density matrix,
+        unless ``keep_states``."""
         samples = iter(samples)
-        times, kept, fids, purs, pops, tdevs = [], [], [], [], [], []
-        expect = {name: [] for name in observables or {}}
-        rho = None
-        while block := list(itertools.islice(samples, _OBSERVE_BLOCK)):
-            ts, xs = zip(*block)
-            stack = basis.states(np.stack(xs).T)
+        observables = observables or {}
+        proj = [] if target is None else [np.outer(target, np.conj(target))]
+        rows = np.reshape([basis.coords(a) for a in [*observables.values(), *proj]],
+                          (-1, basis.dim ** 2))
+        times, kept, dots, purs, pops, tdevs = [], [], [], [], [], []
+        while chunk := list(itertools.islice(samples, _OBSERVE_BLOCK)):
+            ts, xs = zip(*chunk)
+            block = np.stack(xs)
             times.extend(ts)
-            if target is not None:
-                fids.append(fidelity(stack, target))
-            purs.append(purity(stack))
-            # A copy, so that no kept row holds on to the whole stack.
-            pops.append(np.diagonal(stack, axis1=1, axis2=2).real.copy())
-            tr = np.trace(stack, axis1=1, axis2=2)
-            tdevs.append(np.hypot(tr.real - 1.0, tr.imag))
-            for name, values in expect.items():
-                values.append(np.trace(observables[name] @ stack, axis1=1, axis2=2).real)
+            dots.append(block @ rows.T)
+            purs.append(np.einsum("ij,ij->i", block, block))
+            # A copy, so that no kept row holds on to the block.
+            pops.append(block[:, :basis.dim].copy())
+            tdevs.append(np.abs(pops[-1].sum(axis=1) - 1.0))
             if keep_states:
-                kept.extend(stack)
-            # A copy, so that the final state does not hold on to the stack.
-            rho = stack[-1].copy()
+                kept.extend(basis.states(block.T))
+        dots = np.concatenate(dots).T.copy()
         return cls(
             times=np.asarray(times, dtype=float),
-            fidelity=None if target is None else np.concatenate(fids),
+            fidelity=None if target is None else dots[-1],
             purity=np.concatenate(purs),
             populations=np.concatenate(pops),
             trace_deviation=np.concatenate(tdevs),
             states=tuple(kept) if keep_states else None,
             cycles=cycles,
-            final_state=rho,
-            expectations={name: np.concatenate(v) for name, v in expect.items()},
+            final_state=basis.states(block[-1]),
+            expectations=dict(zip(observables, dots)),
         )
 
 
@@ -212,30 +210,27 @@ def _check_state(rho, d, what="rho0"):
 
 
 def fidelity(rho, psi):
-    """<psi| rho |psi> as a real number, or one per state of a stack of
-    density matrices (shape (k, d, d)).
+    """<psi| rho |psi> as a real number.
 
     The imaginary residue must stay below 1e-12 (it does for any Hermitian
     rho); larger residues raise NumericalError instead of being discarded.
     """
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] != psi.size:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] != psi.size:
         raise DimensionError(
             f"state shape {rho.shape} incompatible with vector length {psi.size}"
         )
-    vals = np.matmul(psi.conj(), (rho @ psi)[..., None])[..., 0]
-    worst = np.abs(vals.imag).max()
-    if worst > _FIDELITY_IMAG_TOL:
-        raise NumericalError(f"fidelity imaginary residue {worst:.3e} exceeds 1e-12")
-    return float(vals.real) if rho.ndim == 2 else vals.real
+    val = complex(psi.conj() @ (rho @ psi))
+    if abs(val.imag) > _FIDELITY_IMAG_TOL:
+        raise NumericalError(f"fidelity imaginary residue {val.imag:.3e} exceeds 1e-12")
+    return float(val.real)
 
 
 def purity(rho):
-    """Tr(rho^2), or one per state of a stack (shape (k, d, d))."""
-    rho = np.asarray(rho, dtype=complex)
-    vals = np.trace(rho @ rho, axis1=-2, axis2=-1).real
-    return float(vals) if rho.ndim == 2 else vals
+    """Tr(rho^2)."""
+    rho = linalg._as_square(rho, "state")
+    return float(np.trace(rho @ rho).real)
 
 
 def stationarity_residual(liouv, rho):
@@ -308,8 +303,8 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     or StepSizeError is raised with a suggested step.  The step actually
     used is t_end/n for the smallest n with t_end/n <= dt, so the final
     sample lands exactly on t_end; steps act on real coordinates
-    (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named A of
-    ``observables``; ``final_state`` is the state at t_end.
+    (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named
+    Hermitian A of ``observables``; ``final_state`` is the state at t_end.
     """
     rho0 = _check_state(rho0, liouv.dim)
     t_end = float(t_end)

@@ -67,11 +67,14 @@ def _fmt_cell(value):
 
 
 def _csv_lines(header_lines, columns, rows):
-    """The lines of a data.csv, each formatted as it is taken."""
+    """The lines of a data.csv, each formatted as it is taken.  Rows hold
+    numbers only, their ints (counts, flags) below 1e12, so one format
+    string per row writes what _fmt_cell writes per cell."""
     for line in [*header_lines, ",".join(columns)]:
         yield line + "\n"
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
     for row in rows:
-        yield ",".join(map(_fmt_cell, row)) + "\n"
+        yield fmt % tuple(row)
 
 
 def _summary_text(pairs):
@@ -170,14 +173,14 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
             resolved["t_end"] = cfg.t_end
             return traj, resolved, None
         delta = sample_every * dt
-        step = engine.rk4_map(liouv, dt, sample_every)
+        engine._check_step(liouv, dt)  # as engine.rk4_map does
     else:
         delta = _SAMPLE_INTERVAL
         if cfg.t_end is not None:
             n = max(1, int(math.ceil(cfg.t_end / delta - 1e-12)))
             delta = cfg.t_end / n
-        step = expm(liouv.real(), delta)
-    gen = liouv.real()
+    gen = liouv.real()  # one per run: the sample map and the residual check
+    step = engine._rk4_power(gen, dt, sample_every) if cfg.integrator == "rk4" else expm(gen, delta)
     converged = None
 
     def until(k, v):

@@ -11,7 +11,7 @@ Vectorization follows the column-stacking convention: ``vec(A rho B) =
 assume it.  :class:`HermitianBasis` changes to the orthonormal basis of
 Hermitian matrices, where a density matrix has real coordinates and a
 superoperator that preserves Hermiticity is a real matrix; the engine and
-the pulse layer propagate there.
+the pulse layer propagate and observe there.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ class HermitianBasis:
         DomainError."""
         x = self._rows(vectorize(rho))
         if x.size != self.dim ** 2:
-            raise DimensionError(f"state of shape {np.shape(rho)} is not {self.dim}x{self.dim}")
-        return self._real(x, float(np.abs(x).sum()), DomainError, "state is not Hermitian").copy()
+            raise DimensionError(f"matrix of shape {np.shape(rho)} is not {self.dim}x{self.dim}")
+        return self._real(x, float(np.abs(x).sum()), DomainError, "matrix is not Hermitian").copy()
 
     def states(self, x):
         """The matrices T x: one d x d matrix for a vector of coordinates,

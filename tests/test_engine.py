@@ -211,42 +211,59 @@ def test_iterate_until_may_raise():
 
 
 @pytest.mark.parametrize(
-    "steps, cycles",
-    [(47, 3), (1497, 150)],
-    ids=["one-block", "three-blocks"],
+    "system, steps, cycles",
+    [("fig2", 47, 3), ("fig2", 1497, 150), ("two-nuclei", 47, None)],
+    ids=["one-block", "three-blocks", "two-nuclei"],
 )
-def test_observables_and_final_state_match_stored_states(steps, cycles):
-    """``expectations`` and ``final_state`` equal what the stored states
-    give, over a run whose last interval is partial (a sample every 10
+def test_observables_and_final_state_match_stored_states(system, steps, cycles):
+    """What a trajectory reads off the coordinates agrees with the stored
+    states, over a run whose last interval is partial (a sample every 10
     steps); a pulsed run's final state is its last sample.  The second
-    case observes 151 samples: two full blocks and a partial one."""
-    p, liouv = fig2_system()
+    case observes 151 samples: two full blocks and a partial one; the
+    third observes the nuclear singlet of two nuclei.  Populations and the
+    final state are exact; the rest are dot products on one side and matrix
+    products on the other, so they agree to 1e-14."""
+    p, liouv = fig2_system() if system == "fig2" else asymmetric_two_nuclei_system()
     target = model.default_target(p.variant)
     rho0 = model.mixed_ground_state(p.variant)
-    proj = np.outer(target, target.conj())
+    observables = {"target": np.outer(target, target.conj())}
+    if system == "two-nuclei":
+        observables["singlet"] = model.nuclear_singlet_projector()
     dt = 5e-5
     traj = evolve_fixed_step(rho0, liouv, steps * dt, dt, sample_every=10, target=target,
-                             store_states=True, observables={"target": proj})
+                             store_states=True, observables=observables)
     assert len(traj.states) == -(-steps // 10) + 1
-    assert list(traj.expectations) == ["target"]
-    assert traj.expectations["target"].tolist() == [
-        float(np.trace(proj @ s).real) for s in traj.states
-    ]
-    assert traj.fidelity.tolist() == [fidelity(s, target) for s in traj.states]
-    assert traj.purity.tolist() == [purity(s) for s in traj.states]
-    assert traj.trace_deviation.tolist() == [
-        abs(complex(np.trace(s)) - 1.0) for s in traj.states
-    ]
+    assert list(traj.expectations) == list(observables)
+    for name, op in observables.items():
+        assert traj.expectations[name] == pytest.approx(
+            [np.trace(op @ s).real for s in traj.states], abs=1e-14)
+    assert traj.fidelity == pytest.approx([fidelity(s, target) for s in traj.states], abs=1e-14)
+    assert traj.purity == pytest.approx([purity(s) for s in traj.states], abs=1e-14)
+    assert traj.trace_deviation == pytest.approx(
+        [abs(complex(np.trace(s)) - 1.0) for s in traj.states], abs=1e-14)
     assert np.array_equal(traj.populations, [np.diag(s).real for s in traj.states])
     assert np.array_equal(traj.final_state, traj.states[-1])
+    if cycles is None:  # the pulsed protocol runs on the spin-1 variant only
+        return
 
     seq = pulses.standard_cycle(p, tau=0.02, cycles=cycles)
     pulsed = pulses.run_sequence(rho0, seq, p)
     assert len(pulsed.fidelity) == cycles + 1
     assert pulsed.expectations == {}
-    assert fidelity(pulsed.final_state, target) == pulsed.fidelity[-1]
-    assert purity(pulsed.final_state) == pulsed.purity[-1]
+    assert fidelity(pulsed.final_state, target) == pytest.approx(pulsed.fidelity[-1], abs=1e-14)
+    assert purity(pulsed.final_state) == pytest.approx(pulsed.purity[-1], abs=1e-14)
     assert np.array_equal(np.diag(pulsed.final_state).real, pulsed.populations[-1])
+
+
+def test_non_hermitian_observable_is_rejected():
+    """Observables are read as dot products with their coordinates in the
+    Hermitian basis, which only a Hermitian operator has."""
+    p, liouv = fig2_system()
+    rho0 = model.mixed_ground_state(p.variant)
+    raising = np.zeros((12, 12))
+    raising[0, 1] = 1.0
+    with pytest.raises(DomainError, match="not Hermitian"):
+        evolve_fixed_step(rho0, liouv, 5e-4, 5e-5, observables={"raising": raising})
 
 
 def test_step_size_guard():
@@ -305,17 +322,15 @@ def test_fidelity_and_purity_contracts():
     assert fidelity(mixed, psi) == pytest.approx(1.0 / 9.0, abs=1e-14)
     with pytest.raises(DimensionError):
         fidelity(rho, psi[:5])
-    # a non-hermitian matrix makes the sandwich complex; that is an error,
-    # also when it is one state of a stack
+    # a non-hermitian matrix makes the sandwich complex; that is an error
     with pytest.raises(NumericalError):
         fidelity(1j * rho, psi)
-    with pytest.raises(NumericalError):
-        fidelity(np.stack([mixed, 1j * rho, mixed]), psi)
+    # one state at a time: a (k, d, d) stack is not a state
     stack = np.stack([rho, mixed])
-    assert fidelity(stack, psi).tolist() == [fidelity(rho, psi), fidelity(mixed, psi)]
-    assert purity(stack).tolist() == [purity(rho), purity(mixed)]
     with pytest.raises(DimensionError):
-        fidelity(np.stack([rho, mixed])[:, :5], psi)
+        fidelity(stack, psi)
+    with pytest.raises(DimensionError):
+        purity(stack)
 
 
 def test_steady_state_unique_and_stationary():

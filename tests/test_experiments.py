@@ -6,6 +6,7 @@ full-length runs.
 """
 
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -112,6 +113,23 @@ def test_fig2_default_dt_sits_on_the_column_stacked_guard(tmp_path):
     liouv = experiments._liouvillian(resolve_params(cfg))
     assert cfg.dt == 0.1 / liouv.norm_bound()
     assert np.abs(liouv.real()).sum(axis=0).max() != liouv.norm_bound()
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = fig2\n",
+    "experiment = fig2\nt_end = 3\n",
+    FAST_FIG2,
+    FAST_FIG2 + "t_end = 4\n",
+], ids=["rk4-adaptive", "rk4-fixed", "propagator-adaptive", "propagator-fixed"])
+def test_continuous_run_makes_the_real_generator_once(tmp_path, monkeypatch, text):
+    """A fig2 run writes L in the Hermitian basis twice: once for the run
+    (its sample map and residual check) and once for the steady state."""
+    calls = []
+    real = engine.Liouvillian.real
+    monkeypatch.setattr(engine.Liouvillian, "real", lambda self: calls.append(1) or real(self))
+    code, _ = run_cli(tmp_path, "fig2", text)
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):
@@ -373,6 +391,20 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_csv_rows_format_as_cells():
+    """One format string per data.csv row writes each number as the summary's
+    per-cell formatting does: ints as integers, floats to 12 digits."""
+    rows = [
+        [0, np.int64(40000), 1.0, np.float64(1 / 3), math.nan, math.inf, -0.0],
+        [7, np.int64(-2), 1e-300, np.float64(-2.5e17), -math.inf, 123456789012.5, 0.1],
+    ]
+    columns = list("abcdefg")
+    lines = list(experiments._csv_lines(["# x = 1"], columns, rows))
+    assert lines[:2] == ["# x = 1\n", "a,b,c,d,e,f,g\n"]
+    assert lines[2:] == [",".join(map(experiments._fmt_cell, row)) + "\n" for row in rows]
+    assert lines[2] == "0,40000,1,0.333333333333,nan,inf,-0\n"
+
+
 def test_two_nuclei_explicit_drive_wins(tmp_path):
     text = (
         "experiment = two-nuclei\nintegrator = propagator\nt_end = 5\n"
@@ -503,11 +535,16 @@ def test_module_entry_point(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(FAST_STEADY)
     out = tmp_path / "out"
+    # The child imports the package from where this process found it, also
+    # when that came from pytest's pythonpath setting and not PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "darksteady", "steady", "--config", str(cfg),
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "data.csv").exists()
@@ -544,9 +581,8 @@ def test_markovian_fig3_keeps_no_vectors(tmp_path):
 
 
 def test_pulsed_run_makes_states_in_blocks(tmp_path, monkeypatch):
-    """A pulsed run propagates coordinates and turns them into density
-    matrices one observation block (up to 64 samples) at a time: no
-    per-sample unvectorize."""
+    """A pulsed run propagates and observes coordinates: no per-sample
+    unvectorize, and one density matrix per sequence, its final state."""
     calls = {"unvectorize": 0, "states": 0}
 
     def counting(name, fn):
@@ -566,4 +602,4 @@ def test_pulsed_run_makes_states_in_blocks(tmp_path, monkeypatch):
     assert len(read_rows(out / "data.csv")[1]) == 201
     assert calls["unvectorize"] == 0
     # three sequences of 201 samples each
-    assert 0 < calls["states"] <= 3 * math.ceil(201 / engine._OBSERVE_BLOCK)
+    assert calls["states"] == 3
