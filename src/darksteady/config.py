@@ -1,16 +1,17 @@
 """Experiment configuration: a strict flat key-value format.
 
 The format is INI-like text with ``key = value`` lines and ``#`` comments.
-Run-level keys (experiment, seed, integrator, dt, t_end, cycles, out) live
-at the top of the file or under an explicit ``[run]`` section; physical
-parameters under ``[params]``; pulsed-protocol options under ``[pulse]``;
-sweep axes under ``[grid]``.
+Run-level keys live at the top of the file or under an explicit ``[run]``
+section; physical parameters under ``[params]``; pulsed-protocol options
+under ``[pulse]``; sweep axes under ``[grid]``.  ``_KEYS`` lists every key
+of every section with the parser of its value.
 
 Parsing is strict: unknown sections or keys, malformed values and
 per-value invariant violations (negative rates, zero dephasing times, bad
-variant names) all raise ConfigError.  Cross-field invariants that depend
-on the experiment (for example the asymmetry length against the nucleus
-count) are enforced when the parameter set is resolved.
+variant names) all raise ConfigError, its text starting ``[section] key:``.
+Cross-field invariants that depend on the experiment (for example the
+asymmetry length against the nucleus count) are enforced when the
+parameter set is resolved.
 
 ``[params]`` accepts the single-amplitude shorthand ``e = 10``, which
 expands to ``e_plus = +10`` and ``e_minus = -10`` per the adopted optical
@@ -67,8 +68,10 @@ GRID_AXES = (
 _GRID_MAX_POINTS = 10_000
 _MAX_NOISE_SAMPLES = 10_000
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
+_BOOLS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
+}
 
 
 @dataclass(frozen=True)
@@ -109,103 +112,104 @@ class ExperimentConfig:
     pulse: PulseOptions = field(default_factory=PulseOptions)
 
 
-def _ctx(section, key):
-    return f"[{section}] {key}"
+def _bounded(kind, minimum=None, maximum=None, strict=False):
+    """A finite ``kind`` (float or int) from ``minimum`` (above it if
+    ``strict``) to ``maximum``."""
+    what = "a number" if kind is float else "an integer"
+
+    def parse(raw):
+        try:
+            val = kind(raw)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {raw!r}") from None
+        if val != val or abs(val) == math.inf:
+            raise ValueError(f"value must be finite, got {raw!r}")
+        if minimum is not None and (val <= minimum if strict else val < minimum):
+            raise ValueError(f"must be {'>' if strict else '>='} {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ValueError(f"must be <= {maximum}, got {val}")
+        return val
+    return parse
 
 
-def _parse_float(section, key, raw, minimum=None, strict_min=False):
+def _bool(raw):
     try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"{_ctx(section, key)}: expected a number, got {raw!r}")
-    if val != val or val in (float("inf"), float("-inf")):
-        raise ConfigError(f"{_ctx(section, key)}: value must be finite, got {raw!r}")
-    if minimum is not None:
-        if strict_min and val <= minimum:
-            raise ConfigError(f"{_ctx(section, key)}: must be > {minimum}, got {val}")
-        if not strict_min and val < minimum:
-            raise ConfigError(f"{_ctx(section, key)}: must be >= {minimum}, got {val}")
-    return val
+        return _BOOLS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, got {raw!r}") from None
 
 
-def _parse_int(section, key, raw, minimum=None, maximum=None):
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_ctx(section, key)}: expected an integer, got {raw!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{_ctx(section, key)}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{_ctx(section, key)}: must be <= {maximum}, got {val}")
-    return val
+def _choice(choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
+        return raw
+    return parse
 
 
-def _parse_bool(section, key, raw):
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{_ctx(section, key)}: expected true/false, got {raw!r}")
+def _floats(minimum=None):
+    number = _bounded(float, minimum)
+
+    def parse(raw):
+        parts = [s.strip() for s in raw.split(",") if s.strip()]
+        if not parts:
+            raise ValueError("expected a comma-separated list")
+        return tuple(map(number, parts))
+    return parse
 
 
-def _parse_choice(section, key, raw, choices):
-    if raw not in choices:
-        raise ConfigError(
-            f"{_ctx(section, key)}: expected one of {', '.join(choices)}, got {raw!r}"
-        )
-    return raw
+_NONNEGATIVE = _bounded(float, 0.0)
+_POSITIVE = _bounded(float, 0.0, strict=True)
 
-
-def _parse_float_list(section, key, raw, minimum=None):
-    parts = [s.strip() for s in raw.split(",") if s.strip()]
-    if not parts:
-        raise ConfigError(f"{_ctx(section, key)}: expected a comma-separated list")
-    return tuple(_parse_float(section, key, s, minimum=minimum) for s in parts)
+# Every key of the format: section -> key -> parser of its raw text.  A
+# parser returns the value or raises ValueError with the message body.
+_KEYS = {
+    "run": {
+        "experiment": _choice(EXPERIMENTS),
+        "seed": _bounded(int, 0),
+        "integrator": _choice(INTEGRATORS),
+        "dt": _POSITIVE,
+        "t_end": _POSITIVE,
+        "cycles": _bounded(int, 0),
+        "out": str.strip,
+    },
+    "params": {
+        **dict.fromkeys(("omega_e", "omega_n", "g", "gamma_plus", "gamma_minus", "gamma_zero"),
+                        _NONNEGATIVE),
+        **dict.fromkeys(("e", "e_plus", "e_minus"), _bounded(float)),
+        "t2_star": lambda raw: None if raw.strip().lower() == "none" else _POSITIVE(raw),
+        "variant": _choice(VARIANTS),
+        "asymmetry": _floats(0.0),
+        "asymmetric_hyperfine": _bool,
+    },
+    "pulse": {
+        **dict.fromkeys(("tau", "pump_duration", "nuclear_duration", "electron_duration"),
+                        _NONNEGATIVE),
+        "pump_e": _bounded(float),
+        "axis": _choice(AXES),
+        "correction": _bool,
+        "dd_filter": _bool,
+        "noise_mode": _choice(NOISE_MODES),
+        "noise_samples": _bounded(int, 1, _MAX_NOISE_SAMPLES),
+    },
+    "grid": {axis: _floats(None if axis == "e" else 0.0) for axis in GRID_AXES},
+}
 
 
 def _read_sections(text):
-    parser = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#",),
-        inline_comment_prefixes=("#",),
-        interpolation=None,
-        strict=True,
-    )
+    parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
+                                       inline_comment_prefixes=("#",), interpolation=None,
+                                       strict=True)
     parser.optionxform = str
     has_run = any(line.strip() == "[run]" for line in text.splitlines())
-    body = text if has_run else "[run]\n" + text
     try:
-        parser.read_string(body)
+        parser.read_string(text if has_run else "[run]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
-    known = {"run", "params", "grid", "pulse"}
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
     return {s: dict(parser.items(s)) for s in parser.sections()}
-
-
-def _parse_run(items):
-    out = {}
-    for key, raw in items.items():
-        if key == "experiment":
-            out["experiment"] = _parse_choice("run", key, raw, EXPERIMENTS)
-        elif key == "seed":
-            out["seed"] = _parse_int("run", key, raw, minimum=0)
-        elif key == "integrator":
-            out["integrator"] = _parse_choice("run", key, raw, INTEGRATORS)
-        elif key == "dt":
-            out["dt"] = _parse_float("run", key, raw, minimum=0.0, strict_min=True)
-        elif key == "t_end":
-            out["t_end"] = _parse_float("run", key, raw, minimum=0.0, strict_min=True)
-        elif key == "cycles":
-            out["cycles"] = _parse_int("run", key, raw, minimum=0)
-        elif key == "out":
-            out["output"] = raw.strip()
-        else:
-            raise ConfigError(f"{_ctx('run', key)}: unknown key")
-    return out
 
 
 def _param_fields(name, value):
@@ -217,92 +221,38 @@ def _param_fields(name, value):
     return {name: value}
 
 
-def _parse_params(items):
-    out = {}
-    for key, raw in items.items():
-        if key in ("omega_e", "omega_n", "g", "gamma_plus", "gamma_minus", "gamma_zero"):
-            out[key] = _parse_float("params", key, raw, minimum=0.0)
-        elif key == "e":
-            out.update(_param_fields(key, _parse_float("params", key, raw)))
-        elif key in ("e_plus", "e_minus"):
-            out[key] = _parse_float("params", key, raw)
-        elif key == "t2_star":
-            if raw.strip().lower() == "none":
-                out[key] = None
-            else:
-                out[key] = _parse_float("params", key, raw, minimum=0.0, strict_min=True)
-        elif key == "variant":
-            out[key] = _parse_choice("params", key, raw, VARIANTS)
-        elif key == "asymmetry":
-            out[key] = _parse_float_list("params", key, raw, minimum=0.0)
-        elif key == "asymmetric_hyperfine":
-            out[key] = _parse_bool("params", key, raw)
-        else:
-            raise ConfigError(f"{_ctx('params', key)}: unknown key")
-    if "e" in items and ("e_plus" in items or "e_minus" in items):
-        raise ConfigError(
-            "[params] e: cannot be combined with explicit e_plus/e_minus"
-        )
-    return out
-
-
-def _parse_pulse(items):
-    kwargs = {}
-    for key, raw in items.items():
-        if key in ("tau", "pump_duration", "nuclear_duration", "electron_duration"):
-            kwargs[key] = _parse_float("pulse", key, raw, minimum=0.0)
-        elif key == "pump_e":
-            kwargs[key] = _parse_float("pulse", key, raw)
-        elif key == "axis":
-            kwargs[key] = _parse_choice("pulse", key, raw, AXES)
-        elif key in ("correction", "dd_filter"):
-            kwargs[key] = _parse_bool("pulse", key, raw)
-        elif key == "noise_mode":
-            kwargs[key] = _parse_choice("pulse", key, raw, NOISE_MODES)
-        elif key == "noise_samples":
-            kwargs[key] = _parse_int("pulse", key, raw, minimum=1, maximum=_MAX_NOISE_SAMPLES)
-        else:
-            raise ConfigError(f"{_ctx('pulse', key)}: unknown key")
-    return PulseOptions(**kwargs)
-
-
-def _parse_grid(items):
-    axes = []
-    for key, raw in items.items():
-        if key not in GRID_AXES:
-            raise ConfigError(
-                f"{_ctx('grid', key)}: unknown axis; expected one of {', '.join(GRID_AXES)}"
-            )
-        minimum = None if key in ("e",) else 0.0
-        values = _parse_float_list("grid", key, raw, minimum=minimum)
-        if key == "t2_star" and any(v <= 0 for v in values):
-            raise ConfigError("[grid] t2_star: values must be > 0")
-        axes.append((key, values))
-    axes.sort(key=lambda kv: kv[0])
-    total = math.prod(len(values) for _, values in axes)
-    if total > _GRID_MAX_POINTS:
-        raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
-    return tuple(axes)
-
-
 def parse_config(text):
     """Parse config text into an ExperimentConfig (strict)."""
     sections = _read_sections(text)
-    run = _parse_run(sections.get("run", {}))
-    params = _parse_params(sections.get("params", {}))
-    pulse = _parse_pulse(sections.get("pulse", {}))
-    grid = _parse_grid(sections.get("grid", {}))
+    parsed = {}
+    for section, parsers in _KEYS.items():
+        values = parsed[section] = {}
+        for key, raw in sections.get(section, {}).items():
+            where = f"[{section}] {key}"
+            if key not in parsers:
+                what = f"axis; expected one of {', '.join(GRID_AXES)}" if section == "grid" else "key"
+                raise ConfigError(f"{where}: unknown {what}")
+            try:
+                values[key] = parsers[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    run, params = parsed["run"], parsed["params"]
+    if "e" in params and ("e_plus" in params or "e_minus" in params):
+        raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")
+    if any(v <= 0 for v in parsed["grid"].get("t2_star", ())):
+        raise ConfigError("[grid] t2_star: values must be > 0")
+    overrides = {}
+    for key, value in params.items():
+        overrides.update(_param_fields(key, value))
+    grid = tuple(sorted(parsed["grid"].items()))
+    total = math.prod(len(values) for _, values in grid)
+    if total > _GRID_MAX_POINTS:
+        raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
     return ExperimentConfig(
-        experiment=run.get("experiment"),
-        param_overrides=params,
+        **{"output" if key == "out" else key: value for key, value in run.items()},
+        param_overrides=overrides,
         grid=grid,
-        output=run.get("output"),
-        seed=run.get("seed", 0),
-        integrator=run.get("integrator", "rk4"),
-        dt=run.get("dt"),
-        t_end=run.get("t_end"),
-        cycles=run.get("cycles"),
-        pulse=pulse,
+        pulse=PulseOptions(**parsed["pulse"]),
     )
 
 
