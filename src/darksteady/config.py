@@ -168,7 +168,7 @@ _KEYS = {
         "experiment": _choice(EXPERIMENTS),
         "seed": _bounded(int, 0),
         "integrator": _choice(INTEGRATORS),
-        "dt": _POSITIVE,
+        "dt": _bounded(float, 1e-300),  # us; below it t_end / dt may overflow
         "t_end": _POSITIVE,
         "cycles": _bounded(int, 0),
         "out": str.strip,

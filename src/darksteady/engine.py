@@ -24,7 +24,9 @@ raised by repeated squaring to the sample interval (``sample_every`` steps)
 and each sample costs one product with the resulting map; a remainder map
 covers a last partial interval.  This is algebraically identical to
 stepping the stage form, and a run costs O(log sample_every) matrix
-products plus one product per sample instead of one per step.  One stepping
+products plus one product per sample instead of one per step.  The map is
+built as its increment over the identity, so its trace error does not
+grow with the step count.  One stepping
 generator, :func:`iterate`, applies the sample maps of both integrators and
 the composed cycle map of the pulsed protocol.
 """
@@ -250,19 +252,37 @@ def _check_step(liouv, dt):
 
 
 def _rk4_power(gen, h, steps):
-    # Degree-4 Taylor polynomial of h*gen == one RK4 step for a linear
-    # system, raised to ``steps`` by repeated squaring.
+    # T4(h*gen), the degree-4 Taylor polynomial (one RK4 step of a linear
+    # system), raised to ``steps`` by repeated squaring, all on the increment
+    # E = T4 - I: adding I at each product would round E against 1, and the
+    # power would multiply that error by ``steps``.
     a = h * gen
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    step = eye.copy()
-    for k in (4, 3, 2, 1):
-        step = eye + (a @ step) / k
-    return np.linalg.matrix_power(step, steps)
+    inc = a / 4  # Horner's rule without I: E_k = (a + a @ E_(k+1)) / k
+    for k in (3, 2, 1):
+        inc = (a @ inc + a) / k
+    out = None  # (I + A)(I + B) = I + A + B + AB
+    while steps:
+        if steps & 1 and out is None:
+            out = inc.copy()
+        elif steps & 1:
+            prod = out @ inc
+            out += inc
+            out += prod
+        steps >>= 1
+        if steps:
+            prod = inc @ inc
+            inc *= 2
+            inc += prod
+    out = np.zeros_like(a) if out is None else out
+    out.flat[::len(out) + 1] += 1.0
+    return out
 
 
 def rk4_map(liouv, dt, steps):
     """Map of ``steps`` classical RK4 steps of size dt, a real matrix on
-    coordinates in ``HermitianBasis(liouv.dim)``.
+    coordinates in ``HermitianBasis(liouv.dim)``.  It is built as I + E,
+    with the increment E over I kept apart through every product, so the
+    map keeps the trace to rounding of E, not of I, for any dt and steps.
 
     dt must satisfy dt * ||L||_1 <= 0.1, with ||L||_1 the column-stacked
     ``liouv.norm_bound()``, or StepSizeError is raised with a suggested step.
@@ -302,7 +322,8 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     The requested dt must satisfy dt * ||L||_1 <= 0.1 (``liouv.norm_bound()``)
     or StepSizeError is raised with a suggested step.  The step actually
     used is t_end/n for the smallest n with t_end/n <= dt, so the final
-    sample lands exactly on t_end; steps act on real coordinates
+    sample lands exactly on t_end (a dt so small that t_end / dt overflows
+    raises DomainError); steps act on real coordinates
     (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named
     Hermitian A of ``observables``; ``final_state`` is the state at t_end.
     """
@@ -313,6 +334,8 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
         raise DomainError(f"t_end must be > 0, got {t_end}")
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
+    if not math.isfinite(t_end / dt):
+        raise DomainError(f"dt = {dt} is too small: t_end / dt overflows")
     _check_step(liouv, dt)
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     h = t_end / n_steps

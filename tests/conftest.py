@@ -6,13 +6,44 @@ criterion without digging through tracebacks.
 
 The whole session runs BLAS on one thread, as the CLI does, so tests that
 call engine and pulses directly sum in the same order as a CLI run.
+
+Property tests run under one hypothesis profile: derandomized, so every
+run draws the same examples, with no example database and no deadline, so
+a slow machine does not fail them.  What hypothesis still caches (the
+constants it reads from the code under test) goes to a temporary
+directory, so a run writes no ``.hypothesis/`` into the checkout.
 """
+
+import shutil
+import tempfile
 
 import pytest
 
 from darksteady import linalg
 
+try:
+    from hypothesis import configuration, settings
+except ImportError:  # the property tests skip themselves
+    configuration = None
+else:
+    settings.register_profile("darksteady", derandomize=True, database=None, deadline=None)
+    settings.load_profile("darksteady")
+
 ACCEPTANCE_RESULTS = []
+_HYPOTHESIS_HOME = []
+
+
+def pytest_configure(config):
+    # Hypothesis reads the constants at collection time, so its storage
+    # moves before that.
+    if configuration is not None:
+        _HYPOTHESIS_HOME.append(tempfile.mkdtemp(prefix="hypothesis-"))
+        configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME[0])
+
+
+def pytest_unconfigure(config):
+    for path in _HYPOTHESIS_HOME:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 @pytest.fixture(scope="session", autouse=True)

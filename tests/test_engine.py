@@ -155,6 +155,33 @@ def test_rk4_samples_match_stepwise_stage_form():
         assert np.abs(state - ds.unvectorize(ref[k], 12)).max() < 1e-12
 
 
+@pytest.mark.parametrize("dt", [None, 1e-9, 1e-14])
+def test_rk4_sample_map_keeps_the_trace(dt):
+    """One 0.05 us sample map keeps the trace functional to 1e-14 however
+    many steps it holds (767 at the default step, 5e12 at 1e-14)."""
+    _, liouv = fig2_system()
+    dt = 0.1 / liouv.norm_bound() if dt is None else dt
+    step = engine.rk4_map(liouv, dt, round(0.05 / dt))
+    trace = linalg.HermitianBasis(12).coords(np.eye(12))
+    assert np.abs(trace @ step - trace).max() <= 1e-14
+
+
+def test_rk4_small_step_map_matches_the_propagator():
+    """5e7 steps of 1e-9 us give exp(0.05 L) on the ground mixture."""
+    _, liouv = fig2_system()
+    x = linalg.HermitianBasis(12).coords(model.mixed_ground_state(model.VARIANT_SINGLE))
+    step = engine.rk4_map(liouv, 1e-9, 50_000_000)
+    assert np.abs(step @ x - linalg.expm(liouv.real(), 0.05) @ x).max() <= 1e-12
+    assert np.array_equal(engine.rk4_map(liouv, 1e-9, 0), np.eye(144))
+
+
+def test_rk4_step_count_overflow_is_domain_error():
+    _, liouv = fig2_system()
+    rho0 = model.mixed_ground_state(model.VARIANT_SINGLE)
+    with pytest.raises(DomainError, match="dt"):
+        evolve_fixed_step(rho0, liouv, t_end=1.0, dt=1e-320)
+
+
 def test_iterate_count_zero_yields_only_a_copy():
     v = np.arange(4, dtype=complex)
     out = list(engine.iterate(v, np.eye(4), 0))

@@ -164,6 +164,29 @@ def test_rk4_tiny_step_finishes(tmp_path):
         assert float(cell) == pytest.approx(float(ref_cell), abs=1e-9)
 
 
+def test_rk4_vanishing_step_matches_a_small_one(tmp_path):
+    """At dt = 1e-20 (5e19 steps) RK4 writes the numbers of dt = 1e-9."""
+    outs = []
+    for dt in ("1e-20", "1e-9"):
+        (tmp_path / dt).mkdir()
+        code, out = run_cli(tmp_path / dt, "evolve", f"experiment = evolve\ndt = {dt}\nt_end = 0.5\n")
+        assert code == 0
+        outs.append(read_rows(out / "data.csv"))
+    (header, rows), (ref_header, ref_rows) = outs
+    assert header == ref_header and len(rows) == len(ref_rows) == 11
+    for row, ref_row in zip(rows, ref_rows):
+        assert [float(c) for c in row] == pytest.approx([float(c) for c in ref_row], abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["evolve", "fig2"])
+def test_subnormal_step_is_config_error(tmp_path, capsys, name):
+    code, out = run_cli(tmp_path, name, f"experiment = {name}\ndt = 1e-320\n")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "[run] dt:" in err and "Traceback" not in err
+
+
 def test_evolve_any_variant(tmp_path):
     text = (
         "experiment = evolve\nintegrator = propagator\nt_end = 2\n"
