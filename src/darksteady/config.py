@@ -8,10 +8,10 @@ of every section with the parser of its value.
 
 Parsing is strict: unknown sections or keys, malformed values and
 per-value invariant violations (negative rates, zero dephasing times, bad
-variant names) all raise ConfigError, its text starting ``[section] key:``.
-Cross-field invariants that depend on the experiment (for example the
-asymmetry length against the nucleus count) are enforced when the
-parameter set is resolved.
+variant names) all raise ConfigError; the text of an error in one value
+starts ``[section] key:``.  Cross-field invariants that depend on the
+experiment (for example the asymmetry length against the nucleus count)
+are enforced when the parameter set is resolved.
 
 ``[params]`` accepts the single-amplitude shorthand ``e = 10``, which
 expands to ``e_plus = +10`` and ``e_minus = -10`` per the adopted optical

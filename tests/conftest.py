@@ -30,19 +30,19 @@ else:
     settings.load_profile("darksteady")
 
 ACCEPTANCE_RESULTS = []
-_HYPOTHESIS_HOME = []
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
 
 
 def pytest_configure(config):
     # Hypothesis reads the constants at collection time, so its storage
     # moves before that.
     if configuration is not None:
-        _HYPOTHESIS_HOME.append(tempfile.mkdtemp(prefix="hypothesis-"))
-        configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME[0])
+        config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+        configuration.set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
 
 
 def pytest_unconfigure(config):
-    for path in _HYPOTHESIS_HOME:
+    if path := config.stash.get(_HYPOTHESIS_HOME, None):
         shutil.rmtree(path, ignore_errors=True)
 
 
