@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .model import SystemParams, VARIANTS
@@ -89,6 +89,9 @@ class PulseOptions:
     noise_mode: str = "markovian"
     noise_samples: int = 200
 
+    def __post_init__(self):
+        _check_fields(self, "pulse", {f.name: f.name for f in fields(self)})
+
 
 @dataclass(frozen=True, eq=True)
 class ExperimentConfig:
@@ -98,6 +101,11 @@ class ExperimentConfig:
     SystemParams field names); experiments fill the remaining defaults when
     they resolve the parameter set, so they can distinguish user choices
     from derivable values.
+
+    A config built in code is checked as if it were read from a file: each
+    set field is parsed back from its rendered text by its ``_KEYS``
+    parser, ``e`` in ``param_overrides`` expands to ``e_plus``/``e_minus``,
+    and a bad value raises ConfigError with the message parse_config gives.
     """
 
     experiment: str | None = None
@@ -110,6 +118,23 @@ class ExperimentConfig:
     t_end: float | None = None
     cycles: int | None = None
     pulse: PulseOptions = field(default_factory=PulseOptions)
+
+    def __post_init__(self):
+        _check_fields(self, "run", {**{k: k for k in _KEYS["run"] if k != "out"}, "out": "output"})
+        params = _parse_section("params", _rendered(self.param_overrides))
+        if "e" in params and ("e_plus" in params or "e_minus" in params):
+            raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")
+        overrides = {}
+        for key, value in params.items():
+            overrides.update(_param_fields(key, value))
+        grid = _parse_section("grid", _rendered(dict(self.grid)))
+        if any(v <= 0 for v in grid.get("t2_star", ())):
+            raise ConfigError("[grid] t2_star: values must be > 0")
+        total = math.prod(len(values) for values in grid.values())
+        if total > _GRID_MAX_POINTS:
+            raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
+        object.__setattr__(self, "param_overrides", overrides)
+        object.__setattr__(self, "grid", tuple(sorted(grid.items())))
 
 
 def _bounded(kind, minimum=None, maximum=None, strict=False):
@@ -221,37 +246,44 @@ def _param_fields(name, value):
     return {name: value}
 
 
+def _parse_section(section, items):
+    """The values of one section from their raw texts, by the ``_KEYS``
+    parsers; an unknown key or a bad value raises ConfigError naming
+    ``[section] key``."""
+    parsers, values = _KEYS[section], {}
+    for key, raw in items.items():
+        where = f"[{section}] {key}"
+        if key not in parsers:
+            what = f"axis; expected one of {', '.join(GRID_AXES)}" if section == "grid" else "key"
+            raise ConfigError(f"{where}: unknown {what}")
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return values
+
+
+def _rendered(values):
+    return {key: _format_value(value) for key, value in values.items()}
+
+
+def _check_fields(obj, section, names):
+    """Parse each set (not None) field of a frozen config object back from
+    its rendered text, as a config file holding it would; ``names`` maps
+    each key of ``section`` to its field."""
+    values = {key: getattr(obj, name) for key, name in names.items() if getattr(obj, name) is not None}
+    for key, value in _parse_section(section, _rendered(values)).items():
+        object.__setattr__(obj, names[key], value)
+
+
 def parse_config(text):
     """Parse config text into an ExperimentConfig (strict)."""
     sections = _read_sections(text)
-    parsed = {}
-    for section, parsers in _KEYS.items():
-        values = parsed[section] = {}
-        for key, raw in sections.get(section, {}).items():
-            where = f"[{section}] {key}"
-            if key not in parsers:
-                what = f"axis; expected one of {', '.join(GRID_AXES)}" if section == "grid" else "key"
-                raise ConfigError(f"{where}: unknown {what}")
-            try:
-                values[key] = parsers[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-    run, params = parsed["run"], parsed["params"]
-    if "e" in params and ("e_plus" in params or "e_minus" in params):
-        raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")
-    if any(v <= 0 for v in parsed["grid"].get("t2_star", ())):
-        raise ConfigError("[grid] t2_star: values must be > 0")
-    overrides = {}
-    for key, value in params.items():
-        overrides.update(_param_fields(key, value))
-    grid = tuple(sorted(parsed["grid"].items()))
-    total = math.prod(len(values) for _, values in grid)
-    if total > _GRID_MAX_POINTS:
-        raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
+    parsed = {section: _parse_section(section, sections.get(section, {})) for section in _KEYS}
     return ExperimentConfig(
-        **{"output" if key == "out" else key: value for key, value in run.items()},
-        param_overrides=overrides,
-        grid=grid,
+        **{"output" if key == "out" else key: value for key, value in parsed["run"].items()},
+        param_overrides=parsed["params"],
+        grid=tuple(parsed["grid"].items()),
         pulse=PulseOptions(**parsed["pulse"]),
     )
 

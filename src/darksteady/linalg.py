@@ -1,10 +1,12 @@
 """Dense linear algebra used by the model, engine and pulse layers.
 
-Everything operates on plain ``numpy`` arrays and is pure.  ``expm`` and
-``eig_full`` keep a real input real; other operands are promoted to
-complex128.  State spaces here are at most 16-dimensional and
-superoperators at most 256-dimensional, so dense storage is used
-throughout.
+Everything operates on plain ``numpy`` arrays and is pure, and numpy is
+the only dependency: ``expm`` is a Pade scaling-and-squaring method
+written here and ``eig_full`` calls LAPACK through ``numpy.linalg.eig``,
+so the package never imports scipy.  ``expm`` and ``eig_full`` keep a real
+input real; other operands are promoted to complex128.  State spaces here
+are at most 16-dimensional and superoperators at most 256-dimensional, so
+dense storage is used throughout.
 
 Vectorization follows the column-stacking convention: ``vec(A rho B) =
 (B^T kron A) vec(rho)``.  All superoperator formulas elsewhere in the package
@@ -24,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError, NumericalError
 
@@ -98,6 +99,11 @@ def kron(a, b):
 def expm(a, s=1.0):
     """Matrix exponential exp(s*a) for a square matrix and a real scalar.
 
+    Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
+    7, 9 or 13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), the
+    degree and the number of squarings chosen from ||(s*a)^k||_1^(1/k) as
+    in Algorithm 5.1 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+    970 (2009).  A diagonal s*a takes the exponential of its diagonal.
     A real input stays real; anything else is promoted to complex128.
     Raises NumericalError if the scaling overflows to non-finite entries.
     """
@@ -105,10 +111,129 @@ def expm(a, s=1.0):
     s = float(s)
     if not np.isfinite(s):
         raise NumericalError(f"expm scalar must be finite, got {s}")
-    out = scipy.linalg.expm(s * a)
+    a = s * a
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+            out = np.diag(np.exp(a.diagonal()))
+        else:
+            out = _pade_exp(a)
     if not np.all(np.isfinite(out)):
         raise NumericalError("expm overflowed: result contains non-finite entries")
     return out
+
+
+# Al-Mohy & Higham (2009), Table 3.1: per Pade degree m, the largest bound
+# on ||A^k||^(1/k) at which the degree-m approximant of exp(A) has a
+# backward error below the unit roundoff.  Degree 13 squares beyond it.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+
+
+def _pade_rows(m):
+    """Coefficient rows that, times the stacked even powers (I, A^2, ...),
+    give the degree-m approximant's U = A u and V = v, where
+    exp(A) ~ (V - U)^-1 (V + U).  The numerator coefficients b_0..b_m are
+    scaled to integers (Higham 2005).  Degree 13 gives four rows (w1, u,
+    w2, v) over (I, A^2, A^4, A^6): U = A (A^6 w1 + u), V = A^6 w2 + v."""
+    b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    if m < 13:
+        return np.array([b[1::2], b[0::2]], dtype=float)
+    return np.array([[0, *b[9::2]], b[1:9:2], [0, *b[8::2]], b[0:8:2]], dtype=float)
+
+
+_PADE_ROWS = {m: _pade_rows(m) for m in _PADE_THETA}
+
+
+def _norm1(x):
+    return float(np.abs(x).sum(axis=0).max())
+
+
+def _pade_degree(a, powers):
+    """(m, s): the Pade degree and the number of squarings for exp(a), by
+    Algorithm 5.1 of Al-Mohy & Higham (2009).
+
+    ``powers`` is a (5, n, n) buffer holding I and a^2.  The choice reads
+    d_k = ||a^k||_1^(1/k), exact for the even powers it forms into the
+    buffer and bounded by products of their norms above them.  a^4 is
+    formed only once degree 3 is ruled out, a^6 once degree 5 is, and a^8
+    only for degree 9, which needs it.  Raises NumericalError when the
+    powers are not finite.
+    """
+    norm = _norm1(a)
+    b = col = k = None  # |a| / ||a||_1 and the column sums of its k-th power
+
+    def ell(m, s=0):
+        """Extra squarings that keep the rounding of the degree-m
+        approximant of 2^-s a below the unit roundoff 2^-53: the function
+        ell of Al-Mohy & Higham (2009), from ||(|a|)^(2m+1)||_1, which is
+        at most ||a||_1^(2m+1).  The power is formed only when that bound
+        does not settle it."""
+        nonlocal b, col, k
+        c = math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2
+        log2_alpha = 2 * m * (math.log2(norm) - s) + 53 - math.log2(c)
+        if log2_alpha <= 0:
+            return 0
+        if b is None:
+            b = np.abs(a) / norm  # its powers have 1-norms <= 1: no overflow
+            col, k = b.sum(axis=0), 1
+        while k < 2 * m + 1:
+            col, k = col @ b, k + 1
+        unit = float(col.max())
+        if unit == 0.0:
+            return 0
+        return max(math.ceil((log2_alpha + math.log2(unit)) / (2 * m)), 0)
+
+    n2 = _norm1(powers[1])
+    # ||a^4||, ||a^6|| <= ||a^2||^2, ||a^2||^3.
+    if math.sqrt(n2) <= _PADE_THETA[3] and ell(3) == 0:
+        return 3, 0
+    np.matmul(powers[1], powers[1], out=powers[2])
+    n4 = _norm1(powers[2])
+    if max(n4 ** 0.25, (n4 * n2) ** (1 / 6)) <= _PADE_THETA[5] and ell(5) == 0:
+        return 5, 0
+    np.matmul(powers[2], powers[1], out=powers[3])
+    n6 = _norm1(powers[3])
+    n8 = min(n4 * n4, n6 * n2)
+    eta = max(n6 ** (1 / 6), n8 ** 0.125)
+    if eta <= _PADE_THETA[7] and ell(7) == 0:
+        return 7, 0
+    if eta <= _PADE_THETA[9] and ell(9) == 0:
+        np.matmul(powers[2], powers[2], out=powers[4])
+        return 9, 0
+    eta = min(eta, max(n8 ** 0.125, min(n4 * n6, n8 * n2) ** 0.1))
+    if not math.isfinite(eta):
+        raise NumericalError("expm overflowed: powers of the operand are not finite")
+    s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
+    return 13, s + ell(13, s)
+
+
+def _pade_exp(a):
+    """exp(a) by scaling and squaring (see expm)."""
+    n = a.shape[0]
+    powers = np.empty((5, n, n), dtype=a.dtype)
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    m, s = _pade_degree(a, powers)
+    rows = _PADE_ROWS[m]
+    k = rows.shape[1]
+    if m < 13:
+        u, v = (rows @ powers[:k].reshape(k, -1)).reshape(2, n, n)
+        u = a @ u
+    else:
+        # a^(2j) of 2^-s a is 4^(-js) a^(2j): exact power-of-two scalings.
+        rows = rows * [1.0, 4.0 ** -s, 16.0 ** -s, 64.0 ** -s]
+        w1, u, w2, v = (rows @ powers[:k].reshape(k, -1)).reshape(4, n, n)
+        a6 = powers[3] * 2.0 ** (-6 * s)
+        u = (a * 2.0 ** -s) @ (a6 @ w1 + u)
+        v = a6 @ w2 + v
+    try:
+        x = np.linalg.solve(v - u, v + u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"expm: the Pade denominator is singular: {exc}")
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def eig_full(a):
@@ -128,12 +253,13 @@ def eig_full(a):
     if n > _EIG_MAX_DIM:
         raise DimensionError(f"eig_full supports dimension <= {_EIG_MAX_DIM}, got {n}")
     try:
-        vals, vecs = scipy.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigendecomposition did not converge: {exc}")
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}")
+    # numpy returns real arrays when every eigenvalue of a real a is real.
     order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = vals[order].astype(complex, copy=False)
+    vecs = vecs[:, order].astype(complex, copy=False)
     scale = np.linalg.norm(a)
     worst = 0.0
     for lo in range(0, n, _EIG_RESIDUAL_BLOCK):
@@ -308,21 +434,22 @@ class HermitianBasis:
 
 
 def _find_blas_pools():
-    """(get, set) thread-count functions of the scipy-openblas builds that
-    the numpy and scipy wheels bundle in ``numpy.libs`` / ``scipy.libs``:
-    numpy's 64-bit-integer build (symbol suffix ``64_``) and scipy's.  A
-    library that exports neither pair (another BLAS) gives no pool."""
+    """(get, set) thread-count functions of the scipy-openblas build that
+    the numpy wheel bundles in ``numpy.libs``: its 64-bit-integer build
+    (symbol suffix ``64_``) or a 32-bit one (no suffix).  A library that
+    exports neither pair (another BLAS) gives no pool."""
     pools = []
-    for pkg in (np, scipy):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-            lib = ctypes.CDLL(path)
-            for suffix in ("64_", ""):
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-                if get is not None and set_ is not None:
-                    pools.append((get, set_))
-                    break
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
     return pools
 
 
@@ -331,12 +458,13 @@ _blas_pools = None  # found on first use of _one_blas_thread, then kept
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every bundled scipy-openblas pool at one thread.
+    """Run the body with numpy's bundled scipy-openblas pool at one thread.
 
-    At 144x144 and 256x256 a second thread costs more than it gains, and
-    one thread makes the summation order, and so the output bytes, the
-    same on every machine.  The counts found on entry are restored on
-    every exit.  Does nothing when no pool is found (another BLAS).
+    It is the only BLAS that darksteady calls.  At 144x144 and 256x256 a
+    second thread costs more than it gains, and one thread makes the
+    summation order, and so the output bytes, the same on every machine.
+    The counts found on entry are restored on every exit.  Does nothing
+    when no pool is found (another BLAS).
     """
     global _blas_pools
     if _blas_pools is None:

@@ -1,8 +1,8 @@
 """The single-thread BLAS cap of run_experiment.
 
-numpy and scipy each bundle a scipy-openblas build with its own thread
-pool.  These tests read and preset the pools through the functions that
-``linalg._find_blas_pools`` returns, and never set a pool above
+numpy bundles a scipy-openblas build with its own thread pool, the only
+BLAS the package calls.  These tests read and preset that pool through the
+functions that ``linalg._find_blas_pools`` returns, and never set it above
 os.cpu_count().
 """
 
@@ -23,11 +23,11 @@ TWO = min(2, os.cpu_count() or 1)
 
 @pytest.fixture
 def pools():
-    """The two bundled pools preset to TWO threads; their counts are put
-    back afterwards."""
+    """numpy's bundled pool preset to TWO threads; its count is put back
+    afterwards."""
     found = linalg._find_blas_pools()
-    if len(found) != 2:
-        pytest.skip("numpy and scipy do not both bundle scipy-openblas here")
+    if len(found) != 1:
+        pytest.skip("numpy does not bundle scipy-openblas here")
     before = [get() for get, _ in found]
     for _, set_ in found:
         set_(TWO)
@@ -55,8 +55,8 @@ def test_pools_read_one_inside_a_run_and_are_restored(tmp_path, monkeypatch, poo
         return {}
 
     assert _run_with_runner(tmp_path, monkeypatch, runner) == 0
-    assert inside == [[1, 1]]
-    assert _counts(pools) == [TWO, TWO]
+    assert inside == [[1]]
+    assert _counts(pools) == [TWO]
 
 
 def test_pools_restored_when_the_runner_raises(tmp_path, monkeypatch, pools):
@@ -71,8 +71,8 @@ def test_pools_restored_when_the_runner_raises(tmp_path, monkeypatch, pools):
         experiments.run_experiment(
             parse_config(f"experiment = steady\nout = {tmp_path / 'out'}\n")
         )
-    assert inside == [[1, 1]]
-    assert _counts(pools) == [TWO, TWO]
+    assert inside == [[1]]
+    assert _counts(pools) == [TWO]
 
 
 def test_thread_variable_does_not_lift_the_cap(tmp_path, monkeypatch, pools):
@@ -87,15 +87,18 @@ def test_thread_variable_does_not_lift_the_cap(tmp_path, monkeypatch, pools):
         return {}
 
     assert _run_with_runner(tmp_path, monkeypatch, runner) == 0
-    assert inside == [[1, 1]]
-    assert _counts(pools) == [TWO, TWO]
+    assert inside == [[1]]
+    assert _counts(pools) == [TWO]
 
 
-def test_discovery_finds_two_separate_pools(pools):
+def test_discovery_finds_numpys_one_pool(pools):
+    """One pool, numpy's: the package calls no other BLAS, so no other
+    library's pool is looked for or set."""
+    assert len(pools) == 1
     pools[0][1](1)
-    assert _counts(pools) == [1, TWO]
-    pools[1][1](1)
-    assert _counts(pools) == [1, 1]
+    assert _counts(pools) == [1]
+    pools[0][1](TWO)
+    assert _counts(pools) == [TWO]
 
 
 def test_run_works_when_no_symbol_is_found(tmp_path, monkeypatch, pools):
@@ -113,7 +116,7 @@ def test_run_works_when_no_symbol_is_found(tmp_path, monkeypatch, pools):
     assert _run_with_runner(tmp_path, monkeypatch, runner) == 0
     assert (tmp_path / "out" / "data.csv").exists()
     assert linalg._blas_pools == []
-    assert inside == [[TWO, TWO]]
+    assert inside == [[TWO]]
 
 
 def test_pools_never_set_above_cpu_count(tmp_path, monkeypatch, pools):
@@ -131,7 +134,7 @@ def test_pools_never_set_above_cpu_count(tmp_path, monkeypatch, pools):
     monkeypatch.setattr(linalg, "_find_blas_pools",
                         lambda: [(get, recording(set_)) for get, set_ in found])
     assert _run_with_runner(tmp_path, monkeypatch, experiments._run_steady) == 0
-    assert values == [1, 1, TWO, TWO]
+    assert values == [1, TWO]
     assert all(1 <= v <= (os.cpu_count() or 1) for v in values)
 
 

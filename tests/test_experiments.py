@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from darksteady import cli, engine, experiments, linalg, pulses
-from darksteady.config import EXPERIMENTS, parse_config, resolve_params
+from darksteady.config import EXPERIMENTS, ExperimentConfig, PulseOptions, parse_config, resolve_params
 from darksteady.errors import ConfigError, NumericalError
 from darksteady.experiments import extract_header_config, run_experiment
 
@@ -626,3 +626,59 @@ def test_pulsed_run_makes_states_in_blocks(tmp_path, monkeypatch):
     assert calls["unvectorize"] == 0
     # three sequences of 201 samples each
     assert calls["states"] == 3
+
+
+@pytest.mark.parametrize("fields", [
+    dict(experiment="fig2", dt=1e-320),
+    dict(experiment="fig2", dt=math.nan),
+    dict(experiment="evolve", t_end=math.nan),
+    dict(experiment="evolve", integrator="propagator", t_end=-1.0),
+    dict(experiment="fig2", integrator="foo"),
+    dict(experiment="fig3", seed=-1, param_overrides={"t2_star": 10.0},
+         pulse=dict(noise_mode="quasistatic", noise_samples=2)),
+    dict(experiment="fig3", pulse=dict(axis="z")),
+    dict(experiment="sweep", grid=(("g", (1.0, -1.0)),)),
+], ids=["dt-subnormal", "dt-nan", "t_end-nan", "t_end-negative", "integrator",
+        "seed-negative", "pulse-axis", "grid-negative"])
+def test_code_built_config_is_checked_like_a_file(tmp_path, fields):
+    """A config built in code goes through the same per-key parsers as a
+    file: every bad value is a ConfigError before any file is written."""
+    out = tmp_path / "out"
+    pulse = fields.pop("pulse", {})
+    with pytest.raises(ConfigError, match=r"^\[(run|pulse|grid)\] "):
+        run_experiment(ExperimentConfig(output=str(out), pulse=PulseOptions(**pulse), **fields))
+    assert not out.exists()
+
+
+def test_code_built_config_parses_like_its_rendering():
+    cfg = ExperimentConfig(experiment="fig2", seed=np.int64(3), dt=np.float64(0.001),
+                           param_overrides={"e": 10})
+    assert cfg == parse_config("experiment = fig2\nseed = 3\ndt = 0.001\n[params]\ne = 10\n")
+    assert type(cfg.seed) is int and type(cfg.dt) is float
+
+
+def test_package_and_cli_runs_load_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: neither the imports nor a
+    steady state and a quasi-static pulsed run load scipy, lazily or not."""
+    (tmp_path / "steady.ini").write_text("experiment = steady\n")
+    (tmp_path / "fig3.ini").write_text(
+        "experiment = fig3\ncycles = 2\n[params]\nt2_star = 10\n"
+        "[pulse]\nnoise_mode = quasistatic\nnoise_samples = 2\n")
+    code = (
+        "import os, sys\n"
+        "def loaded(step):\n"
+        "    print(step, 'scipy' in sys.modules)\n"
+        "import darksteady\n"
+        "loaded('import darksteady')\n"
+        "import darksteady.cli\n"
+        "loaded('import darksteady.cli')\n"
+        "for name in ('steady', 'fig3'):\n"
+        "    base = os.path.join(sys.argv[1], name)\n"
+        "    assert darksteady.cli.main([name, '--config', base + '.ini', '--out', base]) == 0\n"
+        "    loaded(name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == [
+        "import darksteady False", "import darksteady.cli False", "steady False", "fig3 False"]

@@ -1,9 +1,12 @@
 """Dense linear-algebra helpers: conventions and error contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from darksteady import linalg
+from darksteady import engine, linalg, model
 from darksteady.errors import DimensionError, DomainError, NumericalError
 from darksteady.linalg import (
     SpaceLayout,
@@ -76,6 +79,72 @@ def test_expm_keeps_real_input_real():
     out = expm(a, 0.3)
     assert out.dtype == np.float64
     assert np.abs(out - expm(a.astype(complex), 0.3)).max() < 1e-13
+
+
+def rel_1norm(x, ref):
+    return np.abs(x - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+
+
+def real_generator(variant, pump=False):
+    """The real Hermitian-basis Liouvillian of the default parameters, or
+    of the optical pump (drive 30, no coherent terms) as pulses builds it."""
+    p = model.SystemParams(variant=variant)
+    if pump:
+        pumped = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=30.0, e_minus=-30.0)
+        h, cs = model.build_hamiltonian(pumped), model.decay_ops(pumped)
+    else:
+        h, cs = model.build_hamiltonian(p), model.build_collapse_ops(p)
+    return engine.build_liouvillian(h, cs, p.layout).real()
+
+
+@pytest.mark.parametrize("variant, pump, t", [
+    ("single-nucleus-spin1", False, 0.05),
+    ("single-nucleus-spin1", True, 0.1),
+    ("two-nuclei-spin-half", False, 0.05),
+])
+def test_expm_of_generators_matches_scipy(variant, pump, t):
+    gen = real_generator(variant, pump)
+    out = expm(gen, t)
+    assert out.dtype == np.float64 and out.shape == gen.shape
+    assert rel_1norm(out, scipy.linalg.expm(t * gen)) <= 1e-13
+
+
+def test_expm_anti_hermitian_is_the_unitary():
+    rng = np.random.default_rng(11)
+    h = random_complex(rng, 12, 12)
+    h = (h + h.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    t = 0.7
+    u = expm(-1j * h, t)
+    assert rel_1norm(u, (v * np.exp(-1j * w * t)) @ v.conj().T) <= 1e-13
+    assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-14
+
+
+def test_expm_norm_sweep_reaches_every_degree(monkeypatch):
+    """||t L||_1 from 1e-4 to 1e3: degrees 3, 5, 7, 9 and 13, the last with
+    and without squarings, each against scipy."""
+    gen = real_generator("single-nucleus-spin1")
+    norm = np.abs(gen).sum(axis=0).max()
+    chosen = []
+    original = linalg._pade_degree
+
+    def recording(a, powers):
+        chosen.append(original(a, powers))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "_pade_degree", recording)
+    for target in np.logspace(-4, 3, 29):
+        t = target / norm
+        assert rel_1norm(expm(gen, t), scipy.linalg.expm(t * gen)) <= 1e-13, target
+    degrees = {m for m, _ in chosen}
+    assert degrees == {3, 5, 7, 9, 13}
+    assert {s > 0 for m, s in chosen if m == 13} == {False, True}
+
+
+@pytest.mark.parametrize("a", [np.diag([800.0]), np.array([[800.0, 1.0], [2.0, 800.0]])])
+def test_expm_overflow_raises(a):
+    with pytest.raises(NumericalError, match="overflow"):
+        expm(a, 1.0)
 
 
 def hermitian_t(basis):
@@ -162,13 +231,13 @@ def test_eig_full_real_input():
 
 def test_eig_full_keeps_real_input_real(monkeypatch):
     seen = []
-    original = linalg.scipy.linalg.eig
+    original = np.linalg.eig
 
     def recording(a):
         seen.append(a.dtype)
         return original(a)
 
-    monkeypatch.setattr(linalg.scipy.linalg, "eig", recording)
+    monkeypatch.setattr(np.linalg, "eig", recording)
     eig_full(np.eye(3))
     eig_full(np.eye(3, dtype=complex))
     assert seen == [np.float64, np.complex128]
@@ -178,7 +247,7 @@ def test_eig_full_keeps_real_input_real(monkeypatch):
 def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
     """A bad pair sorted last, in the last block of columns, is caught."""
     a = np.random.default_rng(6).normal(size=(150, 150)).astype(dtype)
-    original = linalg.scipy.linalg.eig
+    original = np.linalg.eig
 
     def corrupted(m):
         vals, vecs = original(m)
@@ -186,7 +255,7 @@ def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
         return vals, vecs
 
     eig_full(a)
-    monkeypatch.setattr(linalg.scipy.linalg, "eig", corrupted)
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
     with pytest.raises(NumericalError, match="residual"):
         eig_full(a)
 
