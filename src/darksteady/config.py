@@ -120,7 +120,7 @@ class ExperimentConfig:
     pulse: PulseOptions = field(default_factory=PulseOptions)
 
     def __post_init__(self):
-        _check_fields(self, "run", {**{k: k for k in _KEYS["run"] if k != "out"}, "out": "output"})
+        _check_fields(self, "run", {k: "output" if k == "out" else k for k in _KEYS["run"]})
         params = _parse_section("params", _rendered(self.param_overrides))
         if "e" in params and ("e_plus" in params or "e_minus" in params):
             raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")

@@ -153,7 +153,7 @@ def _pade_degree(a, powers):
     """(m, s): the Pade degree and the number of squarings for exp(a), by
     Algorithm 5.1 of Al-Mohy & Higham (2009).
 
-    ``powers`` is a (5, n, n) buffer holding I and a^2.  The choice reads
+    ``powers`` is a buffer of n x n slots holding I and a^2.  The choice reads
     d_k = ||a^k||_1^(1/k), exact for the even powers it forms into the
     buffer and bounded by products of their norms above them.  a^4 is
     formed only once degree 3 is ruled out, a^6 once degree 5 is, and a^8
@@ -166,23 +166,25 @@ def _pade_degree(a, powers):
     def ell(m, s=0):
         """Extra squarings that keep the rounding of the degree-m
         approximant of 2^-s a below the unit roundoff 2^-53: the function
-        ell of Al-Mohy & Higham (2009), from ||(|a|)^(2m+1)||_1, which is
-        at most ||a||_1^(2m+1).  The power is formed only when that bound
-        does not settle it."""
+        ell of Al-Mohy & Higham (2009), from ||(|a|)^(2m+1)||_1.  The
+        powers of b = |a| / ||a||_1 have non-increasing 1-norms, so the
+        chain of them stops as soon as one settles it."""
         nonlocal b, col, k
         c = math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2
+        # log2(alpha / u) at ||b^(2m+1)||_1 = 1, its largest value.
         log2_alpha = 2 * m * (math.log2(norm) - s) + 53 - math.log2(c)
-        if log2_alpha <= 0:
-            return 0
-        if b is None:
-            b = np.abs(a) / norm  # its powers have 1-norms <= 1: no overflow
-            col, k = b.sum(axis=0), 1
-        while k < 2 * m + 1:
+        if b is None and log2_alpha > 0:
+            b = np.abs(a)
+            b /= norm  # its powers cannot overflow
+            col, k = b.sum(axis=0), 1  # the column sums of b^k
+        while log2_alpha > 0:
+            unit = float(col.max())
+            if unit == 0.0 or log2_alpha + math.log2(unit) <= 0:
+                break
+            if k == 2 * m + 1:
+                return math.ceil((log2_alpha + math.log2(unit)) / (2 * m))
             col, k = col @ b, k + 1
-        unit = float(col.max())
-        if unit == 0.0:
-            return 0
-        return max(math.ceil((log2_alpha + math.log2(unit)) / (2 * m)), 0)
+        return 0
 
     n2 = _norm1(powers[1])
     # ||a^4||, ||a^6|| <= ||a^2||^2, ||a^2||^3.
@@ -209,30 +211,47 @@ def _pade_degree(a, powers):
 
 
 def _pade_exp(a):
-    """exp(a) by scaling and squaring (see expm)."""
+    """exp(a) by scaling and squaring (see expm).
+
+    Every intermediate lives in one workspace of eight n x n slots: the
+    even powers I, a^2, a^4, a^6 (and a^8), then the coefficient
+    combinations, and the products reuse the slots they free.  Only the
+    solve and the squarings allocate, so a call does not grow and shrink
+    the heap by a dozen temporaries.
+    """
     n = a.shape[0]
-    powers = np.empty((5, n, n), dtype=a.dtype)
-    powers[0] = np.eye(n)
-    np.matmul(a, a, out=powers[1])
-    m, s = _pade_degree(a, powers)
+    work = np.empty((8, n, n), dtype=a.dtype)
+    work[0] = 0.0
+    np.fill_diagonal(work[0], 1.0)
+    np.matmul(a, a, out=work[1])
+    m, s = _pade_degree(a, work)
     rows = _PADE_ROWS[m]
-    k = rows.shape[1]
-    if m < 13:
-        u, v = (rows @ powers[:k].reshape(k, -1)).reshape(2, n, n)
-        u = a @ u
-    else:
+    k, r = rows.shape[1], rows.shape[0]
+    if m == 13:
         # a^(2j) of 2^-s a is 4^(-js) a^(2j): exact power-of-two scalings.
         rows = rows * [1.0, 4.0 ** -s, 16.0 ** -s, 64.0 ** -s]
-        w1, u, w2, v = (rows @ powers[:k].reshape(k, -1)).reshape(4, n, n)
-        a6 = powers[3] * 2.0 ** (-6 * s)
-        u = (a * 2.0 ** -s) @ (a6 @ w1 + u)
-        v = a6 @ w2 + v
+    combos = work[k:k + r]
+    np.matmul(rows, work[:k].reshape(k, -1), out=combos.reshape(r, -1))
+    if m < 13:
+        u_in, v = combos
+        u = np.matmul(a, u_in, out=work[0])
+    else:
+        w1, u_in, w2, v = combos
+        a6 = work[3]
+        a6 *= 2.0 ** (-6 * s)
+        inner = np.matmul(a6, w1, out=work[0])
+        inner += u_in
+        u = np.matmul(np.multiply(a, 2.0 ** -s, out=work[1]), inner, out=work[2])
+        v = np.add(np.matmul(a6, w2, out=w1), v, out=w1)
+    p = np.add(v, u, out=u_in)
+    q = np.subtract(v, u, out=v)
     try:
-        x = np.linalg.solve(v - u, v + u)
+        x = np.linalg.solve(q, p)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"expm: the Pade denominator is singular: {exc}")
+    spare = np.empty_like(x)
     for _ in range(s):
-        x = x @ x
+        x, spare = np.matmul(x, x, out=spare), x
     return x
 
 

@@ -141,6 +141,20 @@ def test_expm_norm_sweep_reaches_every_degree(monkeypatch):
     assert {s > 0 for m, s in chosen if m == 13} == {False, True}
 
 
+def test_expm_far_from_normal_matches_divided_differences():
+    """An upper bidiagonal a with eigenvalues -1..-5 and couplings 1e3:
+    exp(a)[i, j] is the product of the couplings times the divided
+    difference of exp over eigenvalues i..j, exactly."""
+    lam, beta = -np.arange(1.0, 6.0), 1e3
+    ref = np.zeros((5, 5))
+    for i in range(5):
+        for j in range(i, 5):
+            ks = range(i, j + 1)
+            ref[i, j] = beta ** (j - i) * sum(
+                np.exp(lam[k]) / np.prod([lam[k] - lam[q] for q in ks if q != k]) for k in ks)
+    assert rel_1norm(expm(np.diag(lam) + np.diag([beta] * 4, 1)), ref) <= 1e-13
+
+
 @pytest.mark.parametrize("a", [np.diag([800.0]), np.array([[800.0, 1.0], [2.0, 800.0]])])
 def test_expm_overflow_raises(a):
     with pytest.raises(NumericalError, match="overflow"):
