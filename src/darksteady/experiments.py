@@ -598,12 +598,9 @@ def run_experiment(cfg):
     with _one_blas_thread():
         if cfg.experiment is None:
             raise ConfigError("no experiment selected")
-        runner = _RUNNERS.get(cfg.experiment)
-        if runner is None:
-            raise ConfigError(f"unknown experiment {cfg.experiment!r}")
         if not cfg.output:
             raise ConfigError("no output directory given (CLI --out or 'out' key)")
         if cfg.t_end is not None and cfg.t_end > _MAX_HORIZON:
             raise ConfigError(f"t_end = {cfg.t_end} us exceeds the {_MAX_HORIZON} us limit")
-        files = runner(cfg)
+        files = _RUNNERS[cfg.experiment](cfg)
         _write_outputs(cfg.output, files)

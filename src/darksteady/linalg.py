@@ -105,7 +105,8 @@ def expm(a, s=1.0):
     in Algorithm 5.1 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
     970 (2009).  A diagonal s*a takes the exponential of its diagonal.
     A real input stays real; anything else is promoted to complex128.
-    Raises NumericalError if the scaling overflows to non-finite entries.
+    Raises NumericalError if the result or a power of s*a formed on the
+    way is not finite (an overflow or a non-finite operand).
     """
     a = _as_square(a, "expm operand", dtype=float if np.isrealobj(a) else complex)
     s = float(s)
