@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from darksteady import cli, engine, experiments, linalg, pulses
-from darksteady.config import EXPERIMENTS, ExperimentConfig, PulseOptions, parse_config, resolve_params
+from darksteady.config import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    PulseOptions,
+    parse_config,
+    resolve_params,
+)
 from darksteady.errors import ConfigError, NumericalError
 from darksteady.experiments import extract_header_config, run_experiment
 
