@@ -106,6 +106,9 @@ class ExperimentConfig:
     set field is parsed back from its rendered text by its ``_KEYS``
     parser, ``e`` in ``param_overrides`` expands to ``e_plus``/``e_minus``,
     and a bad value raises ConfigError with the message parse_config gives.
+    A field of the wrong type is a ConfigError too: None where the field
+    has a value by default, ``param_overrides`` or ``grid`` that are not
+    key-value pairs, and a ``pulse`` that is not a PulseOptions.
     """
 
     experiment: str | None = None
@@ -121,13 +124,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_fields(self, "run", {k: "output" if k == "out" else k for k in _KEYS["run"]})
-        params = _parse_section("params", _rendered(self.param_overrides))
+        if not isinstance(self.pulse, PulseOptions):
+            raise ConfigError(f"pulse: expected a PulseOptions, got {type(self.pulse).__name__}")
+        params = _parse_section("params", _rendered(_pairs("param_overrides", self.param_overrides)))
         if "e" in params and ("e_plus" in params or "e_minus" in params):
             raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")
         overrides = {}
         for key, value in params.items():
             overrides.update(_param_fields(key, value))
-        grid = _parse_section("grid", _rendered(dict(self.grid)))
+        grid = _parse_section("grid", _rendered(_pairs("grid", self.grid)))
         if any(v <= 0 for v in grid.get("t2_star", ())):
             raise ConfigError("[grid] t2_star: values must be > 0")
         total = math.prod(len(values) for values in grid.values())
@@ -263,6 +268,15 @@ def _parse_section(section, items):
     return values
 
 
+def _pairs(name, value):
+    """The key-value pairs of field ``name`` as a dict; anything else is a
+    ConfigError."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected key-value pairs, got {value!r}") from None
+
+
 def _rendered(values):
     return {key: _format_value(value) for key, value in values.items()}
 
@@ -270,7 +284,12 @@ def _rendered(values):
 def _check_fields(obj, section, names):
     """Parse each set (not None) field of a frozen config object back from
     its rendered text, as a config file holding it would; ``names`` maps
-    each key of ``section`` to its field."""
+    each key of ``section`` to its field.  None is a ConfigError in a field
+    whose default is not None."""
+    optional = {f.name for f in fields(obj) if f.default is None}
+    for key, name in names.items():
+        if getattr(obj, name) is None and name not in optional:
+            raise ConfigError(f"[{section}] {key}: expected a value, got None")
     values = {key: getattr(obj, name) for key, name in names.items() if getattr(obj, name) is not None}
     for key, value in _parse_section(section, _rendered(values)).items():
         object.__setattr__(obj, names[key], value)

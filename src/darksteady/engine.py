@@ -21,14 +21,18 @@ The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4
 Taylor polynomial of h*L.  Because L does not depend on time, that step is
 raised by repeated squaring to the sample interval (``sample_every`` steps)
-and each sample costs one product with the resulting map; a remainder map
-covers a last partial interval.  This is algebraically identical to
-stepping the stage form, and a run costs O(log sample_every) matrix
-products plus one product per sample instead of one per step.  The map is
-built as its increment over the identity, so its trace error does not
-grow with the step count.  One stepping
-generator, :func:`iterate`, applies the sample maps of both integrators and
-the composed cycle map of the pulsed protocol.
+to give one sample map; a remainder map covers a last partial interval.
+This is algebraically identical to stepping the stage form, and a run
+costs O(log sample_every) matrix products plus its samples instead of one
+product per step.  The map is built as its increment over the identity,
+so its trace error does not grow with the step count.
+
+One stepping generator, :func:`iterate`, applies the sample maps of both
+integrators and the composed cycle map of the pulsed protocol, in blocks
+of ``_OBSERVE_BLOCK`` = 64 samples: the first 256 samples cost one
+matrix-vector product each, and each later block one GEMM with the map's
+64th power, formed once per run by six squarings.  Observation reads each
+block whole.
 """
 
 from __future__ import annotations
@@ -69,8 +73,14 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
-# Samples per observation block: few enough to stay small beside a run.
+# Samples per block of iterate and of observation (a power of two): few
+# enough to stay small beside a run, enough that one GEMM per block beats a
+# product per sample.
 _OBSERVE_BLOCK = 64
+# Blocks that iterate makes by products (at least 2, so v_0 enters no GEMM).
+# step^64 costs six squarings, about 160 products at 144x144, so a run of up
+# to 256 samples (the default fig3 and t2-inset among them) does not form it.
+_CHAIN_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -116,42 +126,39 @@ class Trajectory:
     expectations: dict = field(default_factory=dict)
 
     @classmethod
-    def from_coords(cls, samples, basis, target=None, observables=None, keep_states=False,
-                    cycles=None):
-        """Observe a stream of (time, x) pairs, x the real coordinates of a
-        state rho in ``basis`` (a linalg.HermitianBasis), in one pass:
-        fidelity with ``target`` (if given), purity, populations,
-        |Tr rho - 1| and Tr(A rho) for each named operator A of
-        ``observables`` per sample.  The basis is orthonormal, so in blocks
-        of at most ``_OBSERVE_BLOCK`` samples populations are x[:d], purity
-        is ||x||^2, and fidelity and each Tr(A rho) are dot products with the
-        coordinates of |target><target| and of A (a non-Hermitian A raises
-        DomainError).  Only the final state becomes a density matrix,
-        unless ``keep_states``."""
-        samples = iter(samples)
+    def from_coords(cls, blocks, times, basis, target=None, observables=None,
+                    keep_states=False, cycles=None):
+        """Observe the states whose real coordinates in ``basis`` (a
+        linalg.HermitianBasis) are the rows of ``blocks``, 2-D arrays as
+        :func:`iterate` yields them, one block at a time: fidelity with
+        ``target`` (if given), purity, populations, |Tr rho - 1| and Tr(A
+        rho) for each named operator A of ``observables`` per sample;
+        ``times(k)`` is the time of sample k.  The basis is orthonormal, so
+        populations are x[:d], purity is ||x||^2, and fidelity and each
+        Tr(A rho) are dot products with the coordinates of |target><target|
+        and of A (a non-Hermitian A raises DomainError), one GEMM per block.
+        Only the final state becomes a density matrix, unless
+        ``keep_states``."""
         observables = observables or {}
         proj = [] if target is None else [np.outer(target, np.conj(target))]
         rows = np.reshape([basis.coords(a) for a in [*observables.values(), *proj]],
                           (-1, basis.dim ** 2))
-        times, kept, dots, purs, pops, tdevs = [], [], [], [], [], []
-        while chunk := list(itertools.islice(samples, _OBSERVE_BLOCK)):
-            ts, xs = zip(*chunk)
-            block = np.stack(xs)
-            times.extend(ts)
+        kept, dots, purs, pops = [], [], [], []
+        for block in blocks:
             dots.append(block @ rows.T)
             purs.append(np.einsum("ij,ij->i", block, block))
             # A copy, so that no kept row holds on to the block.
             pops.append(block[:, :basis.dim].copy())
-            tdevs.append(np.abs(pops[-1].sum(axis=1) - 1.0))
             if keep_states:
                 kept.extend(basis.states(block.T))
         dots = np.concatenate(dots).T.copy()
+        pops = np.concatenate(pops)
         return cls(
-            times=np.asarray(times, dtype=float),
+            times=np.fromiter(map(times, range(len(pops))), float, len(pops)),
             fidelity=None if target is None else dots[-1],
             purity=np.concatenate(purs),
-            populations=np.concatenate(pops),
-            trace_deviation=np.concatenate(tdevs),
+            populations=pops,
+            trace_deviation=np.abs(pops.sum(axis=1) - 1.0),
             states=tuple(kept) if keep_states else None,
             cycles=cycles,
             final_state=basis.states(block[-1]),
@@ -293,25 +300,56 @@ def rk4_map(liouv, dt, steps):
 
 
 def iterate(v, step, count=None, first=None, last=None, until=None):
-    """Yield a copy of ``v``, then ``count`` more vectors, each a new array:
-    ``first @ v`` (``step @ v`` without ``first``), then ``step`` applied to
-    the one before, the last made by ``last`` when it is given.  With
-    ``count=None`` it runs until ``until(k, v)``, called with the k-th
-    vector before it is yielded, returns the total count (None goes on); it
-    may raise."""
-    yield v.copy()
-    k = 0
-    while count is None or k < count:
-        k += 1
-        if k == 1 and first is not None:
-            v = first @ v
-        elif k == count and last is not None:
-            v = last @ v
+    """Yield v_0 = v, v_1 = ``first @ v_0`` (``step @ v_0`` without
+    ``first``), v_k = ``step @ v_(k-1)`` up to v_count (made by ``last``
+    from v_(count-1) when it is given) as the rows of blocks of
+    ``_OBSERVE_BLOCK`` = B rows (the last may be shorter), each a new 2-D
+    array.  The first ``_CHAIN_BLOCKS`` blocks are a chain of one product
+    per vector.  Past them, step^B is formed once by repeated squaring and
+    each block is one GEMM with it on the block before: v_(k+B) = step^B
+    v_k.  With ``count=None`` it runs until ``until(k, v_k)``, called in
+    order of k before v_k's block is yielded, returns the total count (None
+    goes on); a count inside a block truncates it, so the run is bitwise
+    the run of that count.  If ``until`` raises, the vectors before v_k are
+    yielded first."""
+    width = _OBSERVE_BLOCK
+    dtype = np.result_type(v, *(m for m in (step, first, last) if m is not None))
+    # fixed: the last k that ``last`` may not make (v_1 if ``first`` made it,
+    # or a vector ``until`` has seen).
+    prev, power, fixed = None, None, int(first is not None)
+    for start in itertools.count(0, width):
+        if start < _CHAIN_BLOCKS * width:
+            block = np.empty((width if count is None else min(width, count + 1 - start), len(v)),
+                             dtype)
+            for k, row in enumerate(block, start):
+                if k == 0:
+                    row[:] = v
+                else:
+                    np.matmul(first if k == 1 and first is not None else step, v, out=row)
+                v = row  # v_k, which makes the next row
         else:
-            v = step @ v
-        if count is None:
-            count = until(k, v)
-        yield v
+            if power is None:
+                power = step
+                for _ in range(width.bit_length() - 1):  # B is a power of two
+                    power = power @ power
+            block = prev @ power.T
+        stop = start + len(block)
+        k = max(start, 1)
+        while count is None and k < stop:
+            try:
+                count = until(k, block[k - start])
+            except Exception:
+                yield block[:k - start]
+                raise
+            fixed, k = k, k + 1
+        if count is not None and count < stop:
+            block = block[:count + 1 - start]
+            if last is not None and count > fixed:
+                block[-1] = last @ (block[-2] if len(block) > 1 else prev[-1])
+            yield block
+            return
+        yield block
+        prev = block
 
 
 def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
@@ -343,11 +381,10 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     full, rest = divmod(n_steps, sample_every)
     gen = liouv.real()
     basis = HermitianBasis(liouv.dim)
-    vecs = iterate(basis.coords(rho0), _rk4_power(gen, h, sample_every), full + bool(rest),
-                   last=_rk4_power(gen, h, rest) if rest else None)
-    samples = ((min(k * sample_every, n_steps) * h, v) for k, v in enumerate(vecs))
-    return Trajectory.from_coords(samples, basis, target, observables,
-                                  keep_states=store_states)
+    blocks = iterate(basis.coords(rho0), _rk4_power(gen, h, sample_every), full + bool(rest),
+                     last=_rk4_power(gen, h, rest) if rest else None)
+    return Trajectory.from_coords(blocks, lambda k: min(k * sample_every, n_steps) * h,
+                                  basis, target, observables, keep_states=store_states)
 
 
 def evolve_propagator(rho0, liouv, t):

@@ -46,12 +46,13 @@ _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
 # Pulsed runs record one row per cycle; cap them at a continuous run's rows.
 _MAX_CYCLES = round(_MAX_HORIZON / _SAMPLE_INTERVAL)
-# One pulsed run propagates at most this many sample-cycles, at about 11 us
-# each on one core (measured on a 2-vCPU Xeon, numpy 2.4.6, OpenBLAS).
-# Building a sample's maps takes about 8 ms, some 750 sample-cycles, but
-# counts as _MAPS_CYCLES of them (750 would reject the default t2-inset),
-# so a run at the limit takes from about 11 s (all propagation) to about
-# 32 s (all map builds).
+# One pulsed run propagates at most this many sample-cycles, at about 6 us
+# each on one core in sequences of up to 256 cycles and about 2 us in longer
+# ones, made by GEMM blocks (measured on a 2-vCPU Xeon, numpy 2.4.6,
+# OpenBLAS).  Building a sample's maps takes about 8 ms, some 1,300 short
+# sample-cycles, but counts as _MAPS_CYCLES of them (1,300 would reject the
+# default t2-inset), so a run at the limit takes from about 2 s (all
+# propagation in long sequences) to about 32 s (all map builds).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
 
@@ -197,9 +198,8 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
                 )
 
     basis = HermitianBasis(liouv.dim)
-    vecs = engine.iterate(basis.coords(rho0), step, n, until=until)
-    samples = ((k * delta, v) for k, v in enumerate(vecs))
-    traj = engine.Trajectory.from_coords(samples, basis, target, observables)
+    blocks = engine.iterate(basis.coords(rho0), step, n, until=until)
+    traj = engine.Trajectory.from_coords(blocks, lambda k: k * delta, basis, target, observables)
     resolved["t_end"] = cfg.t_end if cfg.t_end is not None else traj.times[-1]
     return traj, resolved, converged
 

@@ -364,8 +364,9 @@ def _build_maps(seq, p, detuning=0.0, quasistatic=False):
 def _compose(maps, record_at):
     """Compose a cycle's segment maps once: ``head`` = M_r ... M_0 takes the
     initial state to the first record point and ``step`` = head M_{n-1}
-    ... M_{r+1} takes one record point to the next, so each cycle costs one
-    matrix-vector product.  Returns (head, step)."""
+    ... M_{r+1} takes one record point to the next, so engine.iterate
+    applies one map per cycle: a matrix-vector product for each of the
+    first 256 cycles, then one GEMM per block of 64.  Returns (head, step)."""
     head = maps[0]
     for mat in maps[1:record_at + 1]:
         head = mat @ head
@@ -408,23 +409,23 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         rng = np.random.default_rng(seed)
         detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples)
         # Average over the detunings in sample order, accumulating into the
-        # first sample's vectors.
-        vecs = None
+        # first sample's blocks.
+        blocks = None
         for delta in detunings:
             maps = _build_maps(seq, p, detuning=float(delta), quasistatic=True)
             head, step = _compose(maps, record_at)
             sample = iterate(v0, step, seq.cycles, first=head)
-            if vecs is None:
-                vecs = list(sample)
+            if blocks is None:
+                blocks = list(sample)
             else:
-                for acc, v in zip(vecs, sample):
-                    acc += v
-        for acc in vecs:
+                for acc, block in zip(blocks, sample):
+                    acc += block
+        for acc in blocks:
             acc /= len(detunings)
     else:
-        # One detuning: each vector is observed as it is made.
+        # One detuning: each block is observed as it is made.
         head, step = _compose(_build_maps(seq, p), record_at)
-        vecs = iterate(v0, step, seq.cycles, first=head)
+        blocks = iterate(v0, step, seq.cycles, first=head)
 
     walls = [seg.duration for seg in seq.segments]
     record_offset = float(sum(walls[: record_at + 1]))
@@ -436,7 +437,7 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         times = [float(c) for c in range(seq.cycles + 1)]
 
     return Trajectory.from_coords(
-        zip(times, vecs), basis, target, cycles=np.arange(seq.cycles + 1, dtype=float),
+        blocks, times.__getitem__, basis, target, cycles=np.arange(seq.cycles + 1, dtype=float),
     )
 
 

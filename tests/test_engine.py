@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import darksteady as ds
-from darksteady import engine, linalg, model, pulses
+from darksteady import cli, engine, linalg, model, pulses
 from darksteady.engine import (
     build_liouvillian,
     evolve_fixed_step,
@@ -185,8 +185,8 @@ def test_rk4_step_count_overflow_is_domain_error():
 def test_iterate_count_zero_yields_only_a_copy():
     v = np.arange(4, dtype=complex)
     out = list(engine.iterate(v, np.eye(4), 0))
-    assert len(out) == 1 and np.array_equal(out[0], v)
-    out[0] += 1.0  # accumulating into the yielded vector leaves v alone
+    assert len(out) == 1 and np.array_equal(out[0], [v])
+    out[0] += 1.0  # accumulating into the yielded block leaves v alone
     assert np.array_equal(v, np.arange(4))
 
 
@@ -196,12 +196,14 @@ def test_iterate_applies_first_and_last_once(count):
     vector: first, then step, ..., then last."""
     step, first, last = (np.diag([f, 1.0]) for f in (2.0, 3.0, 5.0))
     v = np.ones(2)
-    out = list(engine.iterate(v, step, count, first=first, last=last))
+    blocks = list(engine.iterate(v, step, count, first=first, last=last))
+    out = np.concatenate(blocks)
     expect = [1.0] + [3.0 * 2.0 ** j for j in range(count - 1)] + [3.0 * 2.0 ** (count - 2) * 5.0]
     assert [w[0] for w in out] == expect
     assert [w[1] for w in out] == [1.0] * (count + 1)
-    assert len({id(w) for w in out} | {id(v)}) == count + 2
-    no_first = list(engine.iterate(v, step, count))
+    assert len({id(b) for b in blocks} | {id(v)}) == len(blocks) + 1
+    assert not any(np.shares_memory(b, v) for b in blocks)
+    no_first = np.concatenate(list(engine.iterate(v, step, count)))
     assert [w[0] for w in no_first] == [2.0 ** k for k in range(count + 1)]
 
 
@@ -217,8 +219,8 @@ def test_iterate_until_matches_fixed_count():
         seen.append(k)
         return k + 3 if k == 7 else None
 
-    stopped = list(engine.iterate(v, step, until=until))
-    fixed = list(engine.iterate(v, step, 10))
+    stopped = np.concatenate(list(engine.iterate(v, step, until=until)))
+    fixed = np.concatenate(list(engine.iterate(v, step, 10)))
     assert seen == list(range(1, 8))
     assert len(stopped) == len(fixed) == 11
     for a, b in zip(stopped, fixed):
@@ -232,21 +234,113 @@ def test_iterate_until_may_raise():
 
     got = []
     with pytest.raises(NumericalError, match="stop"):
-        for w in engine.iterate(np.ones(2), 0.5 * np.eye(2), until=until):
-            got.append(w[0])
+        for block in engine.iterate(np.ones(2), 0.5 * np.eye(2), until=until):
+            got.extend(block[:, 0])
     assert got == [1.0, 0.5, 0.25]
+
+
+def product_chain(v, step, count, first=None, last=None):
+    """v_0 = v, then ``count`` vectors, one matrix-vector product each."""
+    out = [v.copy()]
+    for k in range(1, count + 1):
+        if k == 1 and first is not None:
+            out.append(first @ out[-1])
+        elif k == count and last is not None:
+            out.append(last @ out[-1])
+        else:
+            out.append(step @ out[-1])
+    return out
+
+
+_CHAIN_MAPS = {}
+
+
+def chain_maps(kind):
+    """(v, step, first, last): the 144 RK4 sample map of the fig2 system
+    with a 3-step first and 7-step last map, or a composed pulsed cycle map
+    with its head map and the bare pump map as last."""
+    if kind not in _CHAIN_MAPS:
+        p, liouv = fig2_system()
+        v = linalg.HermitianBasis(12).coords(model.mixed_ground_state(p.variant))
+        if kind == "rk4":
+            dt = 0.1 / liouv.norm_bound()
+            maps = [engine.rk4_map(liouv, dt, n) for n in (20, 3, 7)]
+        else:
+            p = ds.SystemParams(t2_star=10.0)
+            seq = pulses.standard_cycle(p, tau=0.02, cycles=1)
+            segs = pulses._build_maps(seq, p)
+            maps = [*reversed(pulses._compose(segs, seq.record_segment)), segs[0]]
+        _CHAIN_MAPS[kind] = (v, *maps)
+    return _CHAIN_MAPS[kind]
+
+
+@pytest.mark.parametrize("ends", ["none", "first", "last", "both"])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 255, 256, 257, 2000])
+@pytest.mark.parametrize("kind", ["rk4", "pulsed"])
+def test_iterate_blocks_match_the_product_chain(kind, count, ends):
+    """Blocks of 64 rows; past the product blocks, one GEMM with step^64
+    per block gives the vectors of one product each to 1e-12 of ||v||, and
+    the first 256 vectors are the product chain bit for bit."""
+    v, step, first, last = chain_maps(kind)
+    first = first if ends in ("first", "both") else None
+    last = last if ends in ("last", "both") else None
+    blocks = list(engine.iterate(v, step, count, first=first, last=last))
+    expect = np.array(product_chain(v, step, count, first=first, last=last))
+    assert [len(b) for b in blocks] == [64] * (count // 64) + [count % 64 + 1]
+    got = np.concatenate(blocks)
+    assert np.array_equal(got[:256], expect[:256])
+    assert np.abs(got - expect).max() <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("stop, told_at", [(70, 30), (70, 70), (300, 30), (300, 270)],
+                         ids=["products-early", "products", "gemm-early", "gemm"])
+def test_iterate_until_stop_mid_block_is_the_fixed_count_run(stop, told_at):
+    """``until`` sets a count inside a block, of products (70) or of one
+    GEMM (300), at k = ``told_at``: the run is bitwise the run of that
+    count, and ``until`` saw every k up to ``told_at``, in order."""
+    v, step, _, _ = chain_maps("rk4")
+    seen = []
+
+    def until(k, w):
+        seen.append(k)
+        assert np.array_equal(w, fixed[k])
+        return stop if k == told_at else None
+
+    fixed = np.concatenate(list(engine.iterate(v, step, stop)))
+    stopped = np.concatenate(list(engine.iterate(v, step, until=until)))
+    assert seen == list(range(1, told_at + 1))
+    assert np.array_equal(stopped, fixed)
+
+
+def test_quasistatic_short_run_is_the_product_chain(tmp_path, monkeypatch):
+    """A quasi-static fig3 of 25 cycles is made by products, so its
+    data.csv has the bytes of a run whose every vector is one product."""
+    text = ("experiment = fig3\ncycles = 25\n[params]\nt2_star = 10\n"
+            "[pulse]\nnoise_mode = quasistatic\nnoise_samples = 5\n")
+    (tmp_path / "run.ini").write_text(text)
+
+    def data(name):
+        out = tmp_path / name
+        assert cli.main(["fig3", "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 0
+        return (out / "data.csv").read_bytes()
+
+    blocked = data("blocked")
+    monkeypatch.setattr(pulses, "iterate",
+                        lambda *args, **kw: iter([np.array(product_chain(*args, **kw))]))
+    assert data("chained") == blocked
 
 
 @pytest.mark.parametrize(
     "system, steps, cycles",
-    [("fig2", 47, 3), ("fig2", 1497, 150), ("two-nuclei", 47, None)],
-    ids=["one-block", "three-blocks", "two-nuclei"],
+    [("fig2", 47, 3), ("fig2", 1497, 150), ("two-nuclei", 47, None), ("fig2", 2997, 300)],
+    ids=["one-block", "three-blocks", "two-nuclei", "gemm-block"],
 )
 def test_observables_and_final_state_match_stored_states(system, steps, cycles):
     """What a trajectory reads off the coordinates agrees with the stored
     states, over a run whose last interval is partial (a sample every 10
     steps); a pulsed run's final state is its last sample.  The second
     case observes 151 samples: two full blocks and a partial one; the
+    fourth 301, whose last block is one GEMM past the product blocks; the
     third observes the nuclear singlet of two nuclei.  Populations and the
     final state are exact; the rest are dot products on one side and matrix
     products on the other, so they agree to 1e-14."""

@@ -656,6 +656,27 @@ def test_code_built_config_is_checked_like_a_file(tmp_path, fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(experiment="sweep", grid=5), r"^grid: expected key-value pairs, got 5$"),
+    (dict(experiment="sweep", grid=(("g",),)), r"^grid: expected key-value pairs"),
+    (dict(experiment="fig2", param_overrides=None),
+     r"^param_overrides: expected key-value pairs, got None$"),
+    (dict(experiment="fig3", pulse={"axis": "x"}), r"^pulse: expected a PulseOptions, got dict$"),
+    (dict(experiment="fig2", seed=None), r"^\[run\] seed: expected a value, got None$"),
+    (dict(experiment="fig2", integrator=None), r"^\[run\] integrator: expected a value"),
+], ids=["grid-int", "grid-not-pairs", "params-none", "pulse-dict", "seed-none", "integrator-none"])
+def test_code_built_config_of_a_wrong_type_is_a_config_error(tmp_path, fields, message):
+    """A field of the wrong type is a ConfigError when the config is
+    built, not a TypeError or a failure later in the run."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(output=str(tmp_path / "out"), **fields)
+
+
+def test_code_built_pulse_option_of_none_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^\[pulse\] correction: expected a value, got None$"):
+        PulseOptions(correction=None)
+
+
 def test_code_built_config_parses_like_its_rendering():
     cfg = ExperimentConfig(experiment="fig2", seed=np.int64(3), dt=np.float64(0.001),
                            param_overrides={"e": 10})

@@ -297,7 +297,7 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
             if i == record_at:
                 expect.append(v)
     head, step = pulses._compose(maps, record_at)
-    got = list(engine.iterate(expect[0], step, cycles, first=head))
+    got = np.concatenate(list(engine.iterate(expect[0], step, cycles, first=head)))
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() < 1e-12
