@@ -313,7 +313,7 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
     the run of that count.  If ``until`` raises, the vectors before v_k are
     yielded first."""
     width = _OBSERVE_BLOCK
-    dtype = np.result_type(v, *(m for m in (step, first, last) if m is not None))
+    dtype = np.result_type(v, step)
     # fixed: the last k that ``last`` may not make (v_1 if ``first`` made it,
     # or a vector ``until`` has seen).
     prev, power, fixed = None, None, int(first is not None)

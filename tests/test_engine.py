@@ -1,5 +1,6 @@
 """Lindblad engine: Liouvillian structure, both integrators, steady states."""
 
+import functools
 import math
 import tracemalloc
 
@@ -252,26 +253,20 @@ def product_chain(v, step, count, first=None, last=None):
     return out
 
 
-_CHAIN_MAPS = {}
-
-
+@functools.cache
 def chain_maps(kind):
     """(v, step, first, last): the 144 RK4 sample map of the fig2 system
     with a 3-step first and 7-step last map, or a composed pulsed cycle map
     with its head map and the bare pump map as last."""
-    if kind not in _CHAIN_MAPS:
-        p, liouv = fig2_system()
-        v = linalg.HermitianBasis(12).coords(model.mixed_ground_state(p.variant))
-        if kind == "rk4":
-            dt = 0.1 / liouv.norm_bound()
-            maps = [engine.rk4_map(liouv, dt, n) for n in (20, 3, 7)]
-        else:
-            p = ds.SystemParams(t2_star=10.0)
-            seq = pulses.standard_cycle(p, tau=0.02, cycles=1)
-            segs = pulses._build_maps(seq, p)
-            maps = [*reversed(pulses._compose(segs, seq.record_segment)), segs[0]]
-        _CHAIN_MAPS[kind] = (v, *maps)
-    return _CHAIN_MAPS[kind]
+    p, liouv = fig2_system()
+    v = linalg.HermitianBasis(12).coords(model.mixed_ground_state(p.variant))
+    if kind == "rk4":
+        dt = 0.1 / liouv.norm_bound()
+        return v, *(engine.rk4_map(liouv, dt, n) for n in (20, 3, 7))
+    p = ds.SystemParams(t2_star=10.0)
+    seq = pulses.standard_cycle(p, tau=0.02, cycles=1)
+    segs = pulses._build_maps(seq, p)
+    return v, *reversed(pulses._compose(segs, seq.record_segment)), segs[0]
 
 
 @pytest.mark.parametrize("ends", ["none", "first", "last", "both"])
@@ -340,10 +335,10 @@ def test_observables_and_final_state_match_stored_states(system, steps, cycles):
     states, over a run whose last interval is partial (a sample every 10
     steps); a pulsed run's final state is its last sample.  The second
     case observes 151 samples: two full blocks and a partial one; the
-    fourth 301, whose last block is one GEMM past the product blocks; the
-    third observes the nuclear singlet of two nuclei.  Populations and the
-    final state are exact; the rest are dot products on one side and matrix
-    products on the other, so they agree to 1e-14."""
+    third observes the nuclear singlet of two nuclei; the fourth observes
+    301 samples, whose last block is one GEMM past the product blocks.
+    Populations and the final state are exact; the rest are dot products
+    on one side and matrix products on the other, so they agree to 1e-14."""
     p, liouv = fig2_system() if system == "fig2" else asymmetric_two_nuclei_system()
     target = model.default_target(p.variant)
     rho0 = model.mixed_ground_state(p.variant)
