@@ -3,7 +3,11 @@
 Everything operates on plain ``numpy`` arrays and is pure, and numpy is
 the only dependency: ``expm`` is a Pade scaling-and-squaring method
 written here and ``eig_full`` calls LAPACK through ``numpy.linalg.eig``,
-so the package never imports scipy.  ``expm`` and ``eig_full`` keep a real
+so the package never imports scipy.  ``expm`` splits its operand into the
+connected components of its nonzero pattern and exponentiates them as one
+stack of small blocks (a diagonal operand is the case of width 1), so a
+generator that is block-diagonal up to a permutation, such as the optical
+pump's, costs a fraction of a dense one.  ``expm`` and ``eig_full`` keep a real
 input real; other operands are promoted to complex128.  State spaces here
 are at most 16-dimensional and superoperators at most 256-dimensional, so
 dense storage is used throughout.
@@ -103,10 +107,18 @@ def expm(a, s=1.0):
     7, 9 or 13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), the
     degree and the number of squarings chosen from ||(s*a)^k||_1^(1/k) as
     in Algorithm 5.1 of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-    970 (2009).  A diagonal s*a takes the exponential of its diagonal.
-    A real input stays real; anything else is promoted to complex128.
-    Raises NumericalError if the result or a power of s*a formed on the
-    way is not finite (an overflow or a non-finite operand).
+    970 (2009).  s*a is first split into the connected components of the
+    exact nonzero pattern of a + a^T, so that a matrix that is
+    block-diagonal up to a permutation is exponentiated block by block.
+    The blocks run as one stack, zero-padded to the widest (exp(diag(B, 0))
+    = diag(exp(B), I)), with the degree and squarings of the largest norms
+    over the stack, which are those of the whole matrix; entries between
+    components are exactly 0.  A matrix of one component is exponentiated
+    as it is, and a diagonal one (all components of width 1) takes the
+    exponential of its diagonal.  A real input
+    stays real; anything else is promoted to complex128.  Raises
+    NumericalError if the result or a power of s*a formed on the way is
+    not finite (an overflow or a non-finite operand).
     """
     a = _as_square(a, "expm operand", dtype=float if np.isrealobj(a) else complex)
     s = float(s)
@@ -114,13 +126,47 @@ def expm(a, s=1.0):
         raise NumericalError(f"expm scalar must be finite, got {s}")
     a = s * a
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
-            out = np.diag(np.exp(a.diagonal()))
-        else:
-            out = _pade_exp(a)
+        out = _block_exp(a)
     if not np.all(np.isfinite(out)):
         raise NumericalError("expm overflowed: result contains non-finite entries")
     return out
+
+
+def _components(a):
+    """For each index of a, the smallest index of its connected component
+    in the nonzero pattern of a + a^T: over the nonzero entries (i, j),
+    i and j each take the smaller of their labels, then every index the
+    label of its label, until no label changes."""
+    i, j = np.divmod(np.flatnonzero(a != 0), a.shape[0])
+    labels = np.arange(a.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, j, labels[i])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _block_exp(a):
+    """exp(a), one connected component of a at a time (see expm)."""
+    n = a.shape[0]
+    labels = _components(a)
+    order = np.argsort(labels, kind="stable")  # by component, in index order
+    _, starts, widths = np.unique(labels[order], return_index=True, return_counts=True)
+    if len(widths) == n:  # diagonal
+        return np.diag(np.exp(a.diagonal()))
+    if len(widths) == 1:
+        return _pade_exp(a)
+    # idx[c, j]: the j-th index of the c-th component, or n past its width;
+    # row and column n of the padded matrices are the zero padding.
+    j = np.arange(widths.max())
+    idx = np.where(j < widths[:, None], order[np.minimum(starts[:, None] + j, n - 1)], n)
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    out = np.zeros((n + 1, n + 1), dtype=a.dtype)
+    out[rows, cols] = _pade_exp(np.pad(a, (0, 1))[rows, cols])
+    return out[:n, :n].copy()
 
 
 # Al-Mohy & Higham (2009), Table 3.1: per Pade degree m, the largest bound
@@ -147,14 +193,17 @@ _PADE_ROWS = {m: _pade_rows(m) for m in _PADE_THETA}
 
 
 def _norm1(x):
-    return float(np.abs(x).sum(axis=0).max())
+    """The 1-norm of x, or the largest of a stack: that of the
+    block-diagonal matrix of its blocks."""
+    return float(np.abs(x).sum(axis=-2).max())
 
 
 def _pade_degree(a, powers):
     """(m, s): the Pade degree and the number of squarings for exp(a), by
-    Algorithm 5.1 of Al-Mohy & Higham (2009).
+    Algorithm 5.1 of Al-Mohy & Higham (2009).  A (k, n, n) stack ``a``
+    gets the choice for the block-diagonal matrix of its blocks.
 
-    ``powers`` is a buffer of n x n slots holding I and a^2.  The choice reads
+    ``powers`` is a buffer of slots shaped like a, holding I and a^2.  The choice reads
     d_k = ||a^k||_1^(1/k), exact for the even powers it forms into the
     buffer and bounded by products of their norms above them.  a^4 is
     formed only once degree 3 is ruled out, a^6 once degree 5 is, and a^8
@@ -177,7 +226,7 @@ def _pade_degree(a, powers):
         if b is None and log2_alpha > 0:
             b = np.abs(a)
             b /= norm  # its powers cannot overflow
-            col, k = b.sum(axis=0), 1  # the column sums of b^k
+            col, k = b.sum(axis=-2, keepdims=True), 1  # the column sums of b^k
         while log2_alpha > 0:
             unit = float(col.max())
             if unit == 0.0 or log2_alpha + math.log2(unit) <= 0:
@@ -212,18 +261,18 @@ def _pade_degree(a, powers):
 
 
 def _pade_exp(a):
-    """exp(a) by scaling and squaring (see expm).
+    """exp(a) by scaling and squaring (see expm), of each matrix of a
+    (k, n, n) stack at once.
 
-    Every intermediate lives in one workspace of eight n x n slots: the
+    Every intermediate lives in one workspace of eight slots shaped like a: the
     even powers I, a^2, a^4, a^6 (and a^8), then the coefficient
     combinations, and the products reuse the slots they free.  Only the
     solve and the squarings allocate, so a call does not grow and shrink
     the heap by a dozen temporaries.
     """
-    n = a.shape[0]
-    work = np.empty((8, n, n), dtype=a.dtype)
+    work = np.empty((8, *a.shape), dtype=a.dtype)
     work[0] = 0.0
-    np.fill_diagonal(work[0], 1.0)
+    np.einsum("...jj->...j", work[0])[...] = 1.0  # the diagonals, a view
     np.matmul(a, a, out=work[1])
     m, s = _pade_degree(a, work)
     rows = _PADE_ROWS[m]

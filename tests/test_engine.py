@@ -287,6 +287,32 @@ def test_iterate_blocks_match_the_product_chain(kind, count, ends):
     assert np.abs(got - expect).max() <= 1e-12 * np.linalg.norm(v)
 
 
+class Counted(np.ndarray):
+    """A map that records the shapes of the operands of each product it
+    takes part in (in ``log``, set on the instance)."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        self.log.append(tuple(np.shape(x) for x in args))
+        args = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in args]
+        return getattr(ufunc, method)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("count", [64, 256])
+def test_iterate_makes_a_lone_last_row_by_one_product(count):
+    """With ``last`` and a count that leaves v_count alone in its block,
+    v_count is ``last @ v_(count-1)``: no step product or power is formed
+    for a row that ``last`` replaces, and the bits are unchanged."""
+    v, step, _, last = chain_maps("rk4")
+    step_c, last_c = step.view(Counted), last.view(Counted)
+    step_c.log, last_c.log = [], []
+    blocks = list(engine.iterate(v, step_c, count, last=last_c))
+    assert step_c.log == [(step.shape, v.shape)] * (count - 1)
+    assert last_c.log == [(last.shape, v.shape)]
+    assert [len(b) for b in blocks] == [64] * (count // 64) + [1]
+    expect = np.array(product_chain(v, step, count, last=last))
+    assert np.array_equal(np.concatenate(blocks), expect)
+
+
 @pytest.mark.parametrize("stop, told_at", [(70, 30), (70, 70), (260, 30), (260, 260)],
                          ids=["products-early", "products", "gemm-early", "gemm"])
 def test_iterate_until_stop_mid_block_is_the_fixed_count_run(stop, told_at):

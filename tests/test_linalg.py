@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from darksteady import engine, linalg, model
 from darksteady.errors import DimensionError, DomainError, NumericalError
@@ -159,6 +161,72 @@ def test_expm_far_from_normal_matches_divided_differences():
 def test_expm_overflow_raises(a):
     with pytest.raises(NumericalError, match="overflow"):
         expm(a, 1.0)
+
+
+def permuted_blocks(rng, widths, dtype=float, scale=1.0):
+    """A block-diagonal matrix of random blocks of the given widths (entries
+    of size scale / width), rows and columns permuted at random, and the
+    block of each permuted index."""
+    n = sum(widths)
+    block = np.repeat(np.arange(len(widths)), widths)
+    a = np.zeros((n, n), dtype)
+    for c, w in enumerate(widths):
+        entries = rng.normal(size=(w, w)) if dtype is float else random_complex(rng, w, w)
+        a[np.ix_(block == c, block == c)] = scale / w * entries
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], block[perm]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_of_permuted_blocks_matches_scipy(dtype, monkeypatch):
+    """Blocks of width 1, 2, 3 and 10, permuted: scipy's exp(a) to 1e-13,
+    exact zeros between blocks, and the Pade degree and squarings that the
+    dense matrix gets."""
+    a, block = permuted_blocks(np.random.default_rng(5), [1, 2, 3, 10, 1, 3], dtype, scale=8.0)
+    chosen = []
+    original = linalg._pade_degree
+
+    def recording(x, powers):
+        chosen.append(original(x, powers))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "_pade_degree", recording)
+    out = expm(a, 0.9)
+    assert out.dtype == dtype
+    assert rel_1norm(out, scipy.linalg.expm(0.9 * a)) <= 1e-13
+    assert np.all(out[block[:, None] != block[None, :]] == 0)
+    linalg._pade_exp(0.9 * a)
+    assert len(chosen) == 2 and chosen[0] == chosen[1] and chosen[0][1] > 0
+
+
+def test_expm_of_one_component_is_the_dense_pade():
+    """A matrix of one component, sparse or dense, takes the dense path
+    bit for bit."""
+    rng = np.random.default_rng(9)
+    chain = np.diag(rng.normal(size=7)) + np.diag(rng.normal(size=6), 1)
+    for a in (chain, random_complex(rng, 6, 6), real_generator("single-nucleus-spin1")):
+        assert np.array_equal(expm(a, 0.05), linalg._pade_exp(0.05 * a))
+
+
+@pytest.mark.parametrize("widths, big", [([1, 3, 2], 0), ([1, 3, 2], 2)],
+                         ids=["width-1", "width-2"])
+def test_expm_overflow_inside_one_block_raises(widths, big):
+    """One overflowing block (800 on its diagonal) beside blocks that do
+    not overflow."""
+    a, block = permuted_blocks(np.random.default_rng(3), widths)
+    a[block == big, block == big] += 800.0
+    with pytest.raises(NumericalError, match="overflow"):
+        expm(a)
+
+
+@given(widths=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), complex_=st.booleans(), scale=st.floats(0.01, 10.0))
+def test_expm_by_blocks_matches_the_dense_pade(widths, seed, complex_, scale):
+    """Over random block widths and permutations, the block-by-block exp(a)
+    is the dense Pade one to 1e-13."""
+    a, _ = permuted_blocks(np.random.default_rng(seed), widths, complex if complex_ else float,
+                           scale)
+    assert rel_1norm(expm(a), linalg._pade_exp(a)) <= 1e-13
 
 
 def hermitian_t(basis):

@@ -356,3 +356,24 @@ def test_segment_maps_are_real_images_of_complex_maps():
         assert np.abs(real - t.conj().T @ m @ t).max() < 1e-12, name
         if unitary:
             assert np.abs(real.T @ real - eye).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("pump_e", [30.0, 30.0 * (1 + 3.7e-7), 17.3])
+def test_pump_and_dephased_free_evolution_stay_block_diagonal(pump_e, monkeypatch):
+    """The real generators that the pump and the dephased free evolution
+    hand to expm split into components no wider than 10 and 2: rounding in
+    build_liouvillian or HermitianBasis.real that filled in their zeros
+    would make every pump map a dense 144x144 expm."""
+    seen = []
+    original = linalg.expm
+
+    def recording(a, s=1.0):
+        seen.append(a)
+        return original(a, s)
+
+    monkeypatch.setattr(linalg, "expm", recording)
+    p = ds.SystemParams(t2_star=10.0)
+    pulses._segment_propagator(OpticalPump(duration=0.1, e_amplitude=pump_e), p)
+    pulses._segment_propagator(FreeEvolution(duration=1.0 / (4.0 * p.g)), p)
+    pump, free = (np.bincount(linalg._components(a)).max() for a in seen)
+    assert pump <= 10 and free <= 2
