@@ -318,7 +318,7 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
     # or a vector ``until`` has seen).
     prev, power, fixed = None, None, int(first is not None)
     for start in itertools.count(0, width):
-        if start == count and start and last is not None:
+        if last is not None and 0 < start == count:
             yield (last @ prev[-1])[None]  # v_count alone: no step product
             return
         if start < _CHAIN_BLOCKS * width:

@@ -7,8 +7,8 @@ so the package never imports scipy.  ``expm`` splits its operand into the
 connected components of its nonzero pattern and exponentiates them as one
 stack of small blocks (a diagonal operand is the case of width 1), so a
 generator that is block-diagonal up to a permutation, such as the optical
-pump's, costs a fraction of a dense one.  ``expm`` and ``eig_full`` keep a real
-input real; other operands are promoted to complex128.  State spaces here
+pump's, costs a fraction of a dense one.  ``expm`` and ``eig_full`` keep a
+real input real; other operands are promoted to complex128.  State spaces here
 are at most 16-dimensional and superoperators at most 256-dimensional, so
 dense storage is used throughout.
 
@@ -115,10 +115,10 @@ def expm(a, s=1.0):
     over the stack, which are those of the whole matrix; entries between
     components are exactly 0.  A matrix of one component is exponentiated
     as it is, and a diagonal one (all components of width 1) takes the
-    exponential of its diagonal.  A real input
-    stays real; anything else is promoted to complex128.  Raises
-    NumericalError if the result or a power of s*a formed on the way is
-    not finite (an overflow or a non-finite operand).
+    exponential of its diagonal.  A real input stays real; anything else
+    is promoted to complex128.  Raises NumericalError if the result or a
+    power of s*a formed on the way is not finite (an overflow or a
+    non-finite operand).
     """
     a = _as_square(a, "expm operand", dtype=float if np.isrealobj(a) else complex)
     s = float(s)
@@ -161,8 +161,9 @@ def _block_exp(a):
         return _pade_exp(a)
     # idx[c, j]: the j-th index of the c-th component, or n past its width;
     # row and column n of the padded matrices are the zero padding.
-    j = np.arange(widths.max())
-    idx = np.where(j < widths[:, None], order[np.minimum(starts[:, None] + j, n - 1)], n)
+    comp = np.repeat(np.arange(len(widths)), widths)
+    idx = np.full((len(widths), widths.max()), n)
+    idx[comp, np.arange(n) - starts[comp]] = order
     rows, cols = idx[:, :, None], idx[:, None, :]
     out = np.zeros((n + 1, n + 1), dtype=a.dtype)
     out[rows, cols] = _pade_exp(np.pad(a, (0, 1))[rows, cols])
@@ -203,11 +204,11 @@ def _pade_degree(a, powers):
     Algorithm 5.1 of Al-Mohy & Higham (2009).  A (k, n, n) stack ``a``
     gets the choice for the block-diagonal matrix of its blocks.
 
-    ``powers`` is a buffer of slots shaped like a, holding I and a^2.  The choice reads
-    d_k = ||a^k||_1^(1/k), exact for the even powers it forms into the
-    buffer and bounded by products of their norms above them.  a^4 is
-    formed only once degree 3 is ruled out, a^6 once degree 5 is, and a^8
-    only for degree 9, which needs it.  Raises NumericalError when the
+    ``powers`` is a buffer of slots shaped like a, holding I and a^2.  The
+    choice reads d_k = ||a^k||_1^(1/k), exact for the even powers it forms
+    into the buffer and bounded by products of their norms above them.  a^4
+    is formed only once degree 3 is ruled out, a^6 once degree 5 is, and
+    a^8 only for degree 9, which needs it.  Raises NumericalError when the
     powers are not finite.
     """
     norm = _norm1(a)
@@ -264,8 +265,8 @@ def _pade_exp(a):
     """exp(a) by scaling and squaring (see expm), of each matrix of a
     (k, n, n) stack at once.
 
-    Every intermediate lives in one workspace of eight slots shaped like a: the
-    even powers I, a^2, a^4, a^6 (and a^8), then the coefficient
+    Every intermediate lives in one workspace of eight slots shaped like
+    a: the even powers I, a^2, a^4, a^6 (and a^8), then the coefficient
     combinations, and the products reuse the slots they free.  Only the
     solve and the squarings allocate, so a call does not grow and shrink
     the heap by a dozen temporaries.
