@@ -8,7 +8,10 @@ The Liouvillian acts on column-stacked density matrices:
 
 ``unvectorize(L vec(rho))`` then equals -i(H_eff rho - rho H_eff^dag)
 + sum_k C_k rho C_k^dag, i.e. the usual master-equation right-hand side.
-``Liouvillian.matrix`` is this column-stacked L.
+``Liouvillian.matrix`` is this column-stacked L.  :func:`build_liouvillian`
+forms no Kronecker product: the collapse sum is one matrix product over the
+stacked C_k, written into L through a transposed (d, d, d, d) view, and the
+two H_eff terms are added on that view's diagonals.
 
 Propagation runs in the orthonormal basis of Hermitian matrices
 (:class:`linalg.HermitianBasis`): there a density matrix is a real
@@ -185,7 +188,12 @@ class SteadyStateResult:
 def build_liouvillian(h, cs, layout=None):
     """Assemble the master-equation generator from H and collapse operators.
 
-    Without a ``layout`` the space is treated as one flat factor.
+    Without a ``layout`` the space is treated as one flat factor.  L is
+    written into one d^2 x d^2 array viewed as (d, d, d, d) with entry
+    [a, b, a', b'] = L[a*d + b, a'*d + b']: the sum of conj(C_k) kron C_k
+    is one product of the (K, d^2) stack of the C_k with its conjugate,
+    transposed into place, and -i (I kron H_eff) and +i (conj(H_eff) kron
+    I) are added on the two diagonal views a = a' and b = b'.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -204,10 +212,14 @@ def build_liouvillian(h, cs, layout=None):
     h_eff = h.astype(complex)
     for c in cs:
         h_eff = h_eff - 0.5j * (c.conj().T @ c)
-    eye = np.eye(d, dtype=complex)
-    mat = -1j * np.kron(eye, h_eff) + 1j * np.kron(h_eff.conj(), eye)
-    for c in cs:
-        mat = mat + np.kron(c.conj(), c)
+    stack = np.array(cs, dtype=complex).reshape(len(cs), d * d)
+    mat = np.empty((d * d, d * d), dtype=complex)
+    view = mat.reshape(d, d, d, d)
+    view[...] = (stack.conj().T @ stack).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    block = np.einsum("jijk->jik", view)  # [a, b, b'] at a = a'
+    block += -1j * h_eff
+    block = np.einsum("jili->jli", view)  # [a, a', b] at b = b'
+    block += (1j * h_eff.conj())[:, :, None]
     return Liouvillian(matrix=mat, dim=d, layout=layout)
 
 

@@ -394,6 +394,10 @@ def unvectorize(v, dim):
     return v.reshape((dim, dim), order="F").copy()
 
 
+# One basis per dimension, built on first use and shared by every caller.
+_BASES = {}
+
+
 class HermitianBasis:
     """The orthonormal basis of the real space of d x d Hermitian matrices:
     the d diagonal units E_jj, then for each j < k (E_jk + E_kj)/sqrt2,
@@ -405,37 +409,52 @@ class HermitianBasis:
     coordinates T^H vec(rho), and a superoperator M that maps Hermitian
     matrices to Hermitian matrices is the real matrix T^H M T; both keep
     the Euclidean norm, so ||M vec(rho)|| = ||(T^H M T) x||.
+
+    ``HermitianBasis(d)`` is one instance per dimension, built on first use
+    and shared, so its index tables are read-only.
     """
 
-    def __init__(self, d):
+    def __new__(cls, d):
         d = int(d)
-        if d < 1:
-            raise DimensionError(f"basis dimension must be >= 1, got {d}")
-        self.dim = d
-        self._j, self._k = j, k = np.triu_indices(d, 1)
-        # Column-stacked indices of E_jj, E_jk and E_kj (j < k); a
-        # row-major index swaps the last two.
-        self._diag, self._p, self._q = np.arange(d) * (d + 1), k * d + j, j * d + k
+        basis = _BASES.get(d)
+        if basis is None:
+            if d < 1:
+                raise DimensionError(f"basis dimension must be >= 1, got {d}")
+            basis = super().__new__(cls)
+            basis.dim = d
+            j, k = np.triu_indices(d, 1)
+            # Column-stacked indices of E_jj, E_jk and E_kj (j < k); a
+            # row-major index swaps the last two.
+            tables = j, k, np.arange(d) * (d + 1), k * d + j, j * d + k
+            for table in tables:
+                table.flags.writeable = False
+            basis._j, basis._k, basis._diag, basis._p, basis._q = tables
+            _BASES[d] = basis
+        return basis
 
-    def _rows(self, v):
-        """T^H v for a vector or the rows of a 2-D array."""
-        d, p, q = self.dim, self._p, self._q
-        m, s = p.size, math.sqrt(0.5)
-        out = np.empty_like(v, dtype=complex)
-        out[:d] = v[self._diag]
-        out[d:d + m] = s * (v[p] + v[q])
-        out[d + m:] = (1j * s) * (v[p] - v[q])
+    def _rows(self, v, out, spare):
+        """T^H v into ``out`` for a vector or the rows of a 2-D array, with
+        ``spare`` (shaped like the m = d(d-1)/2 rows of either off-diagonal
+        group) as scratch."""
+        d, m, s = self.dim, self._p.size, math.sqrt(0.5)
+        sym, anti = out[d:d + m], out[d + m:]
+        # Indices are in range: mode="clip" writes into out unbuffered.
+        np.take(v, self._diag, axis=0, out=out[:d], mode="clip")
+        np.take(v, self._p, axis=0, out=spare, mode="clip")
+        np.take(v, self._q, axis=0, out=anti, mode="clip")
+        np.add(spare, anti, out=sym)
+        np.subtract(spare, anti, out=anti)
+        sym *= s
+        anti *= 1j * s
         return out
 
     @staticmethod
-    def _real(out, scale, error, what):
-        leak = float(np.abs(out.imag).max())
+    def _check_leak(leak, scale, error, what):
         if leak > _LEAK_REL * scale:
             raise error(
                 f"{what}: imaginary part {leak:.3e} in the Hermitian basis "
                 f"exceeds 1e-10*||.||_1"
             )
-        return out.real
 
     def real(self, mat):
         """T^H mat T for a d^2 x d^2 superoperator (a generator or a map),
@@ -446,12 +465,19 @@ class HermitianBasis:
         mat = _as_square(mat, "superoperator")
         if mat.shape[0] != n:
             raise DimensionError(f"superoperator of shape {mat.shape} does not act on {n}-vectors")
-        scale = float(np.abs(mat).sum(axis=0).max())
         # T^H mat T = (T^H (T^H mat)^H)^H: two passes of row operations,
-        # which are much faster than the same on columns.
-        out = self._rows(np.conjugate(self._rows(mat).T, order="C"))
-        return self._real(out, scale, NumericalError,
-                          "superoperator does not preserve Hermiticity").T.copy()
+        # which are much faster than the same on columns, into one buffer.
+        # The real result's buffer holds |mat| and the leak's |imag| first.
+        real = np.abs(mat, out=np.empty((n, n)))
+        scale = float(real.sum(axis=0).max())
+        out = np.empty((n, n), dtype=complex)
+        spare = np.empty((self._p.size, n), dtype=complex)
+        self._rows(mat, out, spare)
+        self._rows(np.conjugate(out.T, order="C"), out, spare)
+        self._check_leak(float(np.abs(out.imag, out=real).max()), scale, NumericalError,
+                         "superoperator does not preserve Hermiticity")
+        np.copyto(real, out.real.T)
+        return real
 
     def unitary(self, u):
         """The map rho -> u rho u^dag, T^H (conj(u) kron u) T, as a real
@@ -463,22 +489,36 @@ class HermitianBasis:
         d, j, k = self.dim, self._j, self._k
         if u.shape != (d, d):
             raise DimensionError(f"unitary of shape {u.shape} is not {d}x{d}")
-        s = math.sqrt(0.5)
+        m, s = j.size, math.sqrt(0.5)
         rows = np.arange(d)
         ul, um = u[np.concatenate([rows, j])], u[np.concatenate([rows, k])].conj()
         jk, kj = ul[:, j] * um[:, k], ul[:, k] * um[:, j]
-        # (u B_b u^dag)[l, m] for l = m, then l < m; one column per B_b.
-        w = np.concatenate([ul * um, s * (jk + kj), (1j * s) * (kj - jk)], axis=1)
-        return np.concatenate([w[:d].real, (2 * s) * w[d:].real, (-2 * s) * w[d:].imag])
+        sym = jk + kj
+        sym *= s
+        kj -= jk
+        kj *= 1j * s
+        # (u B_b u^dag)[l, m] for l = m, then l < m, in the rows of each
+        # column group; its real part on the diagonal, and sqrt2 times its
+        # real and imaginary parts above it, are the coordinates.
+        out = np.empty((d * d, d * d))
+        for cols, w in ((slice(None, d), ul * um), (slice(d, d + m), sym), (slice(d + m, None), kj)):
+            out[:d, cols] = w[:d].real
+            np.multiply(w[d:].real, 2 * s, out=out[d:d + m, cols])
+            np.multiply(w[d:].imag, -2 * s, out=out[d + m:, cols])
+        return out
 
     def coords(self, rho):
         """Real coordinates T^H vec(rho) of a Hermitian d x d matrix; an
         anti-Hermitian part above 1e-10 times their 1-norm raises
         DomainError."""
-        x = self._rows(vectorize(rho))
-        if x.size != self.dim ** 2:
-            raise DimensionError(f"matrix of shape {np.shape(rho)} is not {self.dim}x{self.dim}")
-        return self._real(x, float(np.abs(x).sum()), DomainError, "matrix is not Hermitian").copy()
+        rho = _as_square(rho, "matrix")
+        if rho.shape[0] != self.dim:
+            raise DimensionError(f"matrix of shape {rho.shape} is not {self.dim}x{self.dim}")
+        x = self._rows(vectorize(rho), np.empty(self.dim ** 2, dtype=complex),
+                       np.empty(self._p.size, dtype=complex))
+        self._check_leak(float(np.abs(x.imag).max()), float(np.abs(x).sum()), DomainError,
+                         "matrix is not Hermitian")
+        return x.real.copy()
 
     def states(self, x):
         """The matrices T x: one d x d matrix for a vector of coordinates,

@@ -3,9 +3,12 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import darksteady as ds
 from darksteady import cli, engine, linalg, model, pulses
@@ -64,6 +67,58 @@ def test_build_liouvillian_shape_checks():
         build_liouvillian(np.eye(12), [np.eye(11)])
     with pytest.raises(DimensionError):
         build_liouvillian(np.zeros((12, 11)), [])
+
+
+def kronecker_formula(h, cs):
+    """L of the module docstring, its terms in the docstring's order:
+    -i (I kron H_eff) + i (conj(H_eff) kron I) + sum_k conj(C_k) kron C_k."""
+    h_eff = np.asarray(h, dtype=complex)
+    for c in cs:
+        h_eff = h_eff - 0.5j * (c.conj().T @ c)
+    eye = np.eye(len(h_eff), dtype=complex)
+    mat = -1j * np.kron(eye, h_eff) + 1j * np.kron(h_eff.conj(), eye)
+    for c in cs:
+        mat = mat + np.kron(c.conj(), c)
+    return mat
+
+
+def model_generators():
+    """(name, H, collapse operators) of the pump, of both variants with and
+    without T2*, with an empty collapse list, and at d = 1."""
+    for variant in model.VARIANTS:
+        p = ds.SystemParams(variant=variant)
+        pump = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=30.0, e_minus=-30.0)
+        yield f"pump-{variant}", model.build_hamiltonian(pump), model.decay_ops(pump)
+        for t2 in (None, 10.0):
+            q = replace(p, t2_star=t2)
+            yield f"{variant}-t2-{t2}", model.build_hamiltonian(q), model.build_collapse_ops(q)
+        yield f"no-collapse-{variant}", model.build_hamiltonian(p), []
+    yield "d1", np.array([[0.7]]), [np.array([[1.3]])]
+    yield "d1-no-collapse", np.array([[0.7]]), []
+
+
+@pytest.mark.parametrize("name, h, cs", list(model_generators()), ids=lambda x: x if isinstance(x, str) else "")
+def test_build_liouvillian_is_the_kronecker_formula(name, h, cs):
+    """Bit for bit, signs of zeros included: where terms of the model's
+    operators meet on one entry (the diagonal of L, with dephasing), their
+    sum is exact in any order."""
+    mat = build_liouvillian(h, cs).matrix
+    assert mat.tobytes() == kronecker_formula(h, cs).tobytes()
+
+
+@given(d=st.integers(1, 6), k=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_build_liouvillian_of_random_operators_is_the_kronecker_formula(d, k, seed):
+    """Random complex operators sum in another order than the formula's, so
+    to rounding: 1e-14 times the 1-norm of the terms, 2 ||H_eff||_1 + sum
+    ||C_k||_1^2 (at d = 1 they cancel to an L far below it)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    cs = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(k)]
+    h_eff = a + a.conj().T - 0.5j * sum(c.conj().T @ c for c in cs)
+    norm1 = lambda m: np.abs(m).sum(axis=0).max()  # noqa: E731
+    scale = 2 * norm1(h_eff) + sum(norm1(c) ** 2 for c in cs)
+    mat = build_liouvillian(a + a.conj().T, cs).matrix
+    assert np.abs(mat - kronecker_formula(a + a.conj().T, cs)).max() <= 1e-14 * scale
 
 
 def test_vectorized_matches_direct_rhs():
@@ -408,6 +463,15 @@ def test_non_hermitian_observable_is_rejected():
     raising[0, 1] = 1.0
     with pytest.raises(DomainError, match="not Hermitian"):
         evolve_fixed_step(rho0, liouv, 5e-4, 5e-5, observables={"raising": raising})
+
+
+@pytest.mark.parametrize("size", [3, 13])
+def test_observable_of_the_wrong_size_is_a_dimension_error(size):
+    _, liouv = fig2_system()
+    with pytest.raises(DimensionError, match="is not 12x12"):
+        linalg.HermitianBasis(12).coords(np.eye(size))
+    with pytest.raises(DimensionError, match="is not 12x12"):
+        evolve_fixed_step(excited_state(), liouv, 0.01, 1e-5, observables={"x": np.eye(size)})
 
 
 def test_step_size_guard():

@@ -254,7 +254,32 @@ def test_hermitian_basis_coords_and_states(d):
     assert all(np.array_equal(b, basis.states(x)) for b, x in zip(block, xs.T))
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
+def test_hermitian_basis_real_is_the_dense_product(d):
+    """real(M) is T^H M T, with T from ``states`` of the unit coordinate
+    vectors, for a map and for a Lindblad generator: to 1e-13 * ||M||_1."""
+    rng = np.random.default_rng(d)
+    basis = linalg.HermitianBasis(d)
+    t = hermitian_t(basis)
+    ops = [random_complex(rng, d, d) for _ in range(3)]
+    h = random_complex(rng, d, d)
+    mats = [sum(w * np.kron(a.conj(), a) for w, a in zip((1.0, -0.5, 2.0), ops)),
+            engine.build_liouvillian(h + h.conj().T, ops).matrix]
+    for mat in mats:
+        scale = np.abs(mat).sum(axis=0).max()
+        assert np.abs(basis.real(mat) - t.conj().T @ mat @ t).max() <= 1e-13 * scale
+
+
+def test_hermitian_basis_is_one_read_only_instance_per_dimension():
+    basis = linalg.HermitianBasis(12)
+    assert linalg.HermitianBasis(12) is basis
+    assert linalg.HermitianBasis(5) is not basis
+    for table in (basis._j, basis._k, basis._diag, basis._p, basis._q):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12])
 def test_hermitian_basis_unitary_is_the_orthogonal_image(d):
     basis = linalg.HermitianBasis(d)
     u, _ = np.linalg.qr(random_complex(np.random.default_rng(d), d, d))

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darksteady as ds
 from darksteady import engine, linalg, model, pulses
@@ -377,3 +379,79 @@ def test_pump_and_dephased_free_evolution_stay_block_diagonal(pump_e, monkeypatc
     pulses._segment_propagator(FreeEvolution(duration=1.0 / (4.0 * p.g)), p)
     pump, free = (np.bincount(linalg._components(a)).max() for a in seen)
     assert pump <= 10 and free <= 2
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+AXES = st.sampled_from(["x", "y"])
+SEGMENTS = {
+    "pump": st.builds(OpticalPump, duration=st.floats(0, 0.5),
+                      e_amplitude=st.none() | st.floats(-40, 40)),
+    "electron": st.builds(ElectronRotation, angle=ANGLES, axis=AXES),
+    "free": st.builds(FreeEvolution, duration=st.floats(0, 1)),
+    "nuclear": st.builds(NuclearRotation, angle=ANGLES, axis=AXES,
+                         dd_interval=st.floats(0, 0.1), duration=st.floats(0, 20)),
+    "idle": st.builds(Idle, duration=st.floats(0, 1)),
+}
+
+
+@st.composite
+def system_params(draw, variant, t2_star):
+    value = st.floats(0, 5)
+    return ds.SystemParams(  # g > 0, which dd_error needs
+        omega_e=draw(value), omega_n=draw(value), g=draw(st.floats(0.1, 5)),
+        e_plus=draw(st.floats(-40, 40)), e_minus=draw(st.floats(-40, 40)),
+        gamma_plus=draw(st.floats(0, 50)), gamma_minus=draw(st.floats(0, 50)),
+        gamma_zero=draw(st.floats(0, 50)),
+        t2_star=draw(st.floats(0.5, 100)) if t2_star else None,
+        variant=variant,
+        asymmetry=draw(st.tuples(*[st.floats(0, 2)] * (len(model.layout(variant).factor_dims) - 1))),
+        asymmetric_hyperfine=draw(st.booleans()),
+    )
+
+
+def choi(real, basis):
+    """The Choi matrix sum_ij E_ij kron Phi(E_ij) of the map whose matrix
+    in ``basis`` is ``real``: Phi(E_ij)[a, b] is entry (b d + a, j d + i)
+    of the column-stacked superoperator T real T^H."""
+    d = basis.dim
+    t = np.stack([ds.vectorize(b) for b in basis.states(np.eye(d * d))], axis=1)
+    sup = (t @ real @ t.conj().T).reshape(d, d, d, d)
+    return sup.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
+# (segment, T2* set, quasistatic, dd_filter): free evolution dephased,
+# detuned and noiseless, the nuclear rotation filtered and unfiltered in
+# both noise modes.
+CPTP_CASES = [
+    ("pump", True, False, True),
+    ("electron", True, True, True),
+    ("free", True, False, True),
+    ("free", True, True, True),
+    ("free", False, False, True),
+    ("nuclear", True, False, True),
+    ("nuclear", True, False, False),
+    ("nuclear", True, True, True),
+    ("nuclear", True, True, False),
+    ("idle", True, False, True),
+]
+
+
+@pytest.mark.parametrize("kind, t2_star, quasistatic, dd_filter", CPTP_CASES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_segment_maps_are_cptp(kind, t2_star, quasistatic, dd_filter, data):
+    """Over random parameters, durations, angles and detunings every
+    segment map keeps the trace (the sum of the diagonal coordinates) to
+    1e-12 and is completely positive: its Choi matrix is PSD to -1e-10."""
+    variants = [model.VARIANT_SINGLE] if kind == "nuclear" else model.VARIANTS
+    p = data.draw(system_params(data.draw(st.sampled_from(variants)), t2_star))
+    seg = data.draw(SEGMENTS[kind])
+    real = pulses._segment_propagator(
+        seg, p, electron_angle=data.draw(st.none() | ANGLES),
+        detuning=data.draw(st.floats(-3, 3)) if quasistatic else 0.0,
+        dd_filter=dd_filter, quasistatic=quasistatic)
+    trace = np.repeat([1.0, 0.0], [p.dim, p.dim ** 2 - p.dim])
+    assert np.abs(trace @ real - trace).max() <= 1e-12
+    c = choi(real, linalg.HermitianBasis(p.dim))
+    assert np.abs(c - c.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(c).min() >= -1e-10
