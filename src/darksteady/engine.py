@@ -216,10 +216,8 @@ def build_liouvillian(h, cs, layout=None):
     mat = np.empty((d * d, d * d), dtype=complex)
     view = mat.reshape(d, d, d, d)
     view[...] = (stack.conj().T @ stack).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    block = np.einsum("jijk->jik", view)  # [a, b, b'] at a = a'
-    block += -1j * h_eff
-    block = np.einsum("jili->jli", view)  # [a, a', b] at b = b'
-    block += (1j * h_eff.conj())[:, :, None]
+    np.einsum("jijk->jik", view)[...] += -1j * h_eff  # [a, b, b'] at a = a'
+    np.einsum("jili->jli", view)[...] += (1j * h_eff.conj())[:, :, None]  # [a, a', b] at b = b'
     return Liouvillian(matrix=mat, dim=d, layout=layout)
 
 

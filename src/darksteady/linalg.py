@@ -493,15 +493,12 @@ class HermitianBasis:
         rows = np.arange(d)
         ul, um = u[np.concatenate([rows, j])], u[np.concatenate([rows, k])].conj()
         jk, kj = ul[:, j] * um[:, k], ul[:, k] * um[:, j]
-        sym = jk + kj
-        sym *= s
-        kj -= jk
-        kj *= 1j * s
         # (u B_b u^dag)[l, m] for l = m, then l < m, in the rows of each
         # column group; its real part on the diagonal, and sqrt2 times its
         # real and imaginary parts above it, are the coordinates.
+        groups = ul * um, s * (jk + kj), (1j * s) * (kj - jk)
         out = np.empty((d * d, d * d))
-        for cols, w in ((slice(None, d), ul * um), (slice(d, d + m), sym), (slice(d + m, None), kj)):
+        for cols, w in zip((slice(None, d), slice(d, d + m), slice(d + m, None)), groups):
             out[:d, cols] = w[:d].real
             np.multiply(w[d:].real, 2 * s, out=out[d:d + m, cols])
             np.multiply(w[d:].imag, -2 * s, out=out[d + m:, cols])
