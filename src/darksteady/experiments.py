@@ -49,11 +49,11 @@ _MAX_CYCLES = round(_MAX_HORIZON / _SAMPLE_INTERVAL)
 # One pulsed run propagates at most this many sample-cycles, at about 6 us
 # each on one core in sequences of up to 256 cycles and about 2 us in longer
 # ones, made by GEMM blocks (measured on a 2-vCPU Xeon, numpy 2.4.6,
-# OpenBLAS).  Building a sample's maps takes about 4 ms, some 650 short
-# sample-cycles or 2,000 long ones, but counts as _MAPS_CYCLES of them (the
-# default t2-inset admits at most 804), so a run at the limit takes from
-# about 2 s (all propagation in long sequences) to about 15 s (all map
-# builds).
+# OpenBLAS).  Building a sample's maps takes 2.3-3.3 ms, some 400-550 short
+# sample-cycles or 1,000-1,900 long ones, but counts as _MAPS_CYCLES of them
+# (the default t2-inset admits at most 804), so a run at the limit takes
+# from about 2 s (all propagation in long sequences) to about 9-13 s (all
+# map builds).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
 
