@@ -62,8 +62,6 @@ def _load_config(args):
     if args.out is not None:
         updates["output"] = args.out
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
     if args.integrator is not None:
         updates["integrator"] = args.integrator

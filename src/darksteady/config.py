@@ -13,6 +13,11 @@ starts ``[section] key:``.  Cross-field invariants that depend on the
 experiment (for example the asymmetry length against the nucleus count)
 are enforced when the parameter set is resolved.
 
+The value parsers live in ``errors``, and the ``[params]`` table, all
+keys but ``e``, is ``model._PARAMS``: ``SystemParams`` checks its fields
+with it, so a parameter set built in code is accepted exactly when the
+same values in a config file are, with the same ConfigError text.
+
 ``[params]`` accepts the single-amplitude shorthand ``e = 10``, which
 expands to ``e_plus = +10`` and ``e_minus = -10`` per the adopted optical
 sign convention; it cannot be combined with explicit e_plus/e_minus.
@@ -22,10 +27,19 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .errors import ConfigError
-from .model import SystemParams, VARIANTS
+from .errors import (
+    ConfigError,
+    _bool,
+    _bounded,
+    _check_fields,
+    _check_values,
+    _choice,
+    _floats,
+    _format_value,
+)
+from .model import _PARAMS, SystemParams
 from .pulses import AXES, NOISE_MODES
 
 __all__ = [
@@ -67,11 +81,10 @@ GRID_AXES = (
 
 _GRID_MAX_POINTS = 10_000
 _MAX_NOISE_SAMPLES = 10_000
-
-_BOOLS = {
-    **dict.fromkeys(("true", "1", "yes", "on"), True),
-    **dict.fromkeys(("false", "0", "no", "off"), False),
-}
+_MAX_HORIZON = 2000.0  # us; longest run, fixed or to convergence
+# Pulsed runs record one row per cycle; cap them at the rows of a
+# continuous run, one per 0.05 us up to _MAX_HORIZON.
+_MAX_CYCLES = 40_000
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,7 @@ class PulseOptions:
     noise_samples: int = 200
 
     def __post_init__(self):
-        _check_fields(self, "pulse", {f.name: f.name for f in fields(self)})
+        _check_fields(self, "pulse", _KEYS["pulse"])
 
 
 @dataclass(frozen=True, eq=True)
@@ -123,73 +136,22 @@ class ExperimentConfig:
     pulse: PulseOptions = field(default_factory=PulseOptions)
 
     def __post_init__(self):
-        _check_fields(self, "run", {k: "output" if k == "out" else k for k in _KEYS["run"]})
+        _check_fields(self, "run", _KEYS["run"], {"output": "out"})
         if not isinstance(self.pulse, PulseOptions):
             raise ConfigError(f"pulse: expected a PulseOptions, got {type(self.pulse).__name__}")
-        params = _parse_section("params", _rendered(_pairs("param_overrides", self.param_overrides)))
+        params = _parse_section("params", _pairs("param_overrides", self.param_overrides))
         if "e" in params and ("e_plus" in params or "e_minus" in params):
             raise ConfigError("[params] e: cannot be combined with explicit e_plus/e_minus")
         overrides = {}
         for key, value in params.items():
             overrides.update(_param_fields(key, value))
-        grid = _parse_section("grid", _rendered(_pairs("grid", self.grid)))
-        if any(v <= 0 for v in grid.get("t2_star", ())):
-            raise ConfigError("[grid] t2_star: values must be > 0")
+        grid = _parse_section("grid", _pairs("grid", self.grid))
         total = math.prod(len(values) for values in grid.values())
         if total > _GRID_MAX_POINTS:
             raise ConfigError(f"grid has {total} points, limit is {_GRID_MAX_POINTS}")
         object.__setattr__(self, "param_overrides", overrides)
         object.__setattr__(self, "grid", tuple(sorted(grid.items())))
 
-
-def _bounded(kind, minimum=None, maximum=None, strict=False):
-    """A finite ``kind`` (float or int) from ``minimum`` (above it if
-    ``strict``) to ``maximum``."""
-    what = "a number" if kind is float else "an integer"
-
-    def parse(raw):
-        try:
-            val = kind(raw)
-        except ValueError:
-            raise ValueError(f"expected {what}, got {raw!r}") from None
-        if val != val or abs(val) == math.inf:
-            raise ValueError(f"value must be finite, got {raw!r}")
-        if minimum is not None and (val <= minimum if strict else val < minimum):
-            raise ValueError(f"must be {'>' if strict else '>='} {minimum}, got {val}")
-        if maximum is not None and val > maximum:
-            raise ValueError(f"must be <= {maximum}, got {val}")
-        return val
-    return parse
-
-
-def _bool(raw):
-    try:
-        return _BOOLS[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected true/false, got {raw!r}") from None
-
-
-def _choice(choices):
-    def parse(raw):
-        if raw not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
-        return raw
-    return parse
-
-
-def _floats(minimum=None):
-    number = _bounded(float, minimum)
-
-    def parse(raw):
-        parts = [s.strip() for s in raw.split(",") if s.strip()]
-        if not parts:
-            raise ValueError("expected a comma-separated list")
-        return tuple(map(number, parts))
-    return parse
-
-
-_NONNEGATIVE = _bounded(float, 0.0)
-_POSITIVE = _bounded(float, 0.0, strict=True)
 
 # Every key of the format: section -> key -> parser of its raw text.  A
 # parser returns the value or raises ValueError with the message body.
@@ -199,22 +161,14 @@ _KEYS = {
         "seed": _bounded(int, 0),
         "integrator": _choice(INTEGRATORS),
         "dt": _bounded(float, 1e-300),  # us; below it t_end / dt may overflow
-        "t_end": _POSITIVE,
-        "cycles": _bounded(int, 0),
+        "t_end": _bounded(float, 0.0, _MAX_HORIZON, strict=True),
+        "cycles": _bounded(int, 0, _MAX_CYCLES),
         "out": str.strip,
     },
-    "params": {
-        **dict.fromkeys(("omega_e", "omega_n", "g", "gamma_plus", "gamma_minus", "gamma_zero"),
-                        _NONNEGATIVE),
-        **dict.fromkeys(("e", "e_plus", "e_minus"), _bounded(float)),
-        "t2_star": lambda raw: None if raw.strip().lower() == "none" else _POSITIVE(raw),
-        "variant": _choice(VARIANTS),
-        "asymmetry": _floats(0.0),
-        "asymmetric_hyperfine": _bool,
-    },
+    "params": {**_PARAMS, "e": _bounded(float)},
     "pulse": {
         **dict.fromkeys(("tau", "pump_duration", "nuclear_duration", "electron_duration"),
-                        _NONNEGATIVE),
+                        _bounded(float, 0.0)),
         "pump_e": _bounded(float),
         "axis": _choice(AXES),
         "correction": _bool,
@@ -222,7 +176,8 @@ _KEYS = {
         "noise_mode": _choice(NOISE_MODES),
         "noise_samples": _bounded(int, 1, _MAX_NOISE_SAMPLES),
     },
-    "grid": {axis: _floats(None if axis == "e" else 0.0) for axis in GRID_AXES},
+    "grid": {axis: _floats(None if axis == "e" else 0.0, strict=axis == "t2_star")
+             for axis in GRID_AXES},
 }
 
 
@@ -252,20 +207,14 @@ def _param_fields(name, value):
 
 
 def _parse_section(section, items):
-    """The values of one section from their raw texts, by the ``_KEYS``
-    parsers; an unknown key or a bad value raises ConfigError naming
-    ``[section] key``."""
-    parsers, values = _KEYS[section], {}
-    for key, raw in items.items():
-        where = f"[{section}] {key}"
-        if key not in parsers:
+    """The values of one section from their raw texts (or values, rendered
+    first), by the ``_KEYS`` parsers; an unknown key or a bad value raises
+    ConfigError naming ``[section] key``."""
+    for key in items:
+        if key not in _KEYS[section]:
             what = f"axis; expected one of {', '.join(GRID_AXES)}" if section == "grid" else "key"
-            raise ConfigError(f"{where}: unknown {what}")
-        try:
-            values[key] = parsers[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return values
+            raise ConfigError(f"[{section}] {key}: unknown {what}")
+    return _check_values(section, _KEYS[section], items)
 
 
 def _pairs(name, value):
@@ -275,24 +224,6 @@ def _pairs(name, value):
         return dict(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name}: expected key-value pairs, got {value!r}") from None
-
-
-def _rendered(values):
-    return {key: _format_value(value) for key, value in values.items()}
-
-
-def _check_fields(obj, section, names):
-    """Parse each set (not None) field of a frozen config object back from
-    its rendered text, as a config file holding it would; ``names`` maps
-    each key of ``section`` to its field.  None is a ConfigError in a field
-    whose default is not None."""
-    optional = {f.name for f in fields(obj) if f.default is None}
-    for key, name in names.items():
-        if getattr(obj, name) is None and name not in optional:
-            raise ConfigError(f"[{section}] {key}: expected a value, got None")
-    values = {key: getattr(obj, name) for key, name in names.items() if getattr(obj, name) is not None}
-    for key, value in _parse_section(section, _rendered(values)).items():
-        object.__setattr__(obj, names[key], value)
 
 
 def parse_config(text):
@@ -317,19 +248,6 @@ def resolve_params(cfg, defaults=None):
     merged = dict(defaults or {})
     merged.update(cfg.param_overrides)
     return SystemParams(**merged)
-
-
-def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        # float() drops subclasses such as np.float64, whose repr is not config text.
-        return repr(float(value))
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_format_value(v) for v in value)
-    return str(value)
 
 
 def render_config(run=None, params=None, pulse=None, grid=None):

@@ -1,8 +1,17 @@
-"""Exception hierarchy for the package.
+"""Exception hierarchy for the package, and the parsers of parameter values.
 
 Every error raised deliberately by this package derives from
 :class:`DarksteadyError`, so callers can catch one type at the boundary.
+
+Every parameter value, from a config file or built in code, is checked by
+one of the value parsers here, which turn the text of a value into the
+value or raise ValueError with the message body; ``_check_values`` renders
+a value built in code to its config text first.
 """
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class DarksteadyError(Exception):
@@ -50,3 +59,108 @@ class ConfigError(DarksteadyError):
 
 class DomainError(DarksteadyError):
     """Argument outside the mathematical domain of a formula."""
+
+
+_BOOLS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
+}
+
+
+def _bounded(kind, minimum=None, maximum=None, strict=False):
+    """A finite ``kind`` (float or int) from ``minimum`` (above it if
+    ``strict``) to ``maximum``."""
+    what = "a number" if kind is float else "an integer"
+
+    def parse(raw):
+        try:
+            val = kind(raw)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {raw!r}") from None
+        if val != val or abs(val) == math.inf:
+            raise ValueError(f"value must be finite, got {raw!r}")
+        if minimum is not None and (val <= minimum if strict else val < minimum):
+            raise ValueError(f"must be {'>' if strict else '>='} {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ValueError(f"must be <= {maximum}, got {val}")
+        return val
+    return parse
+
+
+def _bool(raw):
+    try:
+        return _BOOLS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, got {raw!r}") from None
+
+
+def _choice(choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _floats(minimum=None, strict=False):
+    number = _bounded(float, minimum, strict=strict)
+
+    def parse(raw):
+        parts = [s.strip() for s in raw.split(",") if s.strip()]
+        if not parts:
+            raise ValueError("expected a comma-separated list")
+        return tuple(map(number, parts))
+    return parse
+
+
+def _format_value(value):
+    """The config text of ``value``: floats by repr, so they survive the
+    round trip exactly, and a sequence as a comma-separated list."""
+    if isinstance(value, float) or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, numbers.Integral)):
+        # float() drops subclasses such as np.float64, whose repr is not config text.
+        return repr(float(value))
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    try:
+        items = list(value)
+    except TypeError:
+        return str(value)
+    return ", ".join(map(_format_value, items))
+
+
+def _check_values(section, parsers, values):
+    """Each of ``values`` parsed from its rendered text by the parser of its
+    key; a bad one raises ConfigError starting ``[section] key:``."""
+    parsed = {}
+    for key, value in values.items():
+        try:
+            parsed[key] = parsers[key](_format_value(value))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return parsed
+
+
+def _check_fields(obj, section, parsers, keys=None):
+    """Parse each set (not None) field of a frozen dataclass that has a
+    parser back from its rendered text, as a config file holding it would.
+    ``keys`` maps a field to its key where the two names differ.  None is a
+    ConfigError in a field whose default is not None."""
+    values, names = {}, {}
+    for f in fields(obj):
+        key = keys.get(f.name, f.name) if keys else f.name
+        if key not in parsers:
+            continue
+        value = getattr(obj, f.name)
+        if value is not None:
+            values[key], names[key] = value, f.name
+        elif f.default is not None:
+            raise ConfigError(f"[{section}] {key}: expected a value, got None")
+    for key, value in _check_values(section, parsers, values).items():
+        object.__setattr__(obj, names[key], value)

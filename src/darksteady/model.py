@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _bool, _bounded, _check_fields, _choice, _floats
 from .linalg import SpaceLayout, dagger, kron
 
 __all__ = [
@@ -153,6 +153,23 @@ def basis_labels(variant):
     )
 
 
+_POSITIVE = _bounded(float, 0.0, strict=True)
+
+# The parser of each SystemParams field, from the text a config file's
+# [params] section holds; config._KEYS["params"] is this table plus "e".
+_PARAMS = {
+    **dict.fromkeys(("omega_e", "omega_n", "g", "gamma_plus", "gamma_minus", "gamma_zero"),
+                    _bounded(float, 0.0)),
+    # Optical amplitudes are signed: the adopted convention is
+    # e_minus = -e_plus, and both stay independently settable.
+    **dict.fromkeys(("e_plus", "e_minus"), _bounded(float)),
+    "t2_star": lambda raw: None if raw.strip().lower() == "none" else _POSITIVE(raw),
+    "variant": _choice(VARIANTS),
+    "asymmetry": _floats(0.0),
+    "asymmetric_hyperfine": _bool,
+}
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameters in MHz (rates and drives) and us (T2*).
@@ -165,6 +182,11 @@ class SystemParams:
     (default all 1).  ``asymmetric_hyperfine`` extends the asymmetry to the
     hyperfine couplings as well; it is off by default so that asymmetry acts
     on the drive amplitudes only.
+
+    Each field is checked by its parser in ``_PARAMS``, the table of the
+    config format's ``[params]`` section: a value is accepted exactly when
+    the same value in a config file is, and a bad one raises the ConfigError
+    the file would, e.g. ``[params] omega_e: must be >= 0.0, got -1.0``.
     """
 
     omega_e: float = 1.0
@@ -181,45 +203,13 @@ class SystemParams:
     asymmetric_hyperfine: bool = False
 
     def __post_init__(self):
+        _check_fields(self, "params", _PARAMS)
         count = self.nucleus_count
-        for name in ("omega_e", "omega_n", "g"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val) or val < 0:
-                raise ConfigError(f"{name} must be a finite value >= 0, got {val}")
-            object.__setattr__(self, name, val)
-        for name in ("gamma_plus", "gamma_minus", "gamma_zero"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val) or val < 0:
-                raise ConfigError(f"{name} must be a finite rate >= 0, got {val}")
-            object.__setattr__(self, name, val)
-        # Optical amplitudes are signed: the adopted convention is
-        # e_minus = -e_plus, and both stay independently settable.
-        for name in ("e_plus", "e_minus"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise ConfigError(f"{name} must be finite, got {val}")
-            object.__setattr__(self, name, val)
-        if self.t2_star is not None:
-            t2 = float(self.t2_star)
-            if not math.isfinite(t2) or t2 <= 0:
-                raise ConfigError(f"t2_star must be > 0 us, got {t2}")
-            object.__setattr__(self, "t2_star", t2)
-        asym = self.asymmetry
-        if asym is None:
-            asym = (1.0,) * count
-        else:
-            try:
-                asym = tuple(float(a) for a in asym)
-            except (TypeError, ValueError):
-                raise ConfigError(f"asymmetry must be a sequence of numbers, got {self.asymmetry!r}")
-        if len(asym) != count:
-            raise ConfigError(
-                f"asymmetry needs {count} factor(s) for variant {self.variant}, got {len(asym)}"
-            )
-        if any(not math.isfinite(a) or a < 0 for a in asym):
-            raise ConfigError(f"asymmetry factors must be finite and >= 0, got {asym}")
-        object.__setattr__(self, "asymmetry", asym)
-        object.__setattr__(self, "asymmetric_hyperfine", bool(self.asymmetric_hyperfine))
+        if self.asymmetry is None:
+            object.__setattr__(self, "asymmetry", (1.0,) * count)
+        if len(self.asymmetry) != count:
+            raise ConfigError(f"asymmetry needs {count} factor(s) for variant {self.variant}, "
+                              f"got {len(self.asymmetry)}")
 
     @property
     def nucleus_count(self):

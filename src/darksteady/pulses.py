@@ -33,6 +33,13 @@ the state for the next pump, so the per-cycle sample is taken right after
 FreeEvolution (``record_segment`` of the standard cycle).  The cycle map's
 fixed point is the nuclear-rotated image of the dark state; sampling at the
 cycle boundary would report the basis-rotated fidelity of 1/2 instead.
+
+Segments, ``PulseSequence`` and the value arguments of ``run_sequence``,
+``subspace_rotation`` and ``t2star_sweep`` are checked by the parsers of
+the config format (``errors``), through the ``_FIELDS`` table: a value is
+accepted exactly when the same text in a config file would be, and a bad
+one raises ConfigError naming the class or function in place of the
+section, e.g. ``[OpticalPump] duration: must be >= 0.0, got -0.1``.
 """
 
 from __future__ import annotations
@@ -44,7 +51,17 @@ import numpy as np
 
 from . import linalg, model
 from .engine import Trajectory, build_liouvillian, iterate
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    _bool,
+    _bounded,
+    _check_fields,
+    _check_values,
+    _choice,
+    _floats,
+)
 from .linalg import HermitianBasis
 from .model import TWO_PI
 
@@ -66,29 +83,33 @@ __all__ = [
 NOISE_MODES = ("markovian", "quasistatic")
 AXES = ("x", "y")
 
+# The parser of each value field of the segments and of PulseSequence, and
+# of each value argument of the functions below, by name.
+_FIELDS = {
+    **dict.fromkeys(("duration", "dd_interval"), _bounded(float, 0.0)),  # us
+    "angle": _bounded(float),
+    "axis": _choice(AXES),
+    "e_amplitude": _bounded(float),
+    "cycles": _bounded(int, 0),
+    "correction_enabled": _bool,
+    "dd_filter": _bool,
+    "record_segment": _bounded(int, 0),
+    "noise_mode": _choice(NOISE_MODES),
+    "noise_samples": _bounded(int, 1),
+    "t2_values": _floats(0.0, strict=True),
+}
 
-def _check_duration(value, what):
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ConfigError(f"{what} must be a finite duration >= 0 us, got {value}")
-    return value
 
+class _Segment:
+    """Base of the segment classes: each field is checked by its
+    ``_FIELDS`` parser, and an error names the class."""
 
-def _check_angle(value, what):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite angle, got {value}")
-    return value
-
-
-def _check_axis(axis):
-    if axis not in AXES:
-        raise ConfigError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    return axis
+    def __post_init__(self):
+        _check_fields(self, type(self).__name__, _FIELDS)
 
 
 @dataclass(frozen=True)
-class OpticalPump:
+class OpticalPump(_Segment):
     """Optical pumping for ``duration`` us with drives and hyperfine off.
 
     ``e_amplitude`` (MHz) overrides the optical amplitude as e_plus = +E,
@@ -98,17 +119,9 @@ class OpticalPump:
     duration: float = 0.1
     e_amplitude: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "duration", _check_duration(self.duration, "pump duration"))
-        if self.e_amplitude is not None:
-            amp = float(self.e_amplitude)
-            if not math.isfinite(amp):
-                raise ConfigError(f"pump amplitude must be finite, got {amp}")
-            object.__setattr__(self, "e_amplitude", amp)
-
 
 @dataclass(frozen=True)
-class ElectronRotation:
+class ElectronRotation(_Segment):
     """Instantaneous rotation in the electron {|0>, |D>} subspace.
 
     ``duration`` (default 10 ns) is wall-clock bookkeeping only.
@@ -118,24 +131,16 @@ class ElectronRotation:
     axis: str = "y"
     duration: float = 0.01
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.angle, "electron angle"))
-        _check_axis(self.axis)
-        object.__setattr__(self, "duration", _check_duration(self.duration, "electron pulse duration"))
-
 
 @dataclass(frozen=True)
-class FreeEvolution:
+class FreeEvolution(_Segment):
     """Evolution under the hyperfine coupling alone, plus dephasing if T2* set."""
 
     duration: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "duration", _check_duration(self.duration, "free evolution duration"))
-
 
 @dataclass(frozen=True)
-class NuclearRotation:
+class NuclearRotation(_Segment):
     """Slow nuclear {|0>, |D>} rotation under dynamical decoupling.
 
     Executes ``angle - eps`` with eps = dd_error(g, omega_n, dd_interval).
@@ -148,24 +153,12 @@ class NuclearRotation:
     dd_interval: float = 0.0
     duration: float = 10.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.angle, "nuclear angle"))
-        _check_axis(self.axis)
-        object.__setattr__(self, "dd_interval", _check_duration(self.dd_interval, "dd_interval"))
-        object.__setattr__(self, "duration", _check_duration(self.duration, "nuclear pulse duration"))
-
 
 @dataclass(frozen=True)
-class Idle:
+class Idle(_Segment):
     """Free decay (and dephasing if T2* set) with all coherent terms off."""
 
     duration: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "duration", _check_duration(self.duration, "idle duration"))
-
-
-_SEGMENT_TYPES = (OpticalPump, ElectronRotation, FreeEvolution, NuclearRotation, Idle)
 
 
 @dataclass(frozen=True)
@@ -187,22 +180,15 @@ class PulseSequence:
     def __post_init__(self):
         segs = tuple(self.segments)
         for seg in segs:
-            if not isinstance(seg, _SEGMENT_TYPES):
+            if not isinstance(seg, _Segment):
                 raise ConfigError(f"unknown pulse segment {seg!r}")
         if not segs:
             raise ConfigError("pulse sequence needs at least one segment")
         object.__setattr__(self, "segments", segs)
-        cycles = int(self.cycles)
-        if cycles < 0:
-            raise ConfigError(f"cycle count must be >= 0, got {cycles}")
-        object.__setattr__(self, "cycles", cycles)
-        if self.record_segment is not None:
-            r = int(self.record_segment)
-            if r < 0 or r >= len(segs):
-                raise ConfigError(
-                    f"record_segment {r} out of range for {len(segs)} segments"
-                )
-            object.__setattr__(self, "record_segment", r)
+        _check_fields(self, "PulseSequence", _FIELDS)
+        if self.record_segment is not None and self.record_segment >= len(segs):
+            raise ConfigError(
+                f"record_segment {self.record_segment} out of range for {len(segs)} segments")
 
 
 def dd_error(g, omega_n, tau):
@@ -246,8 +232,8 @@ def subspace_rotation(levels, angle, axis="y", variant=model.VARIANT_SINGLE):
     """
     if len(levels) != 2:
         raise ConfigError(f"levels must name exactly two states, got {levels!r}")
-    angle = _check_angle(angle, "rotation angle")
-    _check_axis(axis)
+    angle, axis = _check_values("subspace_rotation", _FIELDS,
+                                {"angle": angle, "axis": axis}).values()
     party_u, u = _party_state(levels[0], variant)
     party_v, v = _party_state(levels[1], variant)
     if party_u != party_v:
@@ -390,11 +376,9 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     detunings from N(0, sqrt(2)/T2*) with the given seed and averages the
     resulting states.  Without a finite t2_star both modes coincide.
     """
-    if noise_mode not in NOISE_MODES:
-        raise ConfigError(f"noise_mode must be one of {NOISE_MODES}, got {noise_mode!r}")
-    noise_samples = int(noise_samples)
-    if noise_samples < 1:
-        raise ConfigError(f"noise_samples must be >= 1, got {noise_samples}")
+    noise_mode, noise_samples = _check_values(
+        "run_sequence", _FIELDS,
+        {"noise_mode": noise_mode, "noise_samples": noise_samples}).values()
     d = p.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
@@ -475,11 +459,7 @@ def t2star_sweep(p, seq, t2_values, noise_mode="markovian", noise_samples=200,
     Returns ``[(t2_star, max_fidelity), ...]`` sorted by increasing T2*.
     The initial state is the uniform ground mixture of the variant.
     """
-    t2_list = sorted(float(t) for t in t2_values)
-    if not t2_list:
-        raise ConfigError("t2_values must not be empty")
-    if any(not math.isfinite(t) or t <= 0 for t in t2_list):
-        raise ConfigError(f"t2_values must be finite and > 0, got {t2_list}")
+    t2_list = sorted(_check_values("t2star_sweep", _FIELDS, {"t2_values": t2_values})["t2_values"])
     rho0 = model.mixed_ground_state(p.variant)
     rows = []
     for t2 in t2_list:

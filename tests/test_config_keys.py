@@ -2,7 +2,9 @@
 
 Each key has a strategy of valid values and one of malformed raw texts.
 Valid values survive render_config -> parse_config unchanged; a malformed
-one raises ConfigError whose text names its section and key.
+one raises ConfigError whose text names its section and key.  The same
+strategies check that SystemParams and the pulse segments accept a value
+built in code exactly when a config file holding it is accepted.
 """
 
 import string
@@ -17,13 +19,23 @@ from darksteady.config import (
     PulseOptions,
     parse_config,
     render_config,
+    resolve_params,
 )
 from darksteady.errors import ConfigError
-from darksteady.model import VARIANTS
-from darksteady.pulses import AXES, NOISE_MODES
+from darksteady.model import VARIANT_SINGLE, VARIANT_TWO, VARIANTS, SystemParams
+from darksteady.pulses import (
+    AXES,
+    NOISE_MODES,
+    ElectronRotation,
+    FreeEvolution,
+    Idle,
+    NuclearRotation,
+    OpticalPump,
+)
 
 st = pytest.importorskip("hypothesis.strategies")
 given = pytest.importorskip("hypothesis").given
+settings = pytest.importorskip("hypothesis").settings
 
 # Raw texts no key accepts.
 JUNK = st.sampled_from(["", "nan", "inf", "-inf", "1e999", "fast", "1 2", "0x1", "1, nan"])
@@ -35,10 +47,13 @@ def below(minimum, strict):
     return st.floats(max_value=minimum, exclude_max=not strict, allow_infinity=False)
 
 
-def number(minimum=None, strict=False):
-    valid = st.floats(min_value=minimum, exclude_min=strict, allow_nan=False,
-                      allow_infinity=False)
-    return valid, JUNK if minimum is None else JUNK | below(minimum, strict).map(repr)
+def number(minimum=None, strict=False, maximum=None):
+    valid = st.floats(min_value=minimum, max_value=maximum, exclude_min=strict,
+                      allow_nan=False, allow_infinity=False)
+    bad = JUNK if minimum is None else JUNK | below(minimum, strict).map(repr)
+    if maximum is not None:
+        bad |= st.floats(min_value=maximum, exclude_min=True, allow_infinity=False).map(repr)
+    return valid, bad
 
 
 def integer(minimum, maximum=None):
@@ -72,8 +87,8 @@ KEYS = {
         "seed": integer(0),
         "integrator": choice(INTEGRATORS),
         "dt": number(1e-300),
-        "t_end": POSITIVE,
-        "cycles": integer(0),
+        "t_end": number(0.0, strict=True, maximum=2000.0),
+        "cycles": integer(0, 40_000),
         "out": (st.text(string.ascii_letters + string.digits + "/._-", min_size=1), None),
     },
     "params": {
@@ -136,3 +151,63 @@ def test_malformed_value_names_its_key(section, key, data):
     with pytest.raises(ConfigError) as err:
         parse_config(f"[{section}]\n{key} = {raw}\n")
     assert str(err.value).startswith(f"[{section}] {key}:")
+
+
+def consistent(key, value):
+    """SystemParams fields setting ``key`` to ``value``, with a variant of
+    as many nuclei as an asymmetry has factors."""
+    if key == "asymmetry":
+        return {key: value, "variant": {1: VARIANT_SINGLE, 2: VARIANT_TWO}[len(value)]}
+    return {key: value}
+
+
+@pytest.mark.parametrize("key", sorted(set(KEYS["params"]) - {"e"}))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_system_params_check_like_a_config_file(key, data):
+    valid, malformed = KEYS["params"][key]
+    values = consistent(key, data.draw(valid))
+    assert SystemParams(**values) == resolve_params(parse_config(render_config(params=values)))
+    raw = data.draw(malformed)
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[params]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as from_code:
+        SystemParams(**{key: raw})
+    assert str(from_code.value) == str(from_file.value)
+
+
+# Each segment duration with the [pulse] key that sets it in the standard
+# cycle; FreeEvolution and Idle have no key of their own and share the
+# rule of every duration, here tau's.
+DURATIONS = {
+    (OpticalPump, "duration"): "pump_duration",
+    (ElectronRotation, "duration"): "electron_duration",
+    (FreeEvolution, "duration"): "tau",
+    (NuclearRotation, "duration"): "nuclear_duration",
+    (NuclearRotation, "dd_interval"): "tau",
+    (Idle, "duration"): "tau",
+}
+
+
+def segment(cls, field, value):
+    angle = {"angle": 1.0} if cls in (ElectronRotation, NuclearRotation) else {}
+    return cls(**angle, **{field: value})
+
+
+@pytest.mark.parametrize("cls, field", DURATIONS,
+                         ids=[f"{cls.__name__}-{field}" for cls, field in DURATIONS])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_segment_durations_check_like_a_config_file(cls, field, data):
+    key = DURATIONS[cls, field]
+    valid, malformed = KEYS["pulse"][key]
+    value = data.draw(valid)
+    cfg = parse_config(render_config(pulse={key: value}))
+    assert getattr(segment(cls, field, value), field) == getattr(cfg.pulse, key)
+    raw = data.draw(malformed)
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[pulse]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as from_code:
+        segment(cls, field, raw)
+    body = str(from_file.value).removeprefix(f"[pulse] {key}: ")
+    assert str(from_code.value) == f"[{cls.__name__}] {field}: {body}"

@@ -146,9 +146,8 @@ def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, "fig2", FAST_FIG2 + "t_end = 2000.5\n")
     assert code == 2
     assert not out.exists()
-    cfg = parse_config(f"experiment = evolve\nt_end = 2001\nout = {tmp_path / 'o'}\n")
     with pytest.raises(ConfigError, match="t_end"):
-        run_experiment(cfg)
+        parse_config(f"experiment = evolve\nt_end = 2001\nout = {tmp_path / 'o'}\n")
 
 
 def test_rk4_tiny_step_finishes(tmp_path):
