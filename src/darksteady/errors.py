@@ -116,10 +116,8 @@ def _floats(minimum=None, strict=False):
 def _format_value(value):
     """The config text of ``value``: floats by repr, so they survive the
     round trip exactly, and a sequence as a comma-separated list."""
-    if isinstance(value, float) or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, numbers.Integral)):
-        # float() drops subclasses such as np.float64, whose repr is not config text.
-        return repr(float(value))
+    if type(value) is float:  # the common case
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -128,6 +126,9 @@ def _format_value(value):
         return "none"
     if isinstance(value, numbers.Integral):
         return str(int(value))
+    if isinstance(value, numbers.Real):
+        # float() drops subclasses such as np.float64, whose repr is not config text.
+        return repr(float(value))
     try:
         items = list(value)
     except TypeError:

@@ -3,8 +3,9 @@
 Each key has a strategy of valid values and one of malformed raw texts.
 Valid values survive render_config -> parse_config unchanged; a malformed
 one raises ConfigError whose text names its section and key.  The same
-strategies check that SystemParams and the pulse segments accept a value
-built in code exactly when a config file holding it is accepted.
+strategies check that ExperimentConfig, PulseOptions, SystemParams and the
+pulse segments accept a value built in code exactly when a config file
+holding it is accepted, and reject it with the same message.
 """
 
 import string
@@ -16,6 +17,7 @@ from darksteady.config import (
     EXPERIMENTS,
     GRID_AXES,
     INTEGRATORS,
+    ExperimentConfig,
     PulseOptions,
     parse_config,
     render_config,
@@ -211,3 +213,29 @@ def test_segment_durations_check_like_a_config_file(cls, field, data):
         segment(cls, field, raw)
     body = str(from_file.value).removeprefix(f"[pulse] {key}: ")
     assert str(from_code.value) == f"[{cls.__name__}] {field}: {body}"
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in ("run", "pulse") for key in KEYS[section]
+])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_config_objects_check_like_a_config_file(section, key, data):
+    """An ExperimentConfig or PulseOptions field set in code parses like
+    its key in a file."""
+    def build(value):
+        if section == "pulse":
+            return ExperimentConfig(pulse=PulseOptions(**{key: value}))
+        return ExperimentConfig(**{"output" if key == "out" else key: value})
+
+    valid, malformed = KEYS[section][key]
+    value = data.draw(valid)
+    assert build(value) == parse_config(render_config(**{section: {key: value}}))
+    if malformed is None:
+        return
+    raw = data.draw(malformed)
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as from_code:
+        build(raw)
+    assert str(from_code.value) == str(from_file.value)
