@@ -258,11 +258,11 @@ def render_config(run=None, params=None, pulse=None, grid=None):
     """
     lines = []
     for key, value in (run or {}).items():
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {_format_value(value, listed=True)}")
     for section, mapping in (("params", params), ("pulse", pulse), ("grid", grid)):
         if mapping:
             lines.append("")
             lines.append(f"[{section}]")
             for key, value in mapping.items():
-                lines.append(f"{key} = {_format_value(value)}")
+                lines.append(f"{key} = {_format_value(value, listed=True)}")
     return "\n".join(lines) + "\n"

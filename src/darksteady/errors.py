@@ -110,12 +110,15 @@ def _floats(minimum=None, strict=False):
         if not parts:
             raise ValueError("expected a comma-separated list")
         return tuple(map(number, parts))
+    parse.listed = True  # _check_values renders a sequence for it as a list
     return parse
 
 
-def _format_value(value):
+def _format_value(value, listed=False):
     """The config text of ``value``: floats by repr, so they survive the
-    round trip exactly, and a sequence as a comma-separated list."""
+    round trip exactly.  A sequence becomes a comma-separated list only if
+    ``listed`` (for a list-valued key); otherwise it keeps its str(), which
+    no scalar parser accepts, so [1.0] is not taken for 1.0."""
     if type(value) is float:  # the common case
         return repr(value)
     if isinstance(value, str):
@@ -129,20 +132,23 @@ def _format_value(value):
     if isinstance(value, numbers.Real):
         # float() drops subclasses such as np.float64, whose repr is not config text.
         return repr(float(value))
-    try:
-        items = list(value)
-    except TypeError:
-        return str(value)
-    return ", ".join(map(_format_value, items))
+    if listed:
+        try:
+            return ", ".join(map(_format_value, value))
+        except TypeError:
+            pass
+    return str(value)
 
 
 def _check_values(section, parsers, values):
     """Each of ``values`` parsed from its rendered text by the parser of its
-    key; a bad one raises ConfigError starting ``[section] key:``."""
+    key (as a list for a list parser); a bad one raises ConfigError
+    starting ``[section] key:``."""
     parsed = {}
     for key, value in values.items():
+        parser = parsers[key]
         try:
-            parsed[key] = parsers[key](_format_value(value))
+            parsed[key] = parser(_format_value(value, getattr(parser, "listed", False)))
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
     return parsed

@@ -5,6 +5,8 @@ value from the text a config file would hold.  Each case below was
 mishandled while they checked their values by hand: a string boolean was
 stored as a truthy string, a fractional count was truncated, and a None or
 a word raised a bare TypeError or ValueError instead of a ConfigError.
+The one-element sequences were stored as the number they hold while every
+sequence was rendered as a comma-separated list, whatever its key.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from darksteady import model
+from darksteady.config import ExperimentConfig
 from darksteady.errors import ConfigError
 from darksteady.model import SystemParams
 from darksteady.pulses import (
@@ -71,6 +74,15 @@ def test_standard_cycle_string_false_runs_as_false():
                  r"^\[params\] gamma_zero: expected a number, got 'fast'$", id="params-word"),
     pytest.param(lambda: PulseSequence(ONE_IDLE, cycles=math.nan),
                  r"^\[PulseSequence\] cycles: expected an integer, got 'nan'$", id="cycles-nan"),
+    # A one-element sequence is a list, not the number it holds.
+    pytest.param(lambda: SystemParams(omega_e=[1.0]),
+                 r"^\[params\] omega_e: expected a number, got '\[1\.0\]'$", id="params-list"),
+    pytest.param(lambda: OpticalPump(duration=np.array([1.0])),
+                 r"^\[OpticalPump\] duration: expected a number, got '\[1\.\]'$",
+                 id="pump-array"),
+    pytest.param(lambda: ExperimentConfig(param_overrides={"omega_e": [1.0]}),
+                 r"^\[params\] omega_e: expected a number, got '\[1\.0\]'$",
+                 id="override-list"),
 ])
 def test_bad_value_is_a_config_error(build, message):
     with pytest.raises(ConfigError, match=message):
