@@ -76,6 +76,9 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
+# steady_state splits L by a symmetry only if no entry between its even and
+# odd blocks exceeds this times ||L||_1.
+_MIRROR_REL = 1e-12
 # Samples per block of iterate and of observation (a power of two): few
 # enough to stay small beside a run, enough that one GEMM per block beats a
 # product per sample.
@@ -412,7 +415,58 @@ def evolve_propagator(rho0, liouv, t):
     return basis.states(linalg.expm(liouv.real(), t) @ basis.coords(rho0))
 
 
-def steady_state(liouv, tol=None):
+def _mirror_basis(pi, sigma):
+    """The mirror-adapted basis of the signed permutation P of the
+    coordinates e_i -> sigma_i e_pi(i) (``HermitianBasis.permutation``),
+    which must be its own inverse: columns (e_i +- sigma_i e_pi(i))/sqrt2
+    for each pair i < pi(i), and e_i for each fixed i = pi(i), the
+    mirror-even ones (P q = q) first.  Column c is w1[c] e_i1[c] + w2[c]
+    e_i2[c] (w1 = w2 = 1/2 and i1 = i2 at a fixed index), so the change of
+    basis is a few index operations.  Returns (i1, i2, w1, w2, even
+    count); a P that is not an involution raises DomainError."""
+    idx = np.arange(len(pi))
+    if np.any(pi[pi] != idx) or np.any(sigma[pi] != sigma):
+        raise DomainError("the symmetry is not a signed permutation that is its own inverse")
+    pair, fixed = idx[idx < pi], idx[idx == pi]
+    even, odd = fixed[sigma[fixed] > 0], fixed[sigma[fixed] < 0]
+    i1 = np.concatenate([pair, even, pair, odd])
+    i2 = np.concatenate([pi[pair], even, pi[pair], odd])
+    w1 = np.where(i1 == i2, 0.5, math.sqrt(0.5))
+    w2 = w1 * np.concatenate([sigma[pair], np.ones(len(even)), -sigma[pair], np.ones(len(odd))])
+    return i1, i2, w1, w2, len(pair) + len(even)
+
+
+def _mirror_blocks(gen, basis, bound):
+    """Q^T gen Q in the mirror-adapted ``basis`` Q (see _mirror_basis),
+    with its even-odd blocks set to 0, or None when an entry of them
+    exceeds 1e-12 * ``bound`` (gen does not commute with the mirror) or
+    one block is empty (nothing to split)."""
+    i1, i2, w1, w2, even = basis
+    if even in (0, len(gen)):
+        return None
+    w1, w2 = w1[:, None], w2[:, None]
+    # Q^T gen, then Q^T (Q^T gen)^T = (Q^T gen Q)^T: gathers of rows, which
+    # are much faster than those of columns.  Indices are in range:
+    # mode="clip" writes into the buffers unbuffered.
+    rows, tmp = gen[i1], gen[i2]
+    rows *= w1
+    tmp *= w2
+    rows += tmp
+    half = rows.T.copy()
+    np.take(half, i1, axis=0, out=rows, mode="clip")
+    rows *= w1
+    np.take(half, i2, axis=0, out=tmp, mode="clip")
+    tmp *= w2
+    rows += tmp
+    off = max(np.abs(rows[:even, even:]).max(), np.abs(rows[even:, :even]).max())
+    if off > _MIRROR_REL * bound:
+        return None
+    rows[:even, even:] = 0.0
+    rows[even:, :even] = 0.0
+    return rows.T
+
+
+def steady_state(liouv, tol=None, symmetry=None):
     """Solve L vec(rho) = 0 and certify uniqueness.
 
     L is first written in the orthonormal basis of Hermitian matrices
@@ -425,11 +479,33 @@ def steady_state(liouv, tol=None):
     eigenvalues are clipped to zero; the clipped weight must stay below
     1e-8 or NumericalError is raised.  Zero null vectors raise
     NumericalError, several raise NonUniqueSteadyState with the full
-    stationary basis attached.
+    stationary basis attached: Hermitian matrices, from a real orthonormal
+    basis of the null vectors' span.
+
+    ``symmetry`` is an optional d x d signed permutation matrix U with
+    U^2 = I, such as ``model.mirror(variant)``.  If rho -> U rho U^dag
+    commutes with L, the real matrix splits into a U-even and a U-odd
+    block in the mirror-adapted basis (the states with U rho U^dag = +rho
+    and -rho); the steady state of the paper's dark state |D>, which U
+    keeps, is even, and the coherences with the bright |B> are odd.  The
+    change of basis is index operations, and the even-odd entries are set
+    to 0 only after a check that none exceeds 1e-12 * ||L||_1; otherwise
+    (gamma_plus != gamma_minus or e_minus != -e_plus for the mirror) L is
+    decomposed whole, as without a symmetry.  The one ``eig_full`` call
+    then decomposes two half-size blocks, about a quarter of the flops and
+    half the time at 144 and at 256, and only the null vectors are mapped
+    back.  The certificate takes the eigenvalues of both blocks.
     """
+    bound = liouv.norm_bound()
     if tol is None:
-        tol = _NULL_TOL_REL * liouv.norm_bound()
-    vals, vecs = linalg.eig_full(liouv.real())
+        tol = _NULL_TOL_REL * bound
+    gen, basis = liouv.real(), None
+    if symmetry is not None:
+        split = _mirror_basis(*HermitianBasis(liouv.dim).permutation(symmetry))
+        blocks = _mirror_blocks(gen, split, bound)
+        if blocks is not None:
+            gen, basis = blocks, split
+    vals, vecs = linalg.eig_full(gen)
     null_mask = np.abs(vals) < tol
     n_null = int(null_mask.sum())
     decaying = vals.real[vals.real <= -tol]
@@ -439,7 +515,18 @@ def steady_state(liouv, tol=None):
             f"no eigenvalue below the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
-    null = HermitianBasis(liouv.dim).states(vecs[:, null_mask])
+    coords = vecs[:, null_mask]
+    if basis is not None:  # back from the mirror-adapted basis: Q y
+        i1, i2, w1, w2, _ = basis
+        y, coords = coords, np.zeros_like(coords)
+        np.add.at(coords, i1, w1[:, None] * y)
+        np.add.at(coords, i2, w2[:, None] * y)
+    if n_null > 1:
+        # Null eigenvalues may come as conjugate pairs with complex vectors;
+        # their span has a real orthonormal basis, of Hermitian matrices.
+        left = np.linalg.svd(np.hstack([coords.real, coords.imag]), full_matrices=False)[0]
+        coords = left[:, :n_null]
+    null = HermitianBasis(liouv.dim).states(coords)
     if n_null > 1:
         raise NonUniqueSteadyState(
             f"stationary space has dimension {n_null} (tolerance {tol:.3e})",

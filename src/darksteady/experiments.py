@@ -213,10 +213,10 @@ def _unique_pairs(res, target):
     ]
 
 
-def _certificate_pairs(liouv, target):
+def _certificate_pairs(p, liouv, target):
     """Steady-state summary fields; tolerant of a degenerate null space."""
     try:
-        res = engine.steady_state(liouv)
+        res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
     except NonUniqueSteadyState as exc:
         return [
             ("steady_state_unique", "false"),
@@ -321,7 +321,7 @@ def _run_fig2(cfg):
     samples, resolved, converged = _continuous_run(cfg, liouv, rho0, target)
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
-    res = engine.steady_state(liouv)
+    res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
     cert = _unique_pairs(res, target)
     endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
 
@@ -349,7 +349,7 @@ def _run_evolve(cfg):
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=10.0)
     # Certified before the run: the certificate ends on a small BLAS product,
     # after which formatting data.csv runs slower until a numpy ufunc runs.
-    cert = _certificate_pairs(liouv, target)
+    cert = _certificate_pairs(p, liouv, target)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
     data = _time_series_csv(cfg, "evolve", resolved, p, samples)
@@ -370,7 +370,8 @@ def _run_steady(cfg):
     p = resolve_params(cfg)
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
-    res = engine.steady_state(liouv)  # NonUniqueSteadyState propagates (exit 4)
+    # NonUniqueSteadyState propagates (exit 4).
+    res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
     cert = _unique_pairs(res, target)
     residual = engine.stationarity_residual(liouv, res.rho)
 
@@ -400,7 +401,7 @@ def _sweep_rows(cfg, grid):
         target = model.default_target(p.variant)
         liouv = _liouvillian(p)
         try:
-            res = engine.steady_state(liouv)
+            res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
             row = list(combo) + [
                 engine.fidelity(res.rho, target),
                 engine.purity(res.rho),
@@ -550,7 +551,7 @@ def _run_two_nuclei(cfg):
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
     observables = {"singlet_population": model.nuclear_singlet_projector()}
-    cert = _certificate_pairs(liouv, target)
+    cert = _certificate_pairs(p, liouv, target)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
 
     data = _time_series_csv(cfg, "two-nuclei", resolved, p, samples)

@@ -149,12 +149,20 @@ def _components(a):
         labels = new
 
 
+def _component_order(a):
+    """(order, starts, widths): the indices of a grouped by connected
+    component (see _components), in index order within one, and where each
+    component starts in ``order`` and how wide it is."""
+    labels = _components(a)
+    order = np.argsort(labels, kind="stable")
+    _, starts, widths = np.unique(labels[order], return_index=True, return_counts=True)
+    return order, starts, widths
+
+
 def _block_exp(a):
     """exp(a), one connected component of a at a time (see expm)."""
     n = a.shape[0]
-    labels = _components(a)
-    order = np.argsort(labels, kind="stable")  # by component, in index order
-    _, starts, widths = np.unique(labels[order], return_index=True, return_counts=True)
+    order, starts, widths = _component_order(a)
     if len(widths) == n:  # diagonal
         return np.diag(np.exp(a.diagonal()))
     if len(widths) == 1:
@@ -313,36 +321,70 @@ def eig_full(a):
     come in exact conjugate pairs); anything else is promoted to complex128.
     Returns ``(values, vectors)``, both complex, with ``vectors[:, k]`` the
     unit eigenvector for ``values[k]``.  Pairs are sorted by (real,
-    imaginary) part so the output order is reproducible.  Residuals
-    ``||a v - lambda v||`` are verified against ``1e-8 * ||a||``, a block of
-    columns at a time.
+    imaginary) part so the output order is reproducible.
+
+    The operand is split into the connected components of the nonzero
+    pattern of a + a^T, as in :func:`expm`.  A matrix of one component is
+    decomposed as it is; otherwise the components of each width go to
+    LAPACK as one stack, and each eigenvector is supported on its own
+    component (exactly 0 elsewhere).  A generator that is block-diagonal
+    in a symmetry-adapted basis, such as the steady-state generator in the
+    mirror basis of ``engine.steady_state``, so costs a few small
+    decompositions instead of one large one.  Residuals ``||a v - lambda
+    v||`` are verified against ``1e-8 * ||a||`` of the whole operand, per
+    component and a block of columns at a time.
     """
     real = np.isrealobj(a)
     a = _as_square(a, "eig_full operand", dtype=float if real else complex)
     n = a.shape[0]
     if n > _EIG_MAX_DIM:
         raise DimensionError(f"eig_full supports dimension <= {_EIG_MAX_DIM}, got {n}")
+    members, starts, widths = _component_order(a)
     try:
-        vals, vecs = np.linalg.eig(a)
+        if len(widths) == 1:
+            vals, vecs = np.linalg.eig(a)
+            worst = _eig_residual(a[None], vals[None], vecs[None])
+        else:
+            vals, parts, worst = np.empty(n, dtype=complex), [], 0.0
+            for width in np.unique(widths):
+                # idx[c, j]: the j-th index of the c-th component of this width.
+                idx = members[starts[widths == width][:, None] + np.arange(width)]
+                sub = a[idx[:, :, None], idx[:, None, :]]
+                sub_vals, sub_vecs = np.linalg.eig(sub)
+                worst = max(worst, _eig_residual(sub, sub_vals, sub_vecs))
+                vals[idx] = sub_vals
+                parts.append((idx, sub_vecs))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}")
-    # numpy returns real arrays when every eigenvalue of a real a is real.
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order].astype(complex, copy=False)
-    vecs = vecs[:, order].astype(complex, copy=False)
-    scale = np.linalg.norm(a)
-    worst = 0.0
-    for lo in range(0, n, _EIG_RESIDUAL_BLOCK):
-        v = vecs[:, lo:lo + _EIG_RESIDUAL_BLOCK]
-        # A real a takes two real products, not a complex copy of itself.
-        av = a @ v.real + 1j * (a @ v.imag) if real else a @ v
-        av -= v * vals[lo:lo + _EIG_RESIDUAL_BLOCK]
-        worst = max(worst, float(np.linalg.norm(av, axis=0).max()))
-    if worst > _EIG_RESIDUAL_REL * scale:
+    if worst > _EIG_RESIDUAL_REL * np.linalg.norm(a):
         raise NumericalError(
             f"eigenpair residual {worst:.3e} exceeds {_EIG_RESIDUAL_REL:.0e}*||a||"
         )
-    return vals, vecs
+    # numpy returns real arrays when every eigenvalue of a real a is real.
+    order = np.lexsort((vals.imag, vals.real))
+    if len(widths) == 1:
+        return vals[order].astype(complex, copy=False), vecs[:, order].astype(complex, copy=False)
+    # Each component's vectors go straight to their sorted columns.
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    vecs = np.zeros((n, n), dtype=complex)
+    for idx, sub_vecs in parts:
+        vecs[idx[:, :, None], rank[idx][:, None, :]] = sub_vecs
+    return vals[order], vecs
+
+
+def _eig_residual(a, vals, vecs):
+    """The largest ||a v - lambda v|| over the eigenpairs (vals, vecs) of
+    each matrix of a (k, w, w) stack, a block of columns at a time, so that
+    the check holds no second copy of the eigenvectors."""
+    worst = 0.0
+    for lo in range(0, a.shape[-1], _EIG_RESIDUAL_BLOCK):
+        v = vecs[..., lo:lo + _EIG_RESIDUAL_BLOCK]
+        # A real a takes two real products, not a complex copy of itself.
+        av = a @ v.real + 1j * (a @ v.imag) if np.isrealobj(a) else a @ v
+        av -= v * vals[..., None, lo:lo + _EIG_RESIDUAL_BLOCK]
+        worst = max(worst, float(np.linalg.norm(av, axis=-2).max()))
+    return worst
 
 
 def partial_trace(rho, layout, keep):
@@ -467,11 +509,13 @@ class HermitianBasis:
             raise DimensionError(f"superoperator of shape {mat.shape} does not act on {n}-vectors")
         # T^H mat T = (T^H (T^H mat)^H)^H: two passes of row operations,
         # which are much faster than the same on columns, into one buffer.
-        # The real result's buffer holds |mat| and the leak's |imag| first.
+        # The real result's buffer holds |mat|, then the passes' scratch
+        # (m x n complex, m = d(d-1)/2, fits in n x n real), then the
+        # leak's |imag|.
         real = np.abs(mat, out=np.empty((n, n)))
         scale = float(real.sum(axis=0).max())
         out = np.empty((n, n), dtype=complex)
-        spare = np.empty((self._p.size, n), dtype=complex)
+        spare = real.reshape(-1)[:2 * self._p.size * n].view(complex).reshape(-1, n)
         self._rows(mat, out, spare)
         self._rows(np.conjugate(out.T, order="C"), out, spare)
         self._check_leak(float(np.abs(out.imag, out=real).max()), scale, NumericalError,
@@ -503,6 +547,29 @@ class HermitianBasis:
             np.multiply(w[d:].real, 2 * s, out=out[d:d + m, cols])
             np.multiply(w[d:].imag, -2 * s, out=out[d + m:, cols])
         return out
+
+    def permutation(self, u):
+        """The map rho -> u rho u^dag of a d x d signed permutation matrix u
+        as a signed permutation of the coordinates: ``(pi, sigma)`` with
+        that map sending basis element b to sigma[b] times element pi[b].
+        Made by index operations on the pairs j < k; any other u raises
+        DomainError."""
+        u = np.asarray(u)
+        d, j, k = self.dim, self._j, self._k
+        if u.shape != (d, d):
+            raise DimensionError(f"unitary of shape {u.shape} is not {d}x{d}")
+        perm = np.abs(u).argmax(axis=0)  # u e_i = sign[i] e_perm[i]
+        sign = u[perm, np.arange(d)]
+        if np.count_nonzero(u) != d or not np.array_equal(np.abs(sign), np.ones(d)):
+            raise DomainError("the symmetry is not a signed permutation matrix")
+        # E_jk -> sign_j sign_k E_(pj, pk): the pair (pj, pk) in either order.
+        pj, pk, s = perm[j], perm[k], (sign[j] * sign[k]).real
+        pair = np.empty((d, d), dtype=int)
+        pair[j, k] = pair[k, j] = np.arange(j.size)
+        m = j.size
+        pi = np.concatenate([perm, d + pair[pj, pk], d + m + pair[pj, pk]])
+        sigma = np.concatenate([np.ones(d), s, np.where(pj < pk, s, -s)])
+        return pi, sigma
 
     def coords(self, rho):
         """Real coordinates T^H vec(rho) of a Hermitian d x d matrix; an

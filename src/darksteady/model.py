@@ -56,6 +56,7 @@ __all__ = [
     "electron_state",
     "embed",
     "layout",
+    "mirror",
     "mixed_ground_state",
     "nuclear_singlet_projector",
     "nuclear_spin1_state",
@@ -285,6 +286,29 @@ def embed(op, variant, factor):
     for d in reversed(dims[:factor]):
         out = kron(np.eye(d, dtype=complex), out)
     return out
+
+
+def mirror(variant):
+    """The mirror U of a variant, a real signed permutation matrix: the
+    electron levels +1 and -1 swapped and A1 negated, and the first two
+    levels of each nucleus swapped (+1 and -1 of a spin-1 nucleus, 0 and 1
+    of a spin-1/2 one).  U is its own inverse.
+
+    U maps the dark electron state |D> to itself and the bright |B> to -|B>.
+    It commutes with H whenever e_minus = -e_plus, and it maps the collapse
+    operators onto themselves up to sign whenever gamma_plus = gamma_minus,
+    whatever the drives, the asymmetry and T2*.  Then rho -> U rho U^dag
+    commutes with the Liouvillian (a weak symmetry, Buca & Prosen, NJP 14,
+    073007 (2012)), which ``engine.steady_state`` uses to split it in two.
+    """
+    u = np.ones((1, 1))
+    for levels in _factors(variant):
+        f = np.eye(len(levels))
+        f[[0, 1]] = f[[1, 0]]
+        if "A1" in levels:
+            f[levels.index("A1")] *= -1.0
+        u = np.kron(u, f)
+    return u
 
 
 # One operator set per variant, built on first use and shared by every caller.

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darksteady as ds
@@ -666,11 +666,20 @@ def complex_path(liouv):
     return 1, gap, 0.5 * (rho + rho.conj().T)
 
 
+def mirror_of(p, split):
+    """The steady_state symmetry argument: the mirror, or None."""
+    return model.mirror(p.variant) if split else None
+
+
+SPLIT = pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+
+
+@SPLIT
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
-def test_steady_state_matches_complex_path(system):
-    _, liouv = system()
+def test_steady_state_matches_complex_path(system, split):
+    p, liouv = system()
     n_null, gap, rho = complex_path(liouv)
-    res = steady_state(liouv)
+    res = steady_state(liouv, symmetry=mirror_of(p, split))
     assert res.null_dimension == n_null == 1
     assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
     assert np.abs(res.rho - rho).max() < 1e-12
@@ -688,23 +697,26 @@ def test_non_hermitian_generator_raises():
         steady_state(liouv)
 
 
-def test_steady_state_memory_bound():
+@SPLIT
+def test_steady_state_memory_bound(split):
     """The basis change and the residual check hold no more than four
     n x n complex arrays at once (n = 256)."""
-    _, liouv = asymmetric_two_nuclei_system()
+    p, liouv = asymmetric_two_nuclei_system()
     n = liouv.matrix.shape[0]
+    symmetry = mirror_of(p, split)
     tracemalloc.start()
     try:
-        steady_state(liouv)
+        steady_state(liouv, symmetry=symmetry)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * n * 16
 
 
+@SPLIT
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
-def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
-    _, liouv = system()
+def test_steady_state_takes_one_real_eig_full(system, split, monkeypatch):
+    p, liouv = system()
     operands = []
     original = linalg.eig_full
 
@@ -713,9 +725,151 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
         return original(a)
 
     monkeypatch.setattr(linalg, "eig_full", recording)
-    steady_state(liouv)
+    steady_state(liouv, symmetry=mirror_of(p, split))
     n = liouv.dim ** 2
     assert [(a.dtype, a.shape) for a in operands] == [(np.float64, (n, n))]
+    # split: an even and an odd block of n/2 each
+    _, widths = np.unique(linalg._components(operands[0]), return_counts=True)
+    assert widths.tolist() == ([n // 2, n // 2] if split else [n])
+
+
+def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
+    """The index forms of the mirror on the coordinates and of Q^T L Q
+    equal the dense products, Q is orthogonal, and the even-odd blocks are
+    below 1e-12 ||L||_1 before they are set to 0."""
+    p, liouv = asymmetric_two_nuclei_system()
+    gen = liouv.real()
+    basis = linalg.HermitianBasis(liouv.dim)
+    u = model.mirror(p.variant)
+    pi, sigma = basis.permutation(u)
+    # the index form of rho -> U rho U^T in the basis is its dense matrix
+    dense_map = np.zeros((len(pi), len(pi)))
+    dense_map[pi, np.arange(len(pi))] = sigma
+    assert np.abs(dense_map - basis.unitary(u)).max() < 1e-15
+    i1, i2, w1, w2, even = split = engine._mirror_basis(pi, sigma)
+    n = len(gen)
+    q = np.zeros((n, n))
+    np.add.at(q, (i1, np.arange(n)), w1)
+    np.add.at(q, (i2, np.arange(n)), w2)
+    assert np.abs(q.T @ q - np.eye(n)).max() < 1e-15
+    dense = q.T @ gen @ q
+    bound = liouv.norm_bound()
+    assert np.abs(dense[:even, even:]).max() < 1e-12 * bound
+    assert np.abs(dense[even:, :even]).max() < 1e-12 * bound
+    blocks = engine._mirror_blocks(gen, split, bound)
+    assert np.abs(blocks - dense).max() < 1e-12 * bound
+    assert not blocks[:even, even:].any() and not blocks[even:, :even].any()
+
+
+@pytest.mark.parametrize("change", [{"gamma_minus": 20.0}, {"e_minus": -9.0}],
+                         ids=["unequal-decays", "unequal-couplings"])
+def test_broken_mirror_takes_the_whole_generator_bit_for_bit(change, monkeypatch):
+    """Without the symmetry the check fails, and the one eig_full call gets
+    L.real() itself and returns what the single dense call gives."""
+    p = ds.SystemParams(**change)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    operands, results = [], []
+    original = linalg.eig_full
+
+    def recording(a):
+        operands.append(a)
+        results.append(original(a))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "eig_full", recording)
+    split = steady_state(liouv, symmetry=model.mirror(p.variant))
+    whole = steady_state(liouv)
+    assert np.array_equal(operands[0], liouv.real())
+    vals, vecs = np.linalg.eig(liouv.real())
+    order = np.lexsort((vals.imag, vals.real))
+    assert np.array_equal(results[0][0], vals[order].astype(complex))
+    assert np.array_equal(results[0][1], vecs[:, order].astype(complex))
+    assert np.array_equal(split.rho, whole.rho)
+    assert split.spectral_gap == whole.spectral_gap
+
+
+def test_unique_steady_state_is_mirror_even():
+    for p, liouv in (fig2_system(), asymmetric_two_nuclei_system()):
+        u = model.mirror(p.variant)
+        rho = steady_state(liouv, symmetry=u).rho
+        assert np.abs(u @ rho @ u.T - rho).max() < 1e-12
+
+
+def test_split_keeps_the_degenerate_two_nuclei_attractor():
+    """The symmetric two-nuclei default: 3 null eigenvalues, and 3
+    stationary Hermitian basis matrices, from the two blocks."""
+    p = ds.SystemParams(variant=model.VARIANT_TWO)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    with pytest.raises(NonUniqueSteadyState) as info:
+        steady_state(liouv, symmetry=model.mirror(p.variant))
+    exc = info.value
+    assert exc.null_dimension == 3 and len(exc.stationary_basis) == 3
+    for b in exc.stationary_basis:
+        assert np.abs(b - b.conj().T).max() < 1e-15
+        assert np.abs(liouv.matrix @ ds.vectorize(b)).max() < 1e-8
+    n_null, gap, _ = complex_path(liouv)
+    assert n_null == 3
+    assert exc.spectral_gap == pytest.approx(gap, rel=1e-10)
+
+
+def test_symmetry_that_is_not_a_signed_involution_is_rejected():
+    p, liouv = fig2_system()
+    cycle = np.roll(np.eye(p.dim), 1, axis=0)  # a 12-cycle, not its own inverse
+    with pytest.raises(DomainError, match="signed permutation"):
+        steady_state(liouv, symmetry=cycle)
+    with pytest.raises(DomainError, match="signed permutation"):
+        steady_state(liouv, symmetry=np.full((p.dim, p.dim), 1 / math.sqrt(p.dim)))
+
+
+@st.composite
+def system_params(draw):
+    """Valid SystemParams of both variants, with and without T2*, with
+    asymmetric hyperfine couplings, and with the mirror broken by unequal
+    optical couplings or decays in three draws of four.  Drives of at least
+    0.8 MHz keep the gap large enough that the null vector is determined to
+    1e-12 (at 0.5 MHz the whole generator and its blocks alike differ from
+    the complex path by up to 2.5e-12)."""
+    variant = draw(st.sampled_from(model.VARIANTS))
+    rate = st.floats(15.0, 50.0)
+    drive = st.floats(0.8, 2.0)
+    e_plus, gamma_plus = draw(st.floats(4.0, 20.0)), draw(rate)
+    # None keeps the mirror; otherwise unequal couplings, decays or both.
+    broken = draw(st.sampled_from([None, "e", "gamma", "both"]))
+    kw = dict(
+        variant=variant, omega_e=draw(drive), omega_n=draw(drive), g=draw(st.floats(1.5, 4.0)),
+        e_plus=e_plus, gamma_plus=gamma_plus, gamma_zero=draw(rate),
+        e_minus=-draw(st.floats(4.0, 20.0)) if broken in ("e", "both") else -e_plus,
+        gamma_minus=draw(rate) if broken in ("gamma", "both") else gamma_plus,
+        t2_star=draw(st.one_of(st.none(), st.floats(2.0, 50.0))),
+    )
+    if variant == model.VARIANT_TWO:
+        kw["asymmetry"] = (1.0, draw(st.sampled_from([1.0, 0.8, 0.6])))
+        kw["asymmetric_hyperfine"] = draw(st.booleans())
+    return ds.SystemParams(**kw)
+
+
+@settings(max_examples=24)
+@given(p=system_params())
+@example(p=ds.SystemParams(t2_star=5.0))
+@example(p=ds.SystemParams(variant=model.VARIANT_TWO, asymmetry=(1.0, 0.8), omega_e=1.3,
+                           asymmetric_hyperfine=True, t2_star=10.0))
+@example(p=ds.SystemParams(variant=model.VARIANT_TWO, asymmetry=(1.0, 0.8), omega_e=1.3,
+                           asymmetric_hyperfine=True, gamma_minus=20.0))
+def test_split_certificate_matches_complex_path(p):
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    n_null, gap, rho = complex_path(liouv)
+    u = model.mirror(p.variant)
+    try:
+        res = steady_state(liouv, symmetry=u)
+    except NonUniqueSteadyState as exc:
+        assert exc.null_dimension == n_null > 1
+        assert exc.spectral_gap == pytest.approx(gap, rel=1e-10)
+        return
+    assert res.null_dimension == n_null == 1
+    assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
+    assert np.abs(res.rho - rho).max() < 1e-12
+    if p.gamma_minus == p.gamma_plus and p.e_minus == -p.e_plus:
+        assert np.abs(u @ res.rho @ u.T - res.rho).max() < 1e-12
 
 
 def test_late_time_fidelity_monotone():

@@ -163,6 +163,20 @@ def test_expm_overflow_raises(a):
         expm(a, 1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
+def test_permutation_is_the_map_of_a_signed_permutation(d):
+    rng = np.random.default_rng(d)
+    u = np.zeros((d, d))
+    u[rng.permutation(d), np.arange(d)] = rng.choice([-1.0, 1.0], d)
+    basis = linalg.HermitianBasis(d)
+    pi, sigma = basis.permutation(u)
+    dense = np.zeros((d * d, d * d))
+    dense[pi, np.arange(d * d)] = sigma
+    assert np.abs(dense - basis.unitary(u)).max() < 1e-15
+    with pytest.raises(DomainError, match="signed permutation"):
+        basis.permutation(2 * u)
+
+
 def permuted_blocks(rng, widths, dtype=float, scale=1.0):
     """A block-diagonal matrix of random blocks of the given widths (entries
     of size scale / width), rows and columns permuted at random, and the
@@ -365,6 +379,59 @@ def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", corrupted)
     with pytest.raises(NumericalError, match="residual"):
         eig_full(a)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eig_full_block_by_block_matches_dense(dtype, monkeypatch):
+    a, block = permuted_blocks(np.random.default_rng(21), [7, 5, 5, 1], dtype)
+    dense = np.linalg.eig(a)[0]
+    dense = dense[np.lexsort((dense.imag, dense.real))]
+    shapes = []
+    original = np.linalg.eig
+
+    def recording(m):
+        shapes.append((m.dtype, m.shape))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    vals, vecs = eig_full(a)
+    # one stacked call per distinct width, keeping a real operand real
+    want = np.dtype(dtype)
+    assert shapes == [(want, (1, 1, 1)), (want, (2, 5, 5)), (want, (1, 7, 7))]
+    assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
+    for k in range(len(vals)):
+        assert np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-8 * np.linalg.norm(a)
+        assert np.linalg.norm(vecs[:, k]) == pytest.approx(1.0, abs=1e-14)
+    # each eigenvector lives on one component, exactly 0 elsewhere
+    for k in range(len(vals)):
+        assert len(set(block[np.flatnonzero(vecs[:, k])])) == 1
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eig_full_residual_checks_every_component(dtype, monkeypatch):
+    """A bad pair in one block of a stacked call is caught."""
+    a, _ = permuted_blocks(np.random.default_rng(22), [7, 5, 5, 1], dtype)
+    original = np.linalg.eig
+
+    def corrupted(m):
+        vals, vecs = original(m)
+        if m.shape[-1] == 5:
+            vals[1, 2] += 1.0
+        return vals, vecs
+
+    eig_full(a)
+    monkeypatch.setattr(np.linalg, "eig", corrupted)
+    with pytest.raises(NumericalError, match="residual"):
+        eig_full(a)
+
+
+def test_eig_full_of_one_component_is_the_dense_call():
+    a = np.random.default_rng(23).normal(size=(40, 40))
+    vals, vecs = np.linalg.eig(a)
+    order = np.lexsort((vals.imag, vals.real))
+    got_vals, got_vecs = eig_full(a)
+    assert np.array_equal(got_vals, vals[order].astype(complex))
+    assert np.array_equal(got_vecs, vecs[:, order].astype(complex))
 
 
 def test_eig_full_dimension_cap():

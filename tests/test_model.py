@@ -6,6 +6,7 @@ high-precision arithmetic before the builders existed, so they pin the
 builders rather than the other way round.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -237,6 +238,56 @@ def test_symmetric_hamiltonian_commutes_with_nuclear_swap():
     pa = SystemParams(variant=VARIANT_TWO, asymmetry=(1.0, 0.5))
     ha = build_hamiltonian(pa)
     assert np.abs(ha @ swap - swap @ ha).max() > 1e-3
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_mirror_is_a_signed_permutation_keeping_the_dark_state(variant):
+    u = model.mirror(variant)
+    d = model.dim(variant)
+    assert u.shape == (d, d) and u.dtype == np.float64
+    assert np.array_equal(np.abs(u).sum(axis=0), np.ones(d))
+    assert np.array_equal(u @ u, np.eye(d))
+    labels = basis_labels(variant)
+    # |D> is even, |B> and |A1> odd: U (|a><b| x I) U^T = +-(|a><b| x I).
+    for a, b, sign in [("D", "D", 1), ("B", "B", 1), ("D", "B", -1), ("A1", "0", -1)]:
+        op = model.embed(np.outer(electron_state(a), electron_state(b)), variant, 0)
+        assert np.abs(u @ op @ u.T - sign * op).max() < 1e-15
+    # In every factor the first two levels change places.
+    factors = [model.ELECTRON_LEVELS] + [
+        model.NUCLEAR_SPIN1_LEVELS if variant == VARIANT_SINGLE else model.NUCLEAR_HALF_LEVELS
+    ] * (len(model.layout(variant).factor_dims) - 1)
+    for i, levels in enumerate(itertools.product(*factors)):
+        twin = [f[1 - f.index(lv)] if f.index(lv) < 2 else lv for f, lv in zip(factors, levels)]
+        j = labels.index(f"e{twin[0]}:n{''.join(twin[1:])}")
+        assert u[j, i] == (-1.0 if levels[0] == "A1" else 1.0)
+
+
+def collapse_set_is_mapped(u, cs):
+    """Each U C U^T is one of the collapse operators or its negative."""
+    return all(
+        min(min(np.abs(m - c).max(), np.abs(m + c).max()) for c in cs) < 1e-12
+        for m in (u @ c @ u.T for c in cs)
+    )
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(SystemParams(), id="single"),
+    pytest.param(SystemParams(t2_star=5.0, omega_e=0.7, g=3.1, e_plus=4.0, e_minus=-4.0),
+                 id="single-dephased"),
+    pytest.param(SystemParams(variant=VARIANT_TWO), id="two"),
+    pytest.param(SystemParams(variant=VARIANT_TWO, asymmetry=(1.0, 0.8),
+                              asymmetric_hyperfine=True, t2_star=10.0), id="two-asymmetric"),
+])
+def test_mirror_commutes_with_the_model_at_equal_couplings_and_decays(p):
+    u = model.mirror(p.variant)
+    h = build_hamiltonian(p)
+    assert np.abs(u @ h @ u.T - h).max() < 1e-12 * np.abs(h).max()
+    assert collapse_set_is_mapped(u, build_collapse_ops(p))
+    # unequal decays or optical couplings break it
+    assert not collapse_set_is_mapped(u, build_collapse_ops(
+        SystemParams(**{**p.__dict__, "gamma_minus": p.gamma_plus + 1.0})))
+    h_unequal = build_hamiltonian(SystemParams(**{**p.__dict__, "e_minus": -p.e_plus + 1.0}))
+    assert np.abs(u @ h_unequal @ u.T - h_unequal).max() > 1.0
 
 
 def test_apply_asymmetry():
