@@ -17,6 +17,9 @@ omega = 2*pi*f rad/us and Gamma = 2*pi*gamma 1/us.  The optical term uses the
 sign convention e_plus = +E, e_minus = -E (the default parameters follow it),
 which makes the symmetric electron superposition |D> = (|+1> + |-1>)/sqrt(2)
 optically dark and couples only |B> = (|+1> - |-1>)/sqrt(2) to |A1>.
+With gamma_+ = gamma_- as well, ``mirror`` (|+1> <-> |-1>, |A1> -> -|A1>,
+the first two levels of each nucleus swapped) is a symmetry of the model
+that keeps |D> and negates |B>.
 
 The electron dephasing channel for a finite T2* is Markovian,
 sqrt(Gamma_phi/2) * S_z with Gamma_phi = 1/T2* (T2* in us, no 2*pi here).

@@ -761,8 +761,9 @@ def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     assert not blocks[:even, even:].any() and not blocks[even:, :even].any()
 
 
-@pytest.mark.parametrize("change", [{"gamma_minus": 20.0}, {"e_minus": -9.0}],
-                         ids=["unequal-decays", "unequal-couplings"])
+@pytest.mark.parametrize("change", [{"gamma_minus": 20.0}, {"e_minus": -9.0},
+                                    {"gamma_minus": 30.0 * (1 + 1e-9)}],
+                         ids=["unequal-decays", "unequal-couplings", "decays-1e-9-apart"])
 def test_broken_mirror_takes_the_whole_generator_bit_for_bit(change, monkeypatch):
     """Without the symmetry the check fails, and the one eig_full call gets
     L.real() itself and returns what the single dense call gives."""
