@@ -22,7 +22,8 @@ for e in e_values:
         liouv = engine.build_liouvillian(
             model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
         )
-        res = engine.steady_state(liouv)
+        # The mirror holds (e_minus = -e_plus, equal decays): two half-size blocks.
+        res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
         f = engine.fidelity(res.rho, target)
         print(f"{e:7.1f}  {om:11.2f}  {f:.10f}  {res.spectral_gap:.4f}")
 

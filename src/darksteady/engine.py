@@ -486,17 +486,14 @@ def steady_state(liouv, tol=None, symmetry=None):
 
     ``symmetry`` is an optional d x d signed permutation matrix U with
     U^2 = I, such as ``model.mirror(variant)``.  If rho -> U rho U^dag
-    commutes with L, the real matrix splits into a U-even and a U-odd
-    block in the mirror-adapted basis (the states with U rho U^dag = +rho
-    and -rho); the steady state of the paper's dark state |D>, which U
-    keeps, is even, and the coherences with the bright |B> are odd.  The
-    change of basis is index operations, and the even-odd entries are set
-    to 0 only after a check that none exceeds 1e-12 * ||L||_1; otherwise
-    (gamma_plus != gamma_minus or e_minus != -e_plus for the mirror) L is
-    decomposed whole, as without a symmetry.  The one ``eig_full`` call
-    then decomposes two half-size blocks, about a quarter of the flops and
-    half the time at 144 and at 256, and only the null vectors are mapped
-    back.  The certificate takes the eigenvalues of both blocks.
+    commutes with L, the real matrix is block-diagonal in the basis of
+    U-even and U-odd states (U rho U^dag = +rho or -rho; the dark state is
+    even), and the one ``eig_full`` call decomposes the two half-size
+    blocks in about half the time; only the null vectors are mapped back.
+    The entries between the blocks are set to 0 only after a check that
+    none exceeds 1e-12 * ||L||_1; otherwise (for the mirror, gamma_plus !=
+    gamma_minus or e_minus != -e_plus) L is decomposed whole, exactly as
+    without a symmetry.
     """
     bound = liouv.norm_bound()
     if tol is None:

@@ -331,12 +331,9 @@ def eig_full(a):
     pattern of a + a^T, as in :func:`expm`.  A matrix of one component is
     decomposed as it is; otherwise the components of each width go to
     LAPACK as one stack, and each eigenvector is supported on its own
-    component (exactly 0 elsewhere).  A generator that is block-diagonal
-    in a symmetry-adapted basis, such as the steady-state generator in the
-    mirror basis of ``engine.steady_state``, so costs a few small
-    decompositions instead of one large one.  Residuals ``||a v - lambda
-    v||`` are verified against ``1e-8 * ||a||`` of the whole operand, per
-    component and a block of columns at a time.
+    component (exactly 0 elsewhere).  Residuals ``||a v - lambda v||`` are
+    verified against ``1e-8 * ||a||`` of the whole operand, per component
+    and a block of columns at a time.
     """
     real = np.isrealobj(a)
     a = _as_square(a, "eig_full operand", dtype=float if real else complex)
@@ -564,13 +561,13 @@ class HermitianBasis:
             raise DimensionError(f"unitary of shape {u.shape} is not {d}x{d}")
         perm = np.abs(u).argmax(axis=0)  # u e_i = sign[i] e_perm[i]
         sign = u[perm, np.arange(d)]
-        if np.count_nonzero(u) != d or not np.array_equal(np.abs(sign), np.ones(d)):
+        if (np.count_nonzero(u) != d or np.unique(perm).size != d
+                or not np.all((sign == 1) | (sign == -1))):
             raise DomainError("the symmetry is not a signed permutation matrix")
         # E_jk -> sign_j sign_k E_(pj, pk): the pair (pj, pk) in either order.
-        pj, pk, s = perm[j], perm[k], (sign[j] * sign[k]).real
+        pj, pk, s, m = perm[j], perm[k], (sign[j] * sign[k]).real, j.size
         pair = np.empty((d, d), dtype=int)
-        pair[j, k] = pair[k, j] = np.arange(j.size)
-        m = j.size
+        pair[j, k] = pair[k, j] = np.arange(m)
         pi = np.concatenate([perm, d + pair[pj, pk], d + m + pair[pj, pk]])
         sigma = np.concatenate([np.ones(d), s, np.where(pj < pk, s, -s)])
         return pi, sigma

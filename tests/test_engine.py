@@ -666,23 +666,16 @@ def complex_path(liouv):
     return 1, gap, 0.5 * (rho + rho.conj().T)
 
 
-def mirror_of(p, split):
-    """The steady_state symmetry argument: the mirror, or None."""
-    return model.mirror(p.variant) if split else None
-
-
-SPLIT = pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-
-
-@SPLIT
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
-def test_steady_state_matches_complex_path(system, split):
+def test_steady_state_matches_complex_path(system):
+    """The whole real generator and its two mirror blocks alike."""
     p, liouv = system()
     n_null, gap, rho = complex_path(liouv)
-    res = steady_state(liouv, symmetry=mirror_of(p, split))
-    assert res.null_dimension == n_null == 1
-    assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
-    assert np.abs(res.rho - rho).max() < 1e-12
+    for symmetry in (None, model.mirror(p.variant)):
+        res = steady_state(liouv, symmetry=symmetry)
+        assert res.null_dimension == n_null == 1
+        assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
+        assert np.abs(res.rho - rho).max() < 1e-12
 
 
 def test_non_hermitian_generator_raises():
@@ -697,40 +690,39 @@ def test_non_hermitian_generator_raises():
         steady_state(liouv)
 
 
-@SPLIT
-def test_steady_state_memory_bound(split):
+def test_steady_state_memory_bound():
     """The basis change and the residual check hold no more than four
-    n x n complex arrays at once (n = 256)."""
+    n x n complex arrays at once (n = 256), with and without the mirror
+    split."""
     p, liouv = asymmetric_two_nuclei_system()
     n = liouv.matrix.shape[0]
-    symmetry = mirror_of(p, split)
-    tracemalloc.start()
-    try:
-        steady_state(liouv, symmetry=symmetry)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n * n * 16
+    for symmetry in (model.mirror(p.variant), None):
+        tracemalloc.start()
+        try:
+            steady_state(liouv, symmetry=symmetry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 16
 
 
-@SPLIT
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
-def test_steady_state_takes_one_real_eig_full(system, split, monkeypatch):
+def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
     p, liouv = system()
-    operands = []
     original = linalg.eig_full
-
-    def recording(a):
-        operands.append(a)
-        return original(a)
-
-    monkeypatch.setattr(linalg, "eig_full", recording)
-    steady_state(liouv, symmetry=mirror_of(p, split))
     n = liouv.dim ** 2
-    assert [(a.dtype, a.shape) for a in operands] == [(np.float64, (n, n))]
-    # split: an even and an odd block of n/2 each
-    _, widths = np.unique(linalg._components(operands[0]), return_counts=True)
-    assert widths.tolist() == ([n // 2, n // 2] if split else [n])
+    for symmetry, widths in ((None, [n]), (model.mirror(p.variant), [n // 2, n // 2])):
+        operands = []
+
+        def recording(a):
+            operands.append(a)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "eig_full", recording)
+        steady_state(liouv, symmetry=symmetry)
+        assert [(a.dtype, a.shape) for a in operands] == [(np.float64, (n, n))]
+        # split: an even and an odd block of n/2 each
+        assert np.unique(linalg._components(operands[0]), return_counts=True)[1].tolist() == widths
 
 
 def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():

@@ -173,8 +173,11 @@ def test_permutation_is_the_map_of_a_signed_permutation(d):
     dense = np.zeros((d * d, d * d))
     dense[pi, np.arange(d * d)] = sigma
     assert np.abs(dense - basis.unitary(u)).max() < 1e-15
-    with pytest.raises(DomainError, match="signed permutation"):
-        basis.permutation(2 * u)
+    # a scaled entry, a phase, two entries in one row
+    others = [2 * u, 1j * u] + ([np.ones((d, d)) * (np.arange(d) == 0)[:, None]] if d > 1 else [])
+    for bad in others:
+        with pytest.raises(DomainError, match="signed permutation"):
+            basis.permutation(bad)
 
 
 def permuted_blocks(rng, widths, dtype=float, scale=1.0):
