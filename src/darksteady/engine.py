@@ -178,11 +178,12 @@ class Trajectory:
 class SteadyStateResult:
     """Steady state plus its uniqueness certificate.
 
-    ``null_dimension`` counts Liouvillian eigenvalues inside the null
-    tolerance (1 on success) and ``spectral_gap`` is the smallest decay rate
-    min(-Re lambda), in 1/us, among the eigenvalues with Re lambda <= -tol
-    (the same tolerance).  Purely imaginary eigenvalues of a degenerate
-    stationary space are not decay rates and do not enter it.
+    ``null_dimension`` counts Liouvillian eigenvalues with |lambda| <= tol,
+    the null tolerance (1 on success), and ``spectral_gap`` is the smallest
+    decay rate min(-Re lambda), in 1/us, among the eigenvalues with
+    Re lambda < -tol (inf when there are none).  Purely imaginary
+    eigenvalues of a degenerate stationary space are not decay rates and
+    do not enter it.
     """
 
     rho: np.ndarray
@@ -439,12 +440,12 @@ def _mirror_basis(pi, sigma):
 
 
 def _mirror_blocks(gen, basis, bound):
-    """Q^T gen Q in the mirror-adapted ``basis`` Q (see _mirror_basis),
-    with its even-odd blocks set to 0, or None when an entry of them
-    exceeds 1e-12 * ``bound`` (gen does not commute with the mirror) or
-    one block is empty (nothing to split)."""
+    """The even and odd diagonal blocks of Q^T gen Q in the mirror-adapted
+    ``basis`` Q (see _mirror_basis), as one (2, n/2, n/2) stack, or None
+    when an entry between them exceeds 1e-12 * ``bound`` (gen does not
+    commute with the mirror) or the blocks differ in size."""
     i1, i2, w1, w2, even = basis
-    if even in (0, len(gen)):
+    if 2 * even != len(gen):
         return None
     w1, w2 = w1[:, None], w2[:, None]
     # Q^T gen, then Q^T (Q^T gen)^T = (Q^T gen Q)^T: gathers of rows, which
@@ -463,12 +464,10 @@ def _mirror_blocks(gen, basis, bound):
     off = max(np.abs(rows[:even, even:]).max(), np.abs(rows[even:, :even]).max())
     if off > _MIRROR_REL * bound:
         return None
-    rows[:even, even:] = 0.0
-    rows[even:, :even] = 0.0
-    return rows.T
+    return np.stack([rows[:even, :even].T, rows[even:, even:].T])
 
 
-def steady_state(liouv, tol=None, symmetry=None):
+def steady_state(liouv, symmetry=None):
     """Solve L vec(rho) = 0 and certify uniqueness.
 
     L is first written in the orthonormal basis of Hermitian matrices
@@ -476,7 +475,9 @@ def steady_state(liouv, tol=None, symmetry=None):
     matrix with the same eigenvalues; an imaginary part above
     1e-10 * ||L||_1 there means L does not preserve Hermiticity and raises
     NumericalError.  Null vectors are eigenvectors of that real matrix with
-    |lambda| < tol (default 1e-10 * ||L||_1), mapped back to vec(rho).  A
+    |lambda| <= tol = 1e-10 * ||L||_1, mapped back to vec(rho), and the gap
+    is taken over the eigenvalues with Re lambda < -tol, so the two sets
+    stay apart even for L = 0 (tol = 0, every eigenvalue null).  A
     unique null vector is normalized to trace one, Hermitized, and negative
     eigenvalues are clipped to zero; the clipped weight must stay below
     1e-8 or NumericalError is raised.  Zero null vectors raise
@@ -488,16 +489,18 @@ def steady_state(liouv, tol=None, symmetry=None):
     U^2 = I, such as ``model.mirror(variant)``.  If rho -> U rho U^dag
     commutes with L, the real matrix is block-diagonal in the basis of
     U-even and U-odd states (U rho U^dag = +rho or -rho; the dark state is
-    even), and the one ``eig_full`` call decomposes the two half-size
-    blocks in about half the time; only the null vectors are mapped back.
-    The entries between the blocks are set to 0 only after a check that
-    none exceeds 1e-12 * ||L||_1; otherwise (for the mirror, gamma_plus !=
-    gamma_minus or e_minus != -e_plus) L is decomposed whole, exactly as
-    without a symmetry.
+    even).  The one ``eig_full`` call then decomposes the two half-size
+    blocks as one stack in about half the time, the null count and the gap
+    come from the eigenvalues of both, and each null vector is mapped back
+    from the rows of its own block.  The blocks are used only after a
+    check that no entry between them exceeds 1e-12 * ||L||_1, and only
+    when they have the same size (the mirror is traceless, so each holds
+    n/2 coordinates); otherwise (for the mirror, gamma_plus != gamma_minus
+    or e_minus != -e_plus) L is decomposed whole, exactly as without a
+    symmetry.
     """
     bound = liouv.norm_bound()
-    if tol is None:
-        tol = _NULL_TOL_REL * bound
+    tol = _NULL_TOL_REL * bound
     gen, basis = liouv.real(), None
     if symmetry is not None:
         split = _mirror_basis(*HermitianBasis(liouv.dim).permutation(symmetry))
@@ -505,21 +508,25 @@ def steady_state(liouv, tol=None, symmetry=None):
         if blocks is not None:
             gen, basis = blocks, split
     vals, vecs = linalg.eig_full(gen)
-    null_mask = np.abs(vals) < tol
+    null_mask = np.abs(vals) <= tol
     n_null = int(null_mask.sum())
-    decaying = vals.real[vals.real <= -tol]
+    decaying = vals.real[vals.real < -tol]
     gap = float((-decaying).min()) if decaying.size else math.inf
     if n_null == 0:
         raise NumericalError(
-            f"no eigenvalue below the null tolerance {tol:.3e}; "
+            f"no eigenvalue within the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
-    coords = vecs[:, null_mask]
-    if basis is not None:  # back from the mirror-adapted basis: Q y
-        i1, i2, w1, w2, _ = basis
-        y, coords = coords, np.zeros_like(coords)
-        np.add.at(coords, i1, w1[:, None] * y)
-        np.add.at(coords, i2, w2[:, None] * y)
+    if basis is None:
+        coords = vecs[:, null_mask]
+    else:  # back from the mirror-adapted basis: Q y, y on its block's rows
+        i1, i2, w1, w2, half = basis
+        block, col = np.nonzero(null_mask)
+        rows = block * half + np.arange(half)[:, None]
+        y, cols = vecs[block, :, col].T, np.arange(n_null)
+        coords = np.zeros((len(i1), n_null), dtype=complex)
+        np.add.at(coords, (i1[rows], cols), w1[rows] * y)
+        np.add.at(coords, (i2[rows], cols), w2[rows] * y)
     if n_null > 1:
         # Null eigenvalues may come as conjugate pairs with complex vectors;
         # their span has a real orthonormal basis, of Hermitian matrices.

@@ -161,7 +161,9 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
     n = None
     if cfg.integrator == "rk4":
         # Default step sits at the stability guard; callers may go smaller.
-        dt = cfg.dt if cfg.dt is not None else 0.1 / liouv.norm_bound()
+        # With ||L||_1 = 0 every step is stable: one per sample.
+        bound = liouv.norm_bound()
+        dt = cfg.dt if cfg.dt is not None else (0.1 / bound if bound else _SAMPLE_INTERVAL)
         resolved["dt"] = dt
         sample_every = max(1, int(round(_SAMPLE_INTERVAL / dt)))
         if cfg.t_end is not None:

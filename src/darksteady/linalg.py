@@ -7,12 +7,12 @@ so the package never imports scipy.  ``expm`` splits its operand into the
 connected components of its nonzero pattern and exponentiates them as one
 stack of small blocks (a diagonal operand is the case of width 1), so a
 generator that is block-diagonal up to a permutation, such as the optical
-pump's, costs a fraction of a dense one.  ``eig_full`` splits its operand
-the same way, one stacked LAPACK call per component width, so the
-steady-state generator in its mirror-adapted basis (two blocks of half
-the size, see ``engine.steady_state``) costs about half the time of the
-dense one.  ``expm`` and ``eig_full`` keep a real input real; other
-operands are promoted to complex128.  State spaces here
+pump's, costs a fraction of a dense one.  ``eig_full`` decomposes a
+matrix or a stack of them in one LAPACK call, so the two half-size
+blocks of the steady-state generator in its mirror-adapted basis (see
+``engine.steady_state``), handed over as one stack, cost about half the
+time of the whole matrix.  ``expm`` and ``eig_full`` keep a real input
+real; other operands are promoted to complex128.  State spaces here
 are at most 16-dimensional and superoperators at most 256-dimensional, so
 dense storage is used throughout.
 
@@ -153,20 +153,14 @@ def _components(a):
         labels = new
 
 
-def _component_order(a):
-    """(order, starts, widths): the indices of a grouped by connected
-    component (see _components), in index order within one, and where each
-    component starts in ``order`` and how wide it is."""
-    labels = _components(a)
-    order = np.argsort(labels, kind="stable")
-    _, starts, widths = np.unique(labels[order], return_index=True, return_counts=True)
-    return order, starts, widths
-
-
 def _block_exp(a):
     """exp(a), one connected component of a at a time (see expm)."""
     n = a.shape[0]
-    order, starts, widths = _component_order(a)
+    # The indices grouped by component, in index order within one, and
+    # where each component starts in ``order`` and how wide it is.
+    labels = _components(a)
+    order = np.argsort(labels, kind="stable")
+    _, starts, widths = np.unique(labels[order], return_index=True, return_counts=True)
     if len(widths) == n:  # diagonal
         return np.diag(np.exp(a.diagonal()))
     if len(widths) == 1:
@@ -319,65 +313,46 @@ def _pade_exp(a):
 
 
 def eig_full(a):
-    """All eigenpairs of a general real or complex matrix.
+    """All eigenpairs of a general real or complex matrix, or of each
+    matrix of a (k, n, n) stack, in one ``numpy.linalg.eig`` call on the
+    operand as given.
 
     A real input stays real (LAPACK ``dgeev``, whose complex eigenvalues
     come in exact conjugate pairs); anything else is promoted to complex128.
-    Returns ``(values, vectors)``, both complex, with ``vectors[:, k]`` the
-    unit eigenvector for ``values[k]``.  Pairs are sorted by (real,
-    imaginary) part so the output order is reproducible.
-
-    The operand is split into the connected components of the nonzero
-    pattern of a + a^T, as in :func:`expm`.  A matrix of one component is
-    decomposed as it is; otherwise the components of each width go to
-    LAPACK as one stack, and each eigenvector is supported on its own
-    component (exactly 0 elsewhere).  Residuals ``||a v - lambda v||`` are
-    verified against ``1e-8 * ||a||`` of the whole operand, per component
-    and a block of columns at a time.
+    Returns ``(values, vectors)``, both complex, with ``vectors[..., :, k]``
+    the unit eigenvector for ``values[..., k]``.  The pairs of each matrix
+    are sorted by (real, imaginary) part so the output order is
+    reproducible.  Residuals ``||a v - lambda v||`` are verified against
+    ``1e-8 * ||a||`` of the whole operand, a block of columns at a time.
     """
     real = np.isrealobj(a)
-    a = _as_square(a, "eig_full operand", dtype=float if real else complex)
-    n = a.shape[0]
+    a = np.asarray(a, dtype=float if real else complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"eig_full operand must be a square matrix or a stack of them, "
+                             f"got shape {a.shape}")
+    n = a.shape[-1]
     if n > _EIG_MAX_DIM:
         raise DimensionError(f"eig_full supports dimension <= {_EIG_MAX_DIM}, got {n}")
-    members, starts, widths = _component_order(a)
     try:
-        if len(widths) == 1:
-            vals, vecs = np.linalg.eig(a)
-            worst = _eig_residual(a[None], vals[None], vecs[None])
-        else:
-            vals, parts, worst = np.empty(n, dtype=complex), [], 0.0
-            for width in np.unique(widths):
-                # idx[c, j]: the j-th index of the c-th component of this width.
-                idx = members[starts[widths == width][:, None] + np.arange(width)]
-                sub = a[idx[:, :, None], idx[:, None, :]]
-                sub_vals, sub_vecs = np.linalg.eig(sub)
-                worst = max(worst, _eig_residual(sub, sub_vals, sub_vecs))
-                vals[idx] = sub_vals
-                parts.append((idx, sub_vecs))
+        vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}")
+    worst = _eig_residual(a, vals, vecs)
     if worst > _EIG_RESIDUAL_REL * np.linalg.norm(a):
         raise NumericalError(
             f"eigenpair residual {worst:.3e} exceeds {_EIG_RESIDUAL_REL:.0e}*||a||"
         )
     # numpy returns real arrays when every eigenvalue of a real a is real.
-    order = np.lexsort((vals.imag, vals.real))
-    if len(widths) == 1:
-        return vals[order].astype(complex, copy=False), vecs[:, order].astype(complex, copy=False)
-    # Each component's vectors go straight to their sorted columns.
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    vecs = np.zeros((n, n), dtype=complex)
-    for idx, sub_vecs in parts:
-        vecs[idx[:, :, None], rank[idx][:, None, :]] = sub_vecs
-    return vals[order], vecs
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return vals.astype(complex, copy=False), vecs.astype(complex, copy=False)
 
 
 def _eig_residual(a, vals, vecs):
     """The largest ||a v - lambda v|| over the eigenpairs (vals, vecs) of
-    each matrix of a (k, w, w) stack, a block of columns at a time, so that
-    the check holds no second copy of the eigenvectors."""
+    a matrix or of each matrix of a (k, w, w) stack, a block of columns at
+    a time, so that the check holds no second copy of the eigenvectors."""
     worst = 0.0
     for lo in range(0, a.shape[-1], _EIG_RESIDUAL_BLOCK):
         v = vecs[..., lo:lo + _EIG_RESIDUAL_BLOCK]

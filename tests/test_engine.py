@@ -711,7 +711,8 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
     p, liouv = system()
     original = linalg.eig_full
     n = liouv.dim ** 2
-    for symmetry, widths in ((None, [n]), (model.mirror(p.variant), [n // 2, n // 2])):
+    # split: an even and an odd block of n/2 each, as one stack
+    for symmetry, shape in ((None, (n, n)), (model.mirror(p.variant), (2, n // 2, n // 2))):
         operands = []
 
         def recording(a):
@@ -720,15 +721,14 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
 
         monkeypatch.setattr(linalg, "eig_full", recording)
         steady_state(liouv, symmetry=symmetry)
-        assert [(a.dtype, a.shape) for a in operands] == [(np.float64, (n, n))]
-        # split: an even and an odd block of n/2 each
-        assert np.unique(linalg._components(operands[0]), return_counts=True)[1].tolist() == widths
+        assert [(a.dtype, a.shape) for a in operands] == [(np.float64, shape)]
 
 
 def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     """The index forms of the mirror on the coordinates and of Q^T L Q
-    equal the dense products, Q is orthogonal, and the even-odd blocks are
-    below 1e-12 ||L||_1 before they are set to 0."""
+    equal the dense products, Q is orthogonal, the even-odd blocks are
+    below 1e-12 ||L||_1, and the stack holds the two diagonal blocks of
+    n/2 each."""
     p, liouv = asymmetric_two_nuclei_system()
     gen = liouv.real()
     basis = linalg.HermitianBasis(liouv.dim)
@@ -749,8 +749,9 @@ def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     assert np.abs(dense[:even, even:]).max() < 1e-12 * bound
     assert np.abs(dense[even:, :even]).max() < 1e-12 * bound
     blocks = engine._mirror_blocks(gen, split, bound)
-    assert np.abs(blocks - dense).max() < 1e-12 * bound
-    assert not blocks[:even, even:].any() and not blocks[even:, :even].any()
+    assert blocks.shape == (2, n // 2, n // 2) and even == n // 2
+    assert np.abs(blocks[0] - dense[:even, :even]).max() < 1e-12 * bound
+    assert np.abs(blocks[1] - dense[even:, even:]).max() < 1e-12 * bound
 
 
 @pytest.mark.parametrize("change", [{"gamma_minus": 20.0}, {"e_minus": -9.0},
@@ -779,6 +780,60 @@ def test_broken_mirror_takes_the_whole_generator_bit_for_bit(change, monkeypatch
     assert np.array_equal(results[0][1], vecs[:, order].astype(complex))
     assert np.array_equal(split.rho, whole.rho)
     assert split.spectral_gap == whole.spectral_gap
+
+
+def test_symmetry_with_blocks_of_unequal_size_takes_the_whole_generator(monkeypatch):
+    """The nuclear swap of the symmetric two-nuclei default commutes with L,
+    but its even and odd blocks hold 160 and 96 coordinates: the one
+    eig_full call gets L.real() itself, and the certificate is that of no
+    symmetry."""
+    p = ds.SystemParams(variant=model.VARIANT_TWO)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    swap = np.kron(np.eye(4), np.eye(4)[[0, 2, 1, 3]])
+    pi, sigma = linalg.HermitianBasis(p.dim).permutation(swap)
+    i1, i2, w1, w2, even = engine._mirror_basis(pi, sigma)
+    n, gen = len(pi), liouv.real()
+    q = np.zeros((n, n))
+    np.add.at(q, (i1, np.arange(n)), w1)
+    np.add.at(q, (i2, np.arange(n)), w2)
+    dense = q.T @ gen @ q
+    # the swap is a symmetry: only the sizes rule the split out
+    assert even == 160
+    assert max(np.abs(dense[:even, even:]).max(), np.abs(dense[even:, :even]).max()) < (
+        1e-12 * liouv.norm_bound())
+    operands = []
+    original = linalg.eig_full
+
+    def recording(a):
+        operands.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "eig_full", recording)
+    with pytest.raises(NonUniqueSteadyState) as split:
+        steady_state(liouv, symmetry=swap)
+    with pytest.raises(NonUniqueSteadyState) as whole:
+        steady_state(liouv)
+    assert len(operands) == 2 and np.array_equal(operands[0], gen)
+    assert split.value.null_dimension == whole.value.null_dimension == 3
+    assert split.value.spectral_gap == whole.value.spectral_gap
+    for a, b in zip(split.value.stationary_basis, whole.value.stationary_basis):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["whole", "mirror"])
+def test_zero_generator_is_reported_non_unique(mirrored):
+    """With every drive, coupling and rate 0, L = 0 and the null tolerance
+    is 0: all d^2 eigenvalues are null, and none decays."""
+    zero = dict.fromkeys(("omega_e", "omega_n", "g", "e_plus", "e_minus", "gamma_plus",
+                          "gamma_minus", "gamma_zero"), 0.0)
+    p = ds.SystemParams(**zero)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    assert liouv.norm_bound() == 0.0
+    with pytest.raises(NonUniqueSteadyState) as info:
+        steady_state(liouv, symmetry=model.mirror(p.variant) if mirrored else None)
+    exc = info.value
+    assert exc.null_dimension == len(exc.stationary_basis) == p.dim ** 2
+    assert exc.spectral_gap == math.inf
 
 
 def test_unique_steady_state_is_mirror_even():

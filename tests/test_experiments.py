@@ -471,6 +471,33 @@ def test_nonunique_exit_code_and_no_partial_files(tmp_path):
     assert not out.exists()
 
 
+ZERO_PARAMS = "[params]\n" + "".join(
+    f"{key} = 0\n" for key in ("omega_e", "omega_n", "g", "e", "gamma_plus", "gamma_minus",
+                               "gamma_zero"))
+
+
+@pytest.mark.parametrize("name, want", [("steady", 4), ("fig2", 4), ("evolve", 0), ("sweep", 0)])
+def test_zero_generator_is_non_unique(tmp_path, capsys, name, want):
+    """Every drive, coupling and rate 0 makes L = 0: no traceback, a
+    non-unique steady state with every eigenvalue null and no decay, and
+    the default RK4 step takes one step per sample."""
+    grid = "[grid]\ng = 0\n" if name == "sweep" else ""
+    code, out = run_cli(tmp_path, name, f"experiment = {name}\n{ZERO_PARAMS}{grid}")
+    err = capsys.readouterr().err
+    assert code == want and "Traceback" not in err
+    if want == 4:
+        assert "stationary subspace dimension 144, spectral gap inf" in err
+        assert not out.exists()
+    elif name == "sweep":
+        assert read_rows(out / "data.csv")[1] == [["0", "nan", "nan", "inf", "0"]]
+    else:
+        summary = (out / "summary.txt").read_text()
+        for line in ("steady_state_unique = false", "null_dimension = 144",
+                     "spectral_gap_per_us = inf"):
+            assert line in summary.splitlines()
+        assert "# dt = 0.05" in (out / "data.csv").read_text().splitlines()
+
+
 def test_step_size_exit_code(tmp_path):
     code, out = run_cli(tmp_path, "fig2", "experiment = fig2\ndt = 0.5\nt_end = 1\n")
     assert code == 3

@@ -384,11 +384,20 @@ def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
         eig_full(a)
 
 
+def random_stack(rng, k, w, dtype):
+    """k random w x w matrices of the given dtype, as one (k, w, w) stack."""
+    draw = (lambda: rng.normal(size=(w, w))) if dtype is float else (
+        lambda: random_complex(rng, w, w))
+    return np.stack([draw() for _ in range(k)])
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_eig_full_block_by_block_matches_dense(dtype, monkeypatch):
-    a, block = permuted_blocks(np.random.default_rng(21), [7, 5, 5, 1], dtype)
-    dense = np.linalg.eig(a)[0]
-    dense = dense[np.lexsort((dense.imag, dense.real))]
+    """A (k, w, w) stack goes to LAPACK as given, in one call that keeps a
+    real operand real, and each matrix gets the sorted eigenvalues of its
+    own dense call, with eigenpairs of that matrix."""
+    stack = random_stack(np.random.default_rng(21), 3, 7, dtype)
+    dense = [np.linalg.eig(m)[0] for m in stack]
     shapes = []
     original = np.linalg.eig
 
@@ -397,35 +406,32 @@ def test_eig_full_block_by_block_matches_dense(dtype, monkeypatch):
         return original(m)
 
     monkeypatch.setattr(np.linalg, "eig", recording)
-    vals, vecs = eig_full(a)
-    # one stacked call per distinct width, keeping a real operand real
-    want = np.dtype(dtype)
-    assert shapes == [(want, (1, 1, 1)), (want, (2, 5, 5)), (want, (1, 7, 7))]
-    assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
-    for k in range(len(vals)):
-        assert np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-8 * np.linalg.norm(a)
-        assert np.linalg.norm(vecs[:, k]) == pytest.approx(1.0, abs=1e-14)
-    # each eigenvector lives on one component, exactly 0 elsewhere
-    for k in range(len(vals)):
-        assert len(set(block[np.flatnonzero(vecs[:, k])])) == 1
+    vals, vecs = eig_full(stack)
+    assert shapes == [(np.dtype(dtype), (3, 7, 7))]
+    assert vals.shape == (3, 7) and vecs.shape == (3, 7, 7)
+    for m, want, got, v in zip(stack, dense, vals, vecs):
+        want = want[np.lexsort((want.imag, want.real))]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for k in range(len(got)):
+            assert np.linalg.norm(m @ v[:, k] - got[k] * v[:, k]) <= 1e-8 * np.linalg.norm(m)
+            assert np.linalg.norm(v[:, k]) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_eig_full_residual_checks_every_component(dtype, monkeypatch):
-    """A bad pair in one block of a stacked call is caught."""
-    a, _ = permuted_blocks(np.random.default_rng(22), [7, 5, 5, 1], dtype)
+    """A bad pair in one matrix of a stack is caught."""
+    stack = random_stack(np.random.default_rng(22), 3, 5, dtype)
     original = np.linalg.eig
 
     def corrupted(m):
         vals, vecs = original(m)
-        if m.shape[-1] == 5:
-            vals[1, 2] += 1.0
+        vals[1, 2] += 1.0
         return vals, vecs
 
-    eig_full(a)
+    eig_full(stack)
     monkeypatch.setattr(np.linalg, "eig", corrupted)
     with pytest.raises(NumericalError, match="residual"):
-        eig_full(a)
+        eig_full(stack)
 
 
 def test_eig_full_of_one_component_is_the_dense_call():
