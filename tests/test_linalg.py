@@ -386,9 +386,8 @@ def test_eig_full_residual_checks_every_block(dtype, monkeypatch):
 
 def random_stack(rng, k, w, dtype):
     """k random w x w matrices of the given dtype, as one (k, w, w) stack."""
-    draw = (lambda: rng.normal(size=(w, w))) if dtype is float else (
-        lambda: random_complex(rng, w, w))
-    return np.stack([draw() for _ in range(k)])
+    return np.stack([rng.normal(size=(w, w)) if dtype is float else random_complex(rng, w, w)
+                     for _ in range(k)])
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
