@@ -276,8 +276,11 @@ def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
     resolved (the header's [pulse]), the cycle count, a builder
     ``cycle(tau, correction)`` of the standard cycle with the remaining
     options from cfg.pulse, and the noise keywords of
-    ``pulses.run_sequence``.
+    ``pulses.run_sequence``.  g = 0 leaves the free evolution unsized.
     """
+    if p.g <= 0:
+        raise ConfigError(f"[params] g: a pulsed run needs g > 0 to size its free evolution, "
+                          f"got {p.g}")
     opts = cfg.pulse if cfg.pulse.tau is not None else replace(cfg.pulse, tau=default_tau)
     cycles = cfg.cycles if cfg.cycles is not None else default_cycles
     quasi = opts.noise_mode == "quasistatic"

@@ -18,10 +18,12 @@ the electron rotation to that same degraded angle.
 
 Rotations are instantaneous unitaries; their ``duration`` fields are pure
 wall-clock bookkeeping (10 ns electron pulse, 10 us nuclear pulse) and enter
-the dynamics only when dephasing is accumulated during an unfiltered nuclear
-pulse.  By default the decoupling also filters the quasi-static T2* noise
-during the nuclear pulse (``dd_filter=True``), so dephasing acts during
-FreeEvolution only.
+the dynamics only through T2* noise during an unfiltered nuclear pulse.  By
+default the decoupling filters that noise (``dd_filter=True``), so it acts
+during FreeEvolution only.  A cycle's maps are one function of a detuning:
+None applies a finite T2* as Markovian dephasing, and a number is a static
+electron detuning in its place.  A quasi-static run averages, in draw order,
+the runs of its drawn detunings.
 
 Every segment map is a real matrix on coordinates in the orthonormal
 basis of Hermitian matrices (:class:`linalg.HermitianBasis`): generators
@@ -53,7 +55,6 @@ from . import linalg, model
 from .engine import Trajectory, build_liouvillian, iterate
 from .errors import (
     ConfigError,
-    DimensionError,
     DomainError,
     _bool,
     _bounded,
@@ -250,21 +251,17 @@ def subspace_rotation(levels, angle, axis="y", variant=model.VARIANT_SINGLE):
     return model.embed(r, variant, 0 if party_u == "e" else 1)
 
 
-def _unitary_map(u):
-    """rho -> u rho u^dag, an orthogonal matrix in the Hermitian basis."""
-    return HermitianBasis(u.shape[0]).unitary(u)
-
-
 def _generator_map(h, cs, p, duration):
     """exp(duration * L) of the Liouvillian of ``h`` and ``cs``, real."""
     liouv = build_liouvillian(h, cs, p.layout)
     return linalg.expm(liouv.real(), duration)
 
 
-def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
-                        dd_filter=True, quasistatic=False):
+def _segment_propagator(seg, p, *, electron_angle=None, detuning=None, dd_filter=True):
     """Map of one segment: a real matrix on coordinates in
-    ``HermitianBasis(p.dim)``."""
+    ``HermitianBasis(p.dim)``.  With ``detuning`` None a finite T2* acts as
+    Markovian dephasing; a number is a static electron detuning (rad/us)
+    that acts in its place."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
@@ -273,33 +270,30 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=0.0,
         p2 = replace(p, **kwargs)
         return _generator_map(model.build_hamiltonian(p2), model.decay_ops(p2), p,
                               seg.duration)
+    basis = HermitianBasis(p.dim)
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
-        u = subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)
-        return _unitary_map(u)
+        return basis.unitary(subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant))
     if isinstance(seg, FreeEvolution):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0, e_minus=0.0)
         h = model.build_hamiltonian(p2)
         if detuning:
             h = h + detuning * model.build_operators(p.variant)["S_z"]
-        deph = None if quasistatic else model.dephasing_op(p2)
-        if deph is not None:
-            return _generator_map(h, [deph], p, seg.duration)
-        u = linalg.expm(-1j * h, seg.duration)
-        return _unitary_map(u)
+        if detuning is None and p.t2_star is not None:
+            return _generator_map(h, [model.dephasing_op(p2)], p, seg.duration)
+        return basis.unitary(linalg.expm(-1j * h, seg.duration))
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
-        u = subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant)
-        mat = _unitary_map(u)
+        mat = basis.unitary(subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant))
         if p.t2_star is not None and not dd_filter and seg.duration > 0:
             # Unfiltered noise accumulates over the pulse's wall-clock time.
             sz = model.build_operators(p.variant)["S_z"]
-            if quasistatic:
-                u_noise = linalg.expm(-1j * detuning * sz, seg.duration)
-                mat = _unitary_map(u_noise) @ mat
+            if detuning is None:
+                noise = _generator_map(np.zeros_like(sz), [model.dephasing_op(p)], p,
+                                       seg.duration)
             else:
-                deph = model.dephasing_op(p)
-                mat = _generator_map(np.zeros_like(sz), [deph], p, seg.duration) @ mat
+                noise = basis.unitary(linalg.expm(-1j * detuning * sz, seg.duration))
+            mat = noise @ mat
         return mat
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
@@ -314,6 +308,7 @@ def apply_segment(rho, seg, p):
     return basis.states(_segment_propagator(seg, p) @ basis.coords(rho))
 
 
+# perfbench/test_perfbench.py monkeypatches this function by name.
 def _electron_overrides(seq, p):
     """Per-electron-rotation angle overrides implementing the correction."""
     if not seq.correction_enabled:
@@ -332,32 +327,30 @@ def _electron_overrides(seq, p):
     return overrides
 
 
-def _build_maps(seq, p, detuning=0.0, quasistatic=False):
+def _record_end(seq):
+    """The number of segments up to and including the record point."""
+    return len(seq.segments) if seq.record_segment is None else seq.record_segment + 1
+
+
+def _cycle_maps(seq, p, detuning=None):
+    """(head, step): one cycle's segment maps under ``detuning``, as in
+    :func:`_segment_propagator`, composed once.  ``head`` = M_r ... M_0
+    takes the initial state to the first record point and ``step`` = head
+    M_{n-1} ... M_{r+1} one record point to the next, so engine.iterate
+    applies one map per cycle: a matrix-vector product for each of the
+    first 256 cycles, then one GEMM per block of 64."""
     overrides = _electron_overrides(seq, p)
-    return [
-        _segment_propagator(
-            seg,
-            p,
-            electron_angle=overrides.get(i),
-            detuning=detuning,
-            dd_filter=seq.dd_filter,
-            quasistatic=quasistatic,
-        )
+    maps = [
+        _segment_propagator(seg, p, electron_angle=overrides.get(i), detuning=detuning,
+                            dd_filter=seq.dd_filter)
         for i, seg in enumerate(seq.segments)
     ]
-
-
-def _compose(maps, record_at):
-    """Compose a cycle's segment maps once: ``head`` = M_r ... M_0 takes the
-    initial state to the first record point and ``step`` = head M_{n-1}
-    ... M_{r+1} takes one record point to the next, so engine.iterate
-    applies one map per cycle: a matrix-vector product for each of the
-    first 256 cycles, then one GEMM per block of 64.  Returns (head, step)."""
+    end = _record_end(seq)
     head = maps[0]
-    for mat in maps[1:record_at + 1]:
+    for mat in maps[1:end]:
         head = mat @ head
     step = head
-    for mat in reversed(maps[record_at + 1:]):
+    for mat in reversed(maps[end:]):
         step = step @ mat
     return head, step
 
@@ -379,44 +372,31 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     noise_mode, noise_samples = _check_values(
         "run_sequence", _FIELDS,
         {"noise_mode": noise_mode, "noise_samples": noise_samples}).values()
-    d = p.dim
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (d, d):
-        raise DimensionError(f"initial state shape {rho0.shape} does not match dim {d}")
     if target is None:
         target = model.default_target(p.variant)
-    record_at = seq.record_segment if seq.record_segment is not None else len(seq.segments) - 1
-    basis = HermitianBasis(d)
+    basis = HermitianBasis(p.dim)
     v0 = basis.coords(rho0)
-
+    detunings = [None]  # Markovian dephasing
     if noise_mode == "quasistatic" and p.t2_star is not None:
         rng = np.random.default_rng(seed)
-        detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples)
-        # Average over the detunings in sample order, accumulating into the
-        # first sample's blocks.
-        blocks = None
-        for delta in detunings:
-            maps = _build_maps(seq, p, detuning=float(delta), quasistatic=True)
-            head, step = _compose(maps, record_at)
-            sample = iterate(v0, step, seq.cycles, first=head)
-            if blocks is None:
-                blocks = list(sample)
-            else:
-                for acc, block in zip(blocks, sample):
-                    acc += block
+        detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples).tolist()
+    # One run per detuning, its maps built when it starts.
+    runs = (iterate(v0, step, seq.cycles, first=head)
+            for head, step in (_cycle_maps(seq, p, delta) for delta in detunings))
+    blocks = next(runs)  # one detuning: each block is observed as it is made
+    if len(detunings) > 1:
+        # Average in draw order, accumulating into the first run's blocks.
+        blocks = list(blocks)
+        for run in runs:
+            for acc, block in zip(blocks, run):
+                acc += block
         for acc in blocks:
             acc /= len(detunings)
-    else:
-        # One detuning: each block is observed as it is made.
-        head, step = _compose(_build_maps(seq, p), record_at)
-        blocks = iterate(v0, step, seq.cycles, first=head)
 
     walls = [seg.duration for seg in seq.segments]
-    record_offset = float(sum(walls[: record_at + 1]))
+    record_offset = float(sum(walls[:_record_end(seq)]))
     cycle_duration = float(sum(walls))
-    times = [0.0] + [
-        (c - 1) * cycle_duration + record_offset for c in range(1, seq.cycles + 1)
-    ]
+    times = [0.0] + [(c - 1) * cycle_duration + record_offset for c in range(1, seq.cycles + 1)]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         times = [float(c) for c in range(seq.cycles + 1)]
 

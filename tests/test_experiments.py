@@ -267,6 +267,23 @@ def test_pulsed_cycles_bounded(tmp_path, monkeypatch, name):
         run_cli(tmp_path, name, f"experiment = {name}\ncycles = 40000\n")
 
 
+@pytest.mark.parametrize("name", ["fig3", "t2-inset"])
+def test_pulsed_g_zero_rejected(tmp_path, monkeypatch, capsys, name):
+    """g = 0, which leaves the free evolution of the standard cycle
+    unsized, is a config error naming [params] g (exit 2) before any pulse
+    map is built or anything is written."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(pulses, "run_sequence", reached)
+    monkeypatch.setattr(pulses, "t2star_sweep", reached)
+    code, out = run_cli(tmp_path, name, f"experiment = {name}\n[params]\ng = 0\n")
+    assert code == 2
+    assert not out.exists()
+    assert "[params] g:" in capsys.readouterr().err
+
+
 def test_noise_samples_bounded(tmp_path):
     """A quasi-static sample count the noise draw could not allocate is a
     config error (exit 2) before anything runs or is written."""

@@ -243,6 +243,40 @@ def test_quasistatic_noise_seeded():
     assert a.fidelity.max() < 0.999
 
 
+@pytest.mark.parametrize("samples", [1, 3])
+def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples):
+    """A quasi-static run is, bit for bit, the sum of the runs under each
+    drawn detuning, in draw order, divided by their count; a Markovian run
+    is the run of the maps with no detuning.  300 cycles reach the GEMM
+    blocks of engine.iterate."""
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, tau=0.02, cycles=300, correction=True, dd_filter=False)
+    rho0 = model.mixed_ground_state(p.variant)
+    basis = linalg.HermitianBasis(p.dim)
+
+    def run(detuning=None):
+        head, step = pulses._cycle_maps(seq, p, detuning)
+        return list(engine.iterate(basis.coords(rho0), step, seq.cycles, first=head))
+
+    def observed(blocks):
+        return engine.Trajectory.from_coords(blocks, float, basis,
+                                             model.default_target(p.variant))
+
+    deltas = np.random.default_rng(5).normal(0.0, np.sqrt(2.0) / p.t2_star, samples)
+    total = run(float(deltas[0]))
+    for delta in deltas[1:]:
+        for acc, block in zip(total, run(float(delta))):
+            acc += block
+    cases = [
+        (run_sequence(rho0, seq, p, noise_mode="quasistatic", noise_samples=samples, seed=5),
+         observed([acc / samples for acc in total])),
+        (run_sequence(rho0, seq, p), observed(run())),
+    ]
+    for got, expect in cases:
+        assert np.array_equal(got.fidelity, expect.fidelity)
+        assert np.array_equal(got.purity, expect.purity)
+
+
 def test_run_sequence_argument_checks():
     p = ds.SystemParams()
     seq = standard_cycle(p, cycles=5)
@@ -288,8 +322,11 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
     p = ds.SystemParams(t2_star=10.0)
     seq = replace(standard_cycle(p, tau=0.02, cycles=cycles, dd_filter=False),
                   record_segment=record_segment)
-    maps = pulses._build_maps(seq, p, detuning=0.3 if noise_mode == "quasistatic" else 0.0,
-                              quasistatic=noise_mode == "quasistatic")
+    detuning = 0.3 if noise_mode == "quasistatic" else None
+    overrides = pulses._electron_overrides(seq, p)
+    maps = [pulses._segment_propagator(seg, p, electron_angle=overrides.get(i),
+                                       detuning=detuning, dd_filter=seq.dd_filter)
+            for i, seg in enumerate(seq.segments)]
     record_at = len(maps) - 1 if record_segment is None else record_segment
     v = linalg.HermitianBasis(p.dim).coords(model.mixed_ground_state(p.variant))
     expect = [v]
@@ -298,7 +335,7 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
             v = mat @ v
             if i == record_at:
                 expect.append(v)
-    head, step = pulses._compose(maps, record_at)
+    head, step = pulses._cycle_maps(seq, p, detuning)
     got = np.concatenate(list(engine.iterate(expect[0], step, cycles, first=head)))
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
@@ -325,7 +362,7 @@ def complex_segment_maps(p, delta):
     u_n = unitary_superop(subspace_rotation(("n0", "nD"), np.pi / 2 - eps, "y"))
     u_free = scipy.linalg.expm(-0.1j * (model.build_hamiltonian(free) + delta * sz))
     nuclear = NuclearRotation(np.pi / 2, dd_interval=0.02, duration=10.0)
-    quasi = dict(detuning=delta, quasistatic=True)
+    quasi = dict(detuning=delta)
     return [
         ("pump", OpticalPump(0.1, 30.0), {},
          generator_superop(model.build_hamiltonian(pump), model.decay_ops(pump), p, 0.1), False),
@@ -448,8 +485,8 @@ def test_segment_maps_are_cptp(kind, t2_star, quasistatic, dd_filter, data):
     seg = data.draw(SEGMENTS[kind])
     real = pulses._segment_propagator(
         seg, p, electron_angle=data.draw(st.none() | ANGLES),
-        detuning=data.draw(st.floats(-3, 3)) if quasistatic else 0.0,
-        dd_filter=dd_filter, quasistatic=quasistatic)
+        detuning=data.draw(st.floats(-3, 3)) if quasistatic else None,
+        dd_filter=dd_filter)
     trace = np.repeat([1.0, 0.0], [p.dim, p.dim ** 2 - p.dim])
     assert np.abs(trace @ real - trace).max() <= 1e-12
     c = choi(real, linalg.HermitianBasis(p.dim))
