@@ -43,14 +43,14 @@ _SAMPLE_INTERVAL = 0.05  # us between CSV rows of continuous runs
 _RESIDUAL_TARGET = 1e-8  # operational "steady state reached" criterion
 _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
-# One pulsed run propagates at most this many sample-cycles, at about 6 us
-# each on one core in sequences of up to 256 cycles and about 2 us in longer
-# ones, made by GEMM blocks (measured on a 2-vCPU Xeon, numpy 2.4.6,
-# OpenBLAS).  Building a sample's maps takes 2.3-3.3 ms, some 400-550 short
-# sample-cycles or 1,000-1,900 long ones, but counts as _MAPS_CYCLES of them
-# (the default t2-inset admits at most 804), so a run at the limit takes
-# from about 2 s (all propagation in long sequences) to about 9-13 s (all
-# map builds).
+# One pulsed run propagates at most this many sample-cycles, at about 5-6 us
+# each on one core in sequences of up to 256 cycles and about 1-2 us in
+# longer ones, made by GEMM blocks (measured on a 2-vCPU Xeon, numpy 2.4.6,
+# OpenBLAS).  Building a sample's maps takes 1.8-1.9 ms in a run of 20
+# samples, which share the rotations, some 300-400 short sample-cycles or
+# 1,450-1,750 long ones, but counts as _MAPS_CYCLES of them (the default
+# t2-inset admits at most 804), so a run at the limit takes from about 1-2 s
+# (all propagation in long sequences) to about 7-8 s (all map builds).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
 

@@ -23,7 +23,8 @@ default the decoupling filters that noise (``dd_filter=True``), so it acts
 during FreeEvolution only.  A cycle's maps are one function of a detuning:
 None applies a finite T2* as Markovian dephasing, and a number is a static
 electron detuning in its place.  A quasi-static run averages, in draw order,
-the runs of its drawn detunings.
+the runs of its drawn detunings, which share the rotation maps that no
+detuning changes.
 
 Every segment map is a real matrix on coordinates in the orthonormal
 basis of Hermitian matrices (:class:`linalg.HermitianBasis`): generators
@@ -257,6 +258,14 @@ def _generator_map(h, cs, p, duration):
     return linalg.expm(liouv.real(), duration)
 
 
+def _bare_rotation(seg, p, dd_filter):
+    """Whether ``seg``'s map is the same under every detuning: an electron
+    rotation, or a nuclear one without unfiltered T2* noise."""
+    if isinstance(seg, NuclearRotation):
+        return p.t2_star is None or dd_filter or seg.duration == 0
+    return isinstance(seg, ElectronRotation)
+
+
 def _segment_propagator(seg, p, *, electron_angle=None, detuning=None, dd_filter=True):
     """Map of one segment: a real matrix on coordinates in
     ``HermitianBasis(p.dim)``.  With ``detuning`` None a finite T2* acts as
@@ -285,7 +294,7 @@ def _segment_propagator(seg, p, *, electron_angle=None, detuning=None, dd_filter
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
         mat = basis.unitary(subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant))
-        if p.t2_star is not None and not dd_filter and seg.duration > 0:
+        if not _bare_rotation(seg, p, dd_filter):
             # Unfiltered noise accumulates over the pulse's wall-clock time.
             sz = model.build_operators(p.variant)["S_z"]
             if detuning is None:
@@ -332,27 +341,35 @@ def _record_end(seq):
     return len(seq.segments) if seq.record_segment is None else seq.record_segment + 1
 
 
-def _cycle_maps(seq, p, detuning=None):
-    """(head, step): one cycle's segment maps under ``detuning``, as in
-    :func:`_segment_propagator`, composed once.  ``head`` = M_r ... M_0
-    takes the initial state to the first record point and ``step`` = head
-    M_{n-1} ... M_{r+1} one record point to the next, so engine.iterate
-    applies one map per cycle: a matrix-vector product for each of the
-    first 256 cycles, then one GEMM per block of 64."""
+def _cycle_maps(seq, p, detunings):
+    """Yield (head, step) for each detuning in turn: one cycle's segment
+    maps under it, as in :func:`_segment_propagator`, composed once; the
+    rotations that no detuning changes (:func:`_bare_rotation`) are built
+    once and shared.  ``head`` = M_r ... M_0 takes the initial state to
+    the first record point and ``step`` = head M_{n-1} ... M_{r+1} one
+    record point to the next, so engine.iterate applies one map per
+    cycle: a matrix-vector product for each of the first 256 cycles, then
+    one GEMM per block of 64."""
     overrides = _electron_overrides(seq, p)
-    maps = [
-        _segment_propagator(seg, p, electron_angle=overrides.get(i), detuning=detuning,
-                            dd_filter=seq.dd_filter)
-        for i, seg in enumerate(seq.segments)
-    ]
+
+    def build(i, seg, detuning):
+        return _segment_propagator(seg, p, electron_angle=overrides.get(i), detuning=detuning,
+                                   dd_filter=seq.dd_filter)
+
+    shared = {i: build(i, seg, None) for i, seg in enumerate(seq.segments)
+              if _bare_rotation(seg, p, seq.dd_filter)}
     end = _record_end(seq)
-    head = maps[0]
-    for mat in maps[1:end]:
-        head = mat @ head
-    step = head
-    for mat in reversed(maps[end:]):
-        step = step @ mat
-    return head, step
+    for detuning in detunings:
+        # The pump is rebuilt too: perfbench pins its builds per sample (ROADMAP item 1).
+        maps = [shared[i] if i in shared else build(i, seg, detuning)
+                for i, seg in enumerate(seq.segments)]
+        head = maps[0]
+        for mat in maps[1:end]:
+            head = mat @ head
+        step = head
+        for mat in reversed(maps[end:]):
+            step = step @ mat
+        yield head, step
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
@@ -367,7 +384,8 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     ``noise_mode`` selects the T2* model: "markovian" uses the dephasing
     collapse operator; "quasistatic" draws ``noise_samples`` static electron
     detunings from N(0, sqrt(2)/T2*) with the given seed and averages the
-    resulting states.  Without a finite t2_star both modes coincide.
+    resulting states; its rotation maps are built once and shared by every
+    sample.  Without a finite t2_star both modes coincide.
     """
     noise_mode, noise_samples = _check_values(
         "run_sequence", _FIELDS,
@@ -380,9 +398,9 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     if noise_mode == "quasistatic" and p.t2_star is not None:
         rng = np.random.default_rng(seed)
         detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples).tolist()
-    # One run per detuning, its maps built when it starts.
+    # One run per detuning, its own maps built when it starts.
     runs = (iterate(v0, step, seq.cycles, first=head)
-            for head, step in (_cycle_maps(seq, p, delta) for delta in detunings))
+            for head, step in _cycle_maps(seq, p, detunings))
     blocks = next(runs)  # one detuning: each block is observed as it is made
     if len(detunings) > 1:
         # Average in draw order, accumulating into the first run's blocks.

@@ -320,7 +320,7 @@ def chain_maps(kind):
         return v, *(engine.rk4_map(liouv, dt, n) for n in (20, 3, 7))
     p = ds.SystemParams(t2_star=10.0)
     seq = pulses.standard_cycle(p, tau=0.02, cycles=1)
-    head, step = pulses._cycle_maps(seq, p)
+    head, step = next(pulses._cycle_maps(seq, p, [None]))
     return v, step, head, pulses._segment_propagator(seq.segments[0], p)
 
 

@@ -243,19 +243,23 @@ def test_quasistatic_noise_seeded():
     assert a.fidelity.max() < 0.999
 
 
-@pytest.mark.parametrize("samples", [1, 3])
-def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples):
+@pytest.mark.parametrize("samples,dd_filter", [
+    pytest.param(1, False, id="1"), pytest.param(3, False, id="3"),
+    pytest.param(1, True, id="1-filtered"), pytest.param(3, True, id="3-filtered"),
+])
+def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples, dd_filter):
     """A quasi-static run is, bit for bit, the sum of the runs under each
     drawn detuning, in draw order, divided by their count; a Markovian run
     is the run of the maps with no detuning.  300 cycles reach the GEMM
-    blocks of engine.iterate."""
+    blocks of engine.iterate.  With the filter on, the nuclear rotation's
+    map is one shared by all samples."""
     p = ds.SystemParams(t2_star=10.0)
-    seq = standard_cycle(p, tau=0.02, cycles=300, correction=True, dd_filter=False)
+    seq = standard_cycle(p, tau=0.02, cycles=300, correction=True, dd_filter=dd_filter)
     rho0 = model.mixed_ground_state(p.variant)
     basis = linalg.HermitianBasis(p.dim)
 
     def run(detuning=None):
-        head, step = pulses._cycle_maps(seq, p, detuning)
+        head, step = next(pulses._cycle_maps(seq, p, [detuning]))
         return list(engine.iterate(basis.coords(rho0), step, seq.cycles, first=head))
 
     def observed(blocks):
@@ -275,6 +279,25 @@ def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples):
     for got, expect in cases:
         assert np.array_equal(got.fidelity, expect.fidelity)
         assert np.array_equal(got.purity, expect.purity)
+
+
+@pytest.mark.parametrize("dd_filter", [True, False])
+def test_rotation_maps_are_built_once_per_sequence(dd_filter, monkeypatch):
+    """The electron rotation, and the nuclear one unless it carries
+    unfiltered T2* noise, are built once for all quasi-static samples."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return subspace_rotation(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "subspace_rotation", counted)
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, tau=0.02, cycles=3, dd_filter=dd_filter)
+    samples = 5
+    run_sequence(model.mixed_ground_state(p.variant), seq, p, noise_mode="quasistatic",
+                 noise_samples=samples)
+    assert len(calls) == (2 if dd_filter else 1 + samples)
 
 
 def test_run_sequence_argument_checks():
@@ -335,7 +358,7 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
             v = mat @ v
             if i == record_at:
                 expect.append(v)
-    head, step = pulses._cycle_maps(seq, p, detuning)
+    head, step = next(pulses._cycle_maps(seq, p, [detuning]))
     got = np.concatenate(list(engine.iterate(expect[0], step, cycles, first=head)))
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
