@@ -418,53 +418,87 @@ def evolve_propagator(rho0, liouv, t):
     return basis.states(linalg.expm(liouv.real(), t) @ basis.coords(rho0))
 
 
-def _mirror_basis(pi, sigma):
-    """The mirror-adapted basis of the signed permutation P of the
-    coordinates e_i -> sigma_i e_pi(i) (``HermitianBasis.permutation``),
-    which must be its own inverse: columns (e_i +- sigma_i e_pi(i))/sqrt2
-    for each pair i < pi(i), and e_i for each fixed i = pi(i), the
-    mirror-even ones (P q = q) first.  Column c is w1[c] e_i1[c] + w2[c]
-    e_i2[c] (w1 = w2 = 1/2 and i1 = i2 at a fixed index), so the change of
-    basis is a few index operations.  Returns (i1, i2, w1, w2, even
-    count); a P that is not an involution raises DomainError."""
-    idx = np.arange(len(pi))
-    if np.any(pi[pi] != idx) or np.any(sigma[pi] != sigma):
-        raise DomainError("the symmetry is not a signed permutation that is its own inverse")
-    pair, fixed = idx[idx < pi], idx[idx == pi]
-    even, odd = fixed[sigma[fixed] > 0], fixed[sigma[fixed] < 0]
-    i1 = np.concatenate([pair, even, pair, odd])
-    i2 = np.concatenate([pi[pair], even, pi[pair], odd])
-    w1 = np.where(i1 == i2, 0.5, math.sqrt(0.5))
-    w2 = w1 * np.concatenate([sigma[pair], np.ones(len(even)), -sigma[pair], np.ones(len(odd))])
-    return i1, i2, w1, w2, len(pair) + len(even)
+class MirrorSplit:
+    """The mirror-adapted basis Q of a symmetry on the coordinates of
+    ``HermitianBasis(dim)``.
 
+    ``symmetry`` is a d x d signed permutation matrix U with U^2 = I, such
+    as ``model.mirror``; rho -> U rho U^dag is then the signed permutation
+    P of the coordinates e_i -> sigma_i e_pi(i) of
+    ``HermitianBasis.permutation`` (one that is not its own inverse raises
+    DomainError).  Q's columns are (e_i +- sigma_i e_pi(i))/sqrt2 for each
+    pair i < pi(i), and e_i for each fixed i = pi(i): the ``even`` ones
+    (P q = q) first, then the odd ones.  Column c is w1[c] e_i1[c] + w2[c]
+    e_i2[c] (w1 = w2 = 1/2 and i1 = i2 at a fixed index), so every change
+    of basis is a few index operations and Q is never formed.
+    """
 
-def _mirror_blocks(gen, basis, bound):
-    """The even and odd diagonal blocks of Q^T gen Q in the mirror-adapted
-    ``basis`` Q (see _mirror_basis), as one (2, n/2, n/2) stack, or None
-    when an entry between them exceeds 1e-12 * ``bound`` (gen does not
-    commute with the mirror) or the blocks differ in size."""
-    i1, i2, w1, w2, even = basis
-    if 2 * even != len(gen):
-        return None
-    w1, w2 = w1[:, None], w2[:, None]
-    # Q^T gen, then Q^T (Q^T gen)^T = (Q^T gen Q)^T: gathers of rows, which
-    # are much faster than those of columns.  Indices are in range:
-    # mode="clip" writes into the buffers unbuffered.
-    rows, tmp = gen[i1], gen[i2]
-    rows *= w1
-    tmp *= w2
-    rows += tmp
-    half = rows.T.copy()
-    np.take(half, i1, axis=0, out=rows, mode="clip")
-    rows *= w1
-    np.take(half, i2, axis=0, out=tmp, mode="clip")
-    tmp *= w2
-    rows += tmp
-    off = max(np.abs(rows[:even, even:]).max(), np.abs(rows[even:, :even]).max())
-    if off > _MIRROR_REL * bound:
-        return None
-    return np.stack([rows[:even, :even].T, rows[even:, even:].T])
+    def __init__(self, symmetry, dim):
+        pi, sigma = HermitianBasis(dim).permutation(symmetry)
+        idx = np.arange(len(pi))
+        if np.any(pi[pi] != idx) or np.any(sigma[pi] != sigma):
+            raise DomainError("the symmetry is not a signed permutation that is its own inverse")
+        pair, fixed = idx[idx < pi], idx[idx == pi]
+        even, odd = fixed[sigma[fixed] > 0], fixed[sigma[fixed] < 0]
+        i1 = np.concatenate([pair, even, pair, odd])
+        i2 = np.concatenate([pi[pair], even, pi[pair], odd])
+        w1 = np.where(i1 == i2, 0.5, math.sqrt(0.5))
+        w2 = w1 * np.concatenate([sigma[pair], np.ones(len(even)), -sigma[pair],
+                                  np.ones(len(odd))])
+        self.n, self.even = len(pi), len(pair) + len(even)
+        self._cols = i1, i2, w1, w2
+        # Per half, the whole coordinates of its columns' nonzeros, the
+        # column of each and its weight: a fixed index carries one weight 1.
+        self._lifts = []
+        for half in (slice(None, self.even), slice(self.even, None)):
+            a, b, wa, wb = (x[half] for x in self._cols)
+            c, paired = np.arange(len(a)), a != b
+            self._lifts.append((np.concatenate([a, b[paired]]),
+                                np.concatenate([c, c[paired]]),
+                                np.concatenate([np.where(paired, wa, 1.0), wb[paired]])))
+
+    def blocks(self, mat, bound):
+        """The even and odd diagonal blocks of Q^T mat Q for a real n x n
+        ``mat``, as one (2, n/2, n/2) stack, or None when an entry between
+        them exceeds 1e-12 * ``bound`` (mat does not commute with the
+        mirror) or the blocks differ in size."""
+        i1, i2, w1, w2 = self._cols
+        even = self.even
+        if 2 * even != len(mat):
+            return None
+        w1, w2 = w1[:, None], w2[:, None]
+        # Q^T mat, then Q^T (Q^T mat)^T = (Q^T mat Q)^T: gathers of rows,
+        # which are much faster than those of columns.  Indices are in
+        # range: mode="clip" writes into the buffers unbuffered.
+        rows, tmp = mat[i1], mat[i2]
+        rows *= w1
+        tmp *= w2
+        rows += tmp
+        half = rows.T.copy()
+        np.take(half, i1, axis=0, out=rows, mode="clip")
+        rows *= w1
+        np.take(half, i2, axis=0, out=tmp, mode="clip")
+        tmp *= w2
+        rows += tmp
+        off = max(np.abs(rows[:even, even:]).max(), np.abs(rows[even:, :even]).max())
+        if off > _MIRROR_REL * bound:
+            return None
+        return np.stack([rows[:even, :even].T, rows[even:, even:].T])
+
+    def part(self, x, odd=False):
+        """Q^T x in the even half, or the odd one: the coordinates of x
+        (last axis) on that half's columns."""
+        half = slice(self.even, None) if odd else slice(None, self.even)
+        i1, i2, w1, w2 = (a[half] for a in self._cols)
+        return x[..., i1] * w1 + x[..., i2] * w2
+
+    def lift(self, y, odd=False):
+        """Q y for coordinates y (last axis) in the even half, or the odd
+        one: the whole coordinates, by one gather and weighting."""
+        idx, col, w = self._lifts[odd]
+        out = np.zeros((*y.shape[:-1], self.n), dtype=y.dtype)
+        out[..., idx] += y[..., col] * w
+        return out
 
 
 def steady_state(liouv, symmetry=None):
@@ -501,12 +535,11 @@ def steady_state(liouv, symmetry=None):
     """
     bound = liouv.norm_bound()
     tol = _NULL_TOL_REL * bound
-    gen, basis = liouv.real(), None
+    gen, split = liouv.real(), None
     if symmetry is not None:
-        split = _mirror_basis(*HermitianBasis(liouv.dim).permutation(symmetry))
-        blocks = _mirror_blocks(gen, split, bound)
-        if blocks is not None:
-            gen, basis = blocks, split
+        split = MirrorSplit(symmetry, liouv.dim)
+        blocks = split.blocks(gen, bound)
+        gen, split = (gen, None) if blocks is None else (blocks, split)
     vals, vecs = linalg.eig_full(gen)
     null_mask = np.abs(vals) <= tol
     n_null = int(null_mask.sum())
@@ -517,16 +550,14 @@ def steady_state(liouv, symmetry=None):
             f"no eigenvalue within the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
-    if basis is None:
+    if split is None:
         coords = vecs[:, null_mask]
-    else:  # back from the mirror-adapted basis: Q y, y on its block's rows
-        i1, i2, w1, w2, half = basis
+    else:  # back from the mirror-adapted basis: Q y, y in its own block
         block, col = np.nonzero(null_mask)
-        rows = block * half + np.arange(half)[:, None]
-        y, cols = vecs[block, :, col].T, np.arange(n_null)
-        coords = np.zeros((len(i1), n_null), dtype=complex)
-        np.add.at(coords, (i1[rows], cols), w1[rows] * y)
-        np.add.at(coords, (i2[rows], cols), w2[rows] * y)
+        coords = np.empty((n_null, split.n), dtype=complex)
+        for odd in (0, 1):
+            coords[block == odd] = split.lift(vecs[odd, :, col[block == odd]], odd)
+        coords = coords.T
     if n_null > 1:
         # Null eigenvalues may come as conjugate pairs with complex vectors;
         # their span has a real orthonormal basis, of Hermitian matrices.

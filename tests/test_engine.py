@@ -724,11 +724,19 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
         assert [(a.dtype, a.shape) for a in operands] == [(np.float64, shape)]
 
 
+def adapted_basis(split):
+    """The dense mirror-adapted basis Q, its columns lifted from the units
+    of the even half, then of the odd one."""
+    return np.hstack([split.lift(np.eye(split.even)).T,
+                      split.lift(np.eye(split.n - split.even), True).T])
+
+
 def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
-    """The index forms of the mirror on the coordinates and of Q^T L Q
-    equal the dense products, Q is orthogonal, the even-odd blocks are
-    below 1e-12 ||L||_1, and the stack holds the two diagonal blocks of
-    n/2 each."""
+    """The index forms of the mirror on the coordinates, of Q^T L Q and of
+    the even and odd parts and their lifts equal the dense products, Q is
+    orthogonal and its halves are the mirror's even and odd states, the
+    even-odd blocks are below 1e-12 ||L||_1, and the stack holds the two
+    diagonal blocks of n/2 each."""
     p, liouv = asymmetric_two_nuclei_system()
     gen = liouv.real()
     basis = linalg.HermitianBasis(liouv.dim)
@@ -738,17 +746,21 @@ def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     dense_map = np.zeros((len(pi), len(pi)))
     dense_map[pi, np.arange(len(pi))] = sigma
     assert np.abs(dense_map - basis.unitary(u)).max() < 1e-15
-    i1, i2, w1, w2, even = split = engine._mirror_basis(pi, sigma)
-    n = len(gen)
-    q = np.zeros((n, n))
-    np.add.at(q, (i1, np.arange(n)), w1)
-    np.add.at(q, (i2, np.arange(n)), w2)
+    split = engine.MirrorSplit(u, liouv.dim)
+    n, even = len(gen), split.even
+    q = adapted_basis(split)
     assert np.abs(q.T @ q - np.eye(n)).max() < 1e-15
+    # the mirror-even columns are fixed by the mirror, the odd ones negated
+    assert np.abs(dense_map @ q - q * np.repeat([1.0, -1.0], [even, n - even])).max() < 1e-15
+    x = np.random.default_rng(3).normal(size=(4, n))
+    for odd, cols in ((False, q[:, :even]), (True, q[:, even:])):
+        assert np.abs(split.part(x, odd) - x @ cols).max() < 1e-14
+        assert np.abs(split.lift(split.part(x, odd), odd) - x @ cols @ cols.T).max() < 1e-14
     dense = q.T @ gen @ q
     bound = liouv.norm_bound()
     assert np.abs(dense[:even, even:]).max() < 1e-12 * bound
     assert np.abs(dense[even:, :even]).max() < 1e-12 * bound
-    blocks = engine._mirror_blocks(gen, split, bound)
+    blocks = split.blocks(gen, bound)
     assert blocks.shape == (2, n // 2, n // 2) and even == n // 2
     assert np.abs(blocks[0] - dense[:even, :even]).max() < 1e-12 * bound
     assert np.abs(blocks[1] - dense[even:, even:]).max() < 1e-12 * bound
@@ -790,13 +802,9 @@ def test_symmetry_with_blocks_of_unequal_size_takes_the_whole_generator(monkeypa
     p = ds.SystemParams(variant=model.VARIANT_TWO)
     liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
     swap = np.kron(np.eye(4), np.eye(4)[[0, 2, 1, 3]])
-    pi, sigma = linalg.HermitianBasis(p.dim).permutation(swap)
-    i1, i2, w1, w2, even = engine._mirror_basis(pi, sigma)
-    n, gen = len(pi), liouv.real()
-    q = np.zeros((n, n))
-    np.add.at(q, (i1, np.arange(n)), w1)
-    np.add.at(q, (i2, np.arange(n)), w2)
-    dense = q.T @ gen @ q
+    split = engine.MirrorSplit(swap, p.dim)
+    even, gen = split.even, liouv.real()
+    dense = adapted_basis(split).T @ gen @ adapted_basis(split)
     # the swap is a symmetry: only the sizes rule the split out
     assert even == 160
     assert max(np.abs(dense[:even, even:]).max(), np.abs(dense[even:, :even]).max()) < (
