@@ -81,6 +81,9 @@ _CLIP_WEIGHT_TOL = 1e-8
 # steady_state splits L by a symmetry only if no entry between its even and
 # odd blocks exceeds this times ||L||_1.
 _MIRROR_REL = 1e-12
+# A run goes in the mirror-even half only if the odd part of its initial
+# coordinates is at most this times their norm.
+_ODD_REL = 1e-14
 # Samples per block of iterate and of observation (a power of two): few
 # enough to stay small beside a run, enough that one GEMM per block beats a
 # product per sample.
@@ -105,9 +108,15 @@ class Liouvillian:
 
     def real(self):
         """L in the real Hermitian basis, ``HermitianBasis(dim).real(matrix)``:
-        a real matrix with the eigenvalues of L, made anew on each call.
-        Raises NumericalError if L does not preserve Hermiticity."""
-        return HermitianBasis(self.dim).real(self.matrix)
+        a real matrix with the eigenvalues of L, made on the first call and
+        shared by every later one, so it is read-only.  Raises
+        NumericalError if L does not preserve Hermiticity."""
+        real = self.__dict__.get("_real")
+        if real is None:
+            real = HermitianBasis(self.dim).real(self.matrix)
+            real.flags.writeable = False
+            object.__setattr__(self, "_real", real)
+        return real
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,8 @@ class Trajectory:
     ``expectations`` maps each name of :meth:`from_coords`' Hermitian
     ``observables`` to Tr(A rho) per sample.  ``final_state`` is the last
     sampled density matrix; ``states`` holds them all only when requested.
+    ``mirror_half`` tells whether the run was carried in the mirror-even
+    half (:class:`MirrorSplit`).
     """
 
     times: np.ndarray
@@ -132,10 +143,11 @@ class Trajectory:
     cycles: np.ndarray | None = None
     final_state: np.ndarray | None = None
     expectations: dict = field(default_factory=dict)
+    mirror_half: bool = False
 
     @classmethod
     def from_coords(cls, blocks, times, basis, target=None, observables=None,
-                    keep_states=False, cycles=None):
+                    keep_states=False, cycles=None, split=None):
         """Observe the states whose real coordinates in ``basis`` (a
         linalg.HermitianBasis) are the rows of ``blocks``, 2-D arrays as
         :func:`iterate` yields them, one block at a time: fidelity with
@@ -146,19 +158,32 @@ class Trajectory:
         Tr(A rho) are dot products with the coordinates of |target><target|
         and of A (a non-Hermitian A raises DomainError), one GEMM per block.
         Only the final state becomes a density matrix, unless
-        ``keep_states``."""
+        ``keep_states``.
+
+        With a :class:`MirrorSplit` ``split`` the rows are coordinates y in
+        its mirror-even half.  Q is orthonormal too, so purity is ||y||^2,
+        and the dot products take the even parts of the coordinates of the
+        target and of each A, made once per call.  Each population is one
+        entry of y, weighted 1/sqrt2 for a mirror-paired level and 1 for a
+        level the mirror fixes, and each kept state is made from Q y."""
         observables = observables or {}
         proj = [] if target is None else [np.outer(target, np.conj(target))]
         rows = np.reshape([basis.coords(a) for a in [*observables.values(), *proj]],
                           (-1, basis.dim ** 2))
+        if split is not None:
+            rows = split.part(rows)
+
+        def whole(y, stop=None):  # the whole coordinates (the first ``stop``) of rows y
+            return y[..., :stop] if split is None else split.lift(y, stop=stop)
+
         kept, dots, purs, pops = [], [], [], []
         for block in blocks:
             dots.append(block @ rows.T)
             purs.append(np.einsum("ij,ij->i", block, block))
             # A copy, so that no kept row holds on to the block.
-            pops.append(block[:, :basis.dim].copy())
+            pops.append(whole(block, basis.dim).copy())
             if keep_states:
-                kept.extend(basis.states(block.T))
+                kept.extend(basis.states(whole(block).T))
         dots = np.concatenate(dots).T.copy()
         pops = np.concatenate(pops)
         return cls(
@@ -169,8 +194,9 @@ class Trajectory:
             trace_deviation=np.abs(pops.sum(axis=1) - 1.0),
             states=tuple(kept) if keep_states else None,
             cycles=cycles,
-            final_state=basis.states(block[-1]),
+            final_state=basis.states(whole(block[-1])),
             expectations=dict(zip(observables, dots)),
+            mirror_half=split is not None,
         )
 
 
@@ -372,7 +398,7 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
 
 
 def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
-                      store_states=False, observables=None):
+                      store_states=False, observables=None, symmetry=None):
     """Integrate vec(rho) with fixed-step classical RK4.
 
     Samples are taken at t = 0, every ``sample_every`` steps, and at t_end.
@@ -383,6 +409,12 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     raises DomainError); steps act on real coordinates
     (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named
     Hermitian A of ``observables``; ``final_state`` is the state at t_end.
+
+    ``symmetry`` is an optional signed permutation matrix U with U^2 = I,
+    as in :func:`steady_state`.  If L commutes with the map rho -> U rho
+    U^dag and rho0 is U-even, rho(t) stays U-even, and the run steps only
+    the even block of L in the mirror-adapted basis (:class:`MirrorSplit`),
+    half the coordinates; otherwise it runs whole, as without it.
     """
     rho0 = _check_state(rho0, liouv.dim)
     t_end = float(t_end)
@@ -398,12 +430,13 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     h = t_end / n_steps
     sample_every = min(max(1, int(sample_every)), n_steps)
     full, rest = divmod(n_steps, sample_every)
-    gen = liouv.real()
     basis = HermitianBasis(liouv.dim)
-    blocks = iterate(basis.coords(rho0), _rk4_power(gen, h, sample_every), full + bool(rest),
+    gen, x0, split = _even_half(liouv, basis.coords(rho0), symmetry)
+    blocks = iterate(x0, _rk4_power(gen, h, sample_every), full + bool(rest),
                      last=_rk4_power(gen, h, rest) if rest else None)
     return Trajectory.from_coords(blocks, lambda k: min(k * sample_every, n_steps) * h,
-                                  basis, target, observables, keep_states=store_states)
+                                  basis, target, observables, keep_states=store_states,
+                                  split=split)
 
 
 def evolve_propagator(rho0, liouv, t):
@@ -457,15 +490,18 @@ class MirrorSplit:
                                 np.concatenate([c, c[paired]]),
                                 np.concatenate([np.where(paired, wa, 1.0), wb[paired]])))
 
-    def blocks(self, mat, bound):
+    def blocks(self, mat, bound=None):
         """The even and odd diagonal blocks of Q^T mat Q for a real n x n
         ``mat``, as one (2, n/2, n/2) stack, or None when an entry between
         them exceeds 1e-12 * ``bound`` (mat does not commute with the
-        mirror) or the blocks differ in size."""
+        mirror; ``bound`` defaults to mat's largest column sum) or the
+        blocks differ in size."""
         i1, i2, w1, w2 = self._cols
         even = self.even
         if 2 * even != len(mat):
             return None
+        if bound is None:
+            bound = linalg._norm1(mat)
         w1, w2 = w1[:, None], w2[:, None]
         # Q^T mat, then Q^T (Q^T mat)^T = (Q^T mat Q)^T: gathers of rows,
         # which are much faster than those of columns.  Indices are in
@@ -492,13 +528,40 @@ class MirrorSplit:
         i1, i2, w1, w2 = (a[half] for a in self._cols)
         return x[..., i1] * w1 + x[..., i2] * w2
 
-    def lift(self, y, odd=False):
+    def even_start(self, x):
+        """The even part of initial coordinates x, or None when their odd
+        part exceeds 1e-14 ||x||."""
+        if np.linalg.norm(self.part(x, odd=True)) > _ODD_REL * np.linalg.norm(x):
+            return None
+        return self.part(x)
+
+    def lift(self, y, odd=False, stop=None):
         """Q y for coordinates y (last axis) in the even half, or the odd
-        one: the whole coordinates, by one gather and weighting."""
+        one: the whole coordinates (the first ``stop`` of them), each one
+        entry of y times its weight (0 + w y, so no zero turns to -0)."""
         idx, col, w = self._lifts[odd]
-        out = np.zeros((*y.shape[:-1], self.n), dtype=y.dtype)
+        if stop is not None:
+            keep = idx < stop
+            idx, col, w = idx[keep], col[keep], w[keep]
+        out = np.zeros((*y.shape[:-1], self.n if stop is None else stop), dtype=y.dtype)
         out[..., idx] += y[..., col] * w
         return out
+
+
+def _even_half(liouv, x0, symmetry):
+    """(gen, x0, split): the real generator and the initial coordinates x0
+    in the mirror-even half of ``symmetry``, a :class:`MirrorSplit` as
+    ``split``; or as they are, with split None, without a symmetry, when
+    the generator does not split (:meth:`MirrorSplit.blocks`) or when x0's
+    odd part exceeds 1e-14 ||x0||."""
+    gen = liouv.real()
+    if symmetry is not None:
+        split = MirrorSplit(symmetry, liouv.dim)
+        y0 = split.even_start(x0)
+        blocks = None if y0 is None else split.blocks(gen, liouv.norm_bound())
+        if blocks is not None:
+            return blocks[0], y0, split
+    return gen, x0, None
 
 
 def steady_state(liouv, symmetry=None):

@@ -80,6 +80,12 @@ def _summary_text(pairs):
     return "\n".join(f"{key} = {_fmt_cell(value)}" for key, value in pairs) + "\n"
 
 
+def _mirror_pair(*trajectories):
+    """The summary field that tells whether every propagation of a run was
+    carried in the mirror-even half (engine.Trajectory.mirror_half)."""
+    return ("mirror_half", "true" if all(t.mirror_half for t in trajectories) else "false")
+
+
 def _header_lines(cfg, experiment, resolved, p, pulse=None, grid=None):
     """Notes plus the resolved config: the [run] keys with ``resolved``
     added, [params] from the SystemParams ``p`` and, for pulsed runs,
@@ -147,9 +153,11 @@ def _liouvillian(p):
     )
 
 
-def _continuous_run(cfg, liouv, rho0, target, observables=None):
+def _continuous_run(cfg, p, liouv, rho0, target, observables=None):
     """Sample a continuous run every _SAMPLE_INTERVAL, observing each sample
     as it is taken (``observables`` as in engine.Trajectory.from_coords).
+    It is carried in the mirror-even half of ``model.mirror(p.variant)``
+    when L and rho0 allow it, as in engine.evolve_fixed_step.
 
     It runs to cfg.t_end or, when that is unset, to convergence: the
     residual is checked every _CHECK_EVERY samples, and once it is below
@@ -159,6 +167,7 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
     """
     resolved = {}
     n = None
+    symmetry = model.mirror(p.variant)
     if cfg.integrator == "rk4":
         # Default step sits at the stability guard; callers may go smaller.
         # With ||L||_1 = 0 every step is stable: one per sample.
@@ -169,7 +178,7 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
         if cfg.t_end is not None:
             traj = engine.evolve_fixed_step(
                 rho0, liouv, cfg.t_end, dt, sample_every=sample_every, target=target,
-                observables=observables,
+                observables=observables, symmetry=symmetry,
             )
             resolved["t_end"] = cfg.t_end
             return traj, resolved, None
@@ -180,13 +189,16 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
         if cfg.t_end is not None:
             n = max(1, int(math.ceil(cfg.t_end / delta - 1e-12)))
             delta = cfg.t_end / n
-    gen = liouv.real()  # one per run: the sample map and the residual check
+    basis = HermitianBasis(liouv.dim)
+    # One per run: the sample map and the residual check.
+    gen, x0, split = engine._even_half(liouv, basis.coords(rho0), symmetry)
     step = engine._rk4_power(gen, dt, sample_every) if cfg.integrator == "rk4" else expm(gen, delta)
     converged = None
 
     def until(k, v):
         # The total sample count once converged, else None (keep going).
-        # The basis is orthonormal, so ||L vec(rho)|| = ||gen v||.
+        # Both bases are orthonormal, so ||L vec(rho)|| = ||gen v|| (up to
+        # the odd part of L vec(rho), which the split check bounds).
         nonlocal converged
         if k % _CHECK_EVERY == 0:
             if np.linalg.norm(gen @ v) < _RESIDUAL_TARGET:
@@ -197,9 +209,9 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
                     f"no convergence below {_RESIDUAL_TARGET:.0e} within {_MAX_HORIZON} us"
                 )
 
-    basis = HermitianBasis(liouv.dim)
-    blocks = engine.iterate(basis.coords(rho0), step, n, until=until)
-    traj = engine.Trajectory.from_coords(blocks, lambda k: k * delta, basis, target, observables)
+    blocks = engine.iterate(x0, step, n, until=until)
+    traj = engine.Trajectory.from_coords(blocks, lambda k: k * delta, basis, target, observables,
+                                         split=split)
     resolved["t_end"] = cfg.t_end if cfg.t_end is not None else traj.times[-1]
     return traj, resolved, converged
 
@@ -323,7 +335,7 @@ def _run_fig2(cfg):
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
-    samples, resolved, converged = _continuous_run(cfg, liouv, rho0, target)
+    samples, resolved, converged = _continuous_run(cfg, p, liouv, rho0, target)
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
     res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
@@ -340,6 +352,7 @@ def _run_fig2(cfg):
             ("final_purity", samples.purity[-1]),
             ("final_residual_per_us", engine.stationarity_residual(liouv, samples.final_state)),
             ("endpoint_vs_steady_maxnorm", endpoint_gap),
+            _mirror_pair(samples),
         ]
         + cert
     )
@@ -355,7 +368,7 @@ def _run_evolve(cfg):
     # Certified before the run: the certificate ends on a small BLAS product,
     # after which formatting data.csv runs slower until a numpy ufunc runs.
     cert = _certificate_pairs(p, liouv, target)
-    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
+    samples, resolved, _ = _continuous_run(horizon_cfg, p, liouv, rho0, target)
 
     data = _time_series_csv(cfg, "evolve", resolved, p, samples)
     summary = _summary_text(
@@ -365,6 +378,7 @@ def _run_evolve(cfg):
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
             ("max_trace_deviation", samples.trace_deviation.max()),
+            _mirror_pair(samples),
         ]
         + cert
     )
@@ -498,6 +512,7 @@ def _run_fig3(cfg):
             ("max_ideal", float(ideal.fidelity.max())),
             ("max_uncorrected", float(uncorr.fidelity.max())),
             ("max_corrected", float(corr.fidelity.max())),
+            _mirror_pair(ideal, uncorr, corr),
         ]
     )
     plot = _plot_script(
@@ -522,7 +537,8 @@ def _run_t2_inset(cfg):
     opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.0, 195, (*t2_values, None))
 
     seq = cycle(opts.tau, opts.correction)
-    rows = pulses.t2star_sweep(p, seq, t2_values, **noise)
+    runs = list(pulses._t2star_runs(p, seq, t2_values, **noise))
+    rows = [(t2, float(traj.fidelity.max())) for t2, traj in runs]
     rho0 = model.mixed_ground_state(p.variant)
     noiseless = pulses.run_sequence(rho0, seq, replace(p, t2_star=None), **noise)
 
@@ -538,6 +554,7 @@ def _run_t2_inset(cfg):
             ("cycles", cycles),
             ("noiseless_max_fidelity", float(noiseless.fidelity.max())),
             ("monotone_in_t2", "true" if all(d >= -1e-12 for d in diffs) else "false"),
+            _mirror_pair(noiseless, *(traj for _, traj in runs)),
         ]
     )
     plot = _plot_script("T2* (us)", "maximal fidelity", [("1:2", "max fidelity")])
@@ -557,7 +574,7 @@ def _run_two_nuclei(cfg):
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
     observables = {"singlet_population": model.nuclear_singlet_projector()}
     cert = _certificate_pairs(p, liouv, target)
-    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
+    samples, resolved, _ = _continuous_run(horizon_cfg, p, liouv, rho0, target, observables)
 
     data = _time_series_csv(cfg, "two-nuclei", resolved, p, samples)
     summary = _summary_text(
@@ -567,6 +584,7 @@ def _run_two_nuclei(cfg):
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
             ("final_singlet_population", samples.expectations["singlet_population"][-1]),
+            _mirror_pair(samples),
         ]
         + cert
     )

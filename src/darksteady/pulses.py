@@ -47,13 +47,14 @@ section, e.g. ``[OpticalPump] duration: must be >= 0.0, got -0.1``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg, model
-from .engine import Trajectory, build_liouvillian, iterate
+from .engine import MirrorSplit, Trajectory, build_liouvillian, iterate
 from .errors import (
     ConfigError,
     DomainError,
@@ -252,10 +253,10 @@ def subspace_rotation(levels, angle, axis="y", variant=model.VARIANT_SINGLE):
     return model.embed(r, variant, 0 if party_u == "e" else 1)
 
 
-def _generator_map(h, cs, p, duration):
-    """exp(duration * L) of the Liouvillian of ``h`` and ``cs``, real."""
-    liouv = build_liouvillian(h, cs, p.layout)
-    return linalg.expm(liouv.real(), duration)
+def _generator(h, cs, p, duration):
+    """The factor exp(duration * L) of the Liouvillian of ``h`` and ``cs``
+    (see _segment_factors)."""
+    return build_liouvillian(h, cs, p.layout).real(), duration
 
 
 def _bare_rotation(seg, p, dd_filter):
@@ -266,49 +267,75 @@ def _bare_rotation(seg, p, dd_filter):
     return isinstance(seg, ElectronRotation)
 
 
-def _segment_propagator(seg, p, *, electron_angle=None, detuning=None, dd_filter=True):
-    """Map of one segment: a real matrix on coordinates in
-    ``HermitianBasis(p.dim)``.  With ``detuning`` None a finite T2* acts as
-    Markovian dephasing; a number is a static electron detuning (rad/us)
-    that acts in its place."""
+def _segment_factors(seg, p, *, electron_angle=None, detuning=None, dd_filter=True):
+    """Map of one segment as a list of factors, the last applied first:
+    (m, None) for a real map m on coordinates in ``HermitianBasis(p.dim)``
+    and (g, t) for exp(t g) of a real generator g, which
+    :func:`_segment_map` exponentiates.  With ``detuning`` None a finite
+    T2* acts as Markovian dephasing; a number is a static electron
+    detuning (rad/us) that acts in its place."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
             kwargs["e_plus"] = seg.e_amplitude
             kwargs["e_minus"] = -seg.e_amplitude
         p2 = replace(p, **kwargs)
-        return _generator_map(model.build_hamiltonian(p2), model.decay_ops(p2), p,
-                              seg.duration)
+        return [_generator(model.build_hamiltonian(p2), model.decay_ops(p2), p, seg.duration)]
     basis = HermitianBasis(p.dim)
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
-        return basis.unitary(subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant))
+        return [(basis.unitary(subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)), None)]
     if isinstance(seg, FreeEvolution):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0, e_minus=0.0)
         h = model.build_hamiltonian(p2)
         if detuning:
             h = h + detuning * model.build_operators(p.variant)["S_z"]
         if detuning is None and p.t2_star is not None:
-            return _generator_map(h, [model.dephasing_op(p2)], p, seg.duration)
-        return basis.unitary(linalg.expm(-1j * h, seg.duration))
+            return [_generator(h, [model.dephasing_op(p2)], p, seg.duration)]
+        return [(basis.unitary(linalg.expm(-1j * h, seg.duration)), None)]
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
         mat = basis.unitary(subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant))
-        if not _bare_rotation(seg, p, dd_filter):
-            # Unfiltered noise accumulates over the pulse's wall-clock time.
-            sz = model.build_operators(p.variant)["S_z"]
-            if detuning is None:
-                noise = _generator_map(np.zeros_like(sz), [model.dephasing_op(p)], p,
-                                       seg.duration)
-            else:
-                noise = basis.unitary(linalg.expm(-1j * detuning * sz, seg.duration))
-            mat = noise @ mat
-        return mat
+        if _bare_rotation(seg, p, dd_filter):
+            return [(mat, None)]
+        # Unfiltered noise accumulates over the pulse's wall-clock time.
+        sz = model.build_operators(p.variant)["S_z"]
+        if detuning is None:
+            noise = _generator(np.zeros_like(sz), [model.dephasing_op(p)], p, seg.duration)
+        else:
+            noise = basis.unitary(linalg.expm(-1j * detuning * sz, seg.duration)), None
+        return [noise, (mat, None)]
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
-        return _generator_map(model.build_hamiltonian(p2), model.build_collapse_ops(p2), p,
-                              seg.duration)
+        return [_generator(model.build_hamiltonian(p2), model.build_collapse_ops(p2), p,
+                           seg.duration)]
     raise ConfigError(f"unknown pulse segment {seg!r}")
+
+
+def _segment_map(factors):
+    """The product of a segment's factors (see _segment_factors), one expm
+    per generator."""
+    mats = [m if t is None else linalg.expm(m, t) for m, t in factors]
+    return functools.reduce(np.matmul, mats)
+
+
+def _segment_propagator(seg, p, **kwargs):
+    """Map of one segment, a real matrix on coordinates in
+    ``HermitianBasis(p.dim)``; the keywords are those of _segment_factors."""
+    return _segment_map(_segment_factors(seg, p, **kwargs))
+
+
+def _even_factors(factors, split):
+    """The even blocks of ``factors`` (see _segment_factors) under a
+    MirrorSplit ``split``, each generator split before its exponential, or
+    None if one does not commute with the mirror (MirrorSplit.blocks)."""
+    out = []
+    for m, t in factors:
+        blocks = split.blocks(m)
+        if blocks is None:
+            return None
+        out.append((blocks[0], t))
+    return out
 
 
 def apply_segment(rho, seg, p):
@@ -341,35 +368,44 @@ def _record_end(seq):
     return len(seq.segments) if seq.record_segment is None else seq.record_segment + 1
 
 
-def _cycle_maps(seq, p, detunings):
-    """Yield (head, step) for each detuning in turn: one cycle's segment
-    maps under it, as in :func:`_segment_propagator`, composed once; the
-    rotations that no detuning changes (:func:`_bare_rotation`) are built
-    once and shared.  ``head`` = M_r ... M_0 takes the initial state to
-    the first record point and ``step`` = head M_{n-1} ... M_{r+1} one
-    record point to the next, so engine.iterate applies one map per
-    cycle: a matrix-vector product for each of the first 256 cycles, then
-    one GEMM per block of 64."""
+def _cycle_maps(seq, p, detunings, split=None):
+    """Yield (head, step, split) for each detuning in turn: one cycle's
+    segment maps under it, as in :func:`_segment_propagator`, composed
+    once; the rotations that no detuning changes (:func:`_bare_rotation`)
+    are built once and shared.  ``head`` = M_r ... M_0 takes the initial
+    state to the first record point and ``step`` = head M_{n-1} ...
+    M_{r+1} one record point to the next, so engine.iterate applies one
+    map per cycle: a matrix-vector product for each of the first 256
+    cycles, then one GEMM per block of 64.
+
+    Given a MirrorSplit ``split``, the maps are made in its even half if
+    every factor of every segment commutes with the mirror
+    (:func:`_even_factors`), and the third item is ``split``; otherwise,
+    and without one, they are whole and it is None.  Either way each
+    generator is built and exponentiated once."""
     overrides = _electron_overrides(seq, p)
 
     def build(i, seg, detuning):
-        return _segment_propagator(seg, p, electron_angle=overrides.get(i), detuning=detuning,
-                                   dd_filter=seq.dd_filter)
+        return _segment_factors(seg, p, electron_angle=overrides.get(i), detuning=detuning,
+                                dd_filter=seq.dd_filter)
 
     shared = {i: build(i, seg, None) for i, seg in enumerate(seq.segments)
               if _bare_rotation(seg, p, seq.dd_filter)}
     end = _record_end(seq)
     for detuning in detunings:
         # The pump is rebuilt too: perfbench pins its builds per sample (ROADMAP item 1).
-        maps = [shared[i] if i in shared else build(i, seg, detuning)
-                for i, seg in enumerate(seq.segments)]
+        factors = [shared[i] if i in shared else build(i, seg, detuning)
+                   for i, seg in enumerate(seq.segments)]
+        even = split and [_even_factors(f, split) for f in factors]
+        half = split if even and None not in even else None
+        maps = [_segment_map(f) for f in (factors if half is None else even)]
         head = maps[0]
         for mat in maps[1:end]:
             head = mat @ head
         step = head
         for mat in reversed(maps[end:]):
             step = step @ mat
-        yield head, step
+        yield head, step, half
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
@@ -386,6 +422,13 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     detunings from N(0, sqrt(2)/T2*) with the given seed and averages the
     resulting states; its rotation maps are built once and shared by every
     sample.  Without a finite t2_star both modes coincide.
+
+    A run of one map set (Markovian or noiseless) is carried in the
+    mirror-even half of ``model.mirror(p.variant)`` (engine.MirrorSplit)
+    when rho0 is mirror-even and every segment map commutes with the
+    mirror; otherwise, as for a pump with gamma_minus != gamma_plus, it runs
+    whole.  A static detuning maps to its negative under the mirror, so
+    quasi-static samples always run whole.
     """
     noise_mode, noise_samples = _check_values(
         "run_sequence", _FIELDS,
@@ -394,19 +437,25 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         target = model.default_target(p.variant)
     basis = HermitianBasis(p.dim)
     v0 = basis.coords(rho0)
-    detunings = [None]  # Markovian dephasing
+    split = None
     if noise_mode == "quasistatic" and p.t2_star is not None:
         rng = np.random.default_rng(seed)
         detunings = rng.normal(0.0, math.sqrt(2.0) / p.t2_star, size=noise_samples).tolist()
+    else:  # Markovian dephasing: one map set, in the mirror-even half if it can be
+        detunings = [None]
+        split = MirrorSplit(model.mirror(p.variant), p.dim)
+        y0 = split.even_start(v0)
+        split = None if y0 is None else split
     # One run per detuning, its own maps built when it starts.
-    runs = (iterate(v0, step, seq.cycles, first=head)
-            for head, step in _cycle_maps(seq, p, detunings))
-    blocks = next(runs)  # one detuning: each block is observed as it is made
+    maps = _cycle_maps(seq, p, detunings, split)
+    head, step, split = next(maps)
+    # One detuning: each block is observed as it is made.
+    blocks = iterate(v0 if split is None else y0, step, seq.cycles, first=head)
     if len(detunings) > 1:
         # Average in draw order, accumulating into the first run's blocks.
         blocks = list(blocks)
-        for run in runs:
-            for acc, block in zip(blocks, run):
+        for head, step, _ in maps:
+            for acc, block in zip(blocks, iterate(v0, step, seq.cycles, first=head)):
                 acc += block
         for acc in blocks:
             acc /= len(detunings)
@@ -420,6 +469,7 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
 
     return Trajectory.from_coords(
         blocks, times.__getitem__, basis, target, cycles=np.arange(seq.cycles + 1, dtype=float),
+        split=split,
     )
 
 
@@ -457,12 +507,14 @@ def t2star_sweep(p, seq, t2_values, noise_mode="markovian", noise_samples=200,
     Returns ``[(t2_star, max_fidelity), ...]`` sorted by increasing T2*.
     The initial state is the uniform ground mixture of the variant.
     """
+    return [(t2, float(traj.fidelity.max()))
+            for t2, traj in _t2star_runs(p, seq, t2_values, noise_mode, noise_samples, seed)]
+
+
+def _t2star_runs(p, seq, t2_values, noise_mode, noise_samples, seed):
+    """Yield (t2_star, trajectory) of each run of :func:`t2star_sweep`."""
     t2_list = sorted(_check_values("t2star_sweep", _FIELDS, {"t2_values": t2_values})["t2_values"])
     rho0 = model.mixed_ground_state(p.variant)
-    rows = []
     for t2 in t2_list:
-        p2 = replace(p, t2_star=t2)
-        traj = run_sequence(rho0, seq, p2, noise_mode=noise_mode,
-                            noise_samples=noise_samples, seed=seed)
-        rows.append((t2, float(traj.fidelity.max())))
-    return rows
+        yield t2, run_sequence(rho0, seq, replace(p, t2_star=t2), noise_mode=noise_mode,
+                               noise_samples=noise_samples, seed=seed)

@@ -320,7 +320,7 @@ def chain_maps(kind):
         return v, *(engine.rk4_map(liouv, dt, n) for n in (20, 3, 7))
     p = ds.SystemParams(t2_star=10.0)
     seq = pulses.standard_cycle(p, tau=0.02, cycles=1)
-    head, step = next(pulses._cycle_maps(seq, p, [None]))
+    head, step, _ = next(pulses._cycle_maps(seq, p, [None]))
     return v, step, head, pulses._segment_propagator(seq.segments[0], p)
 
 
@@ -940,3 +940,83 @@ def test_late_time_fidelity_monotone():
     assert above.size > 10
     tail = f[above[0]:]
     assert np.all(np.diff(tail) > -1e-9)
+
+
+def test_real_generator_is_made_once_and_read_only():
+    _, liouv = fig2_system()
+    real = liouv.real()
+    assert liouv.real() is real
+    with pytest.raises(ValueError):
+        real[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
+def test_whole_run_stays_in_the_mirror_even_half(system):
+    """The premise of the split: from the mixed ground state, the odd part
+    of a whole RK4 run stays below 1e-12 at every sample."""
+    p, liouv = system()
+    rho0 = model.mixed_ground_state(p.variant)
+    split = engine.MirrorSplit(model.mirror(p.variant), p.dim)
+    basis = linalg.HermitianBasis(p.dim)
+    traj = evolve_fixed_step(rho0, liouv, 20.0, 0.1 / liouv.norm_bound(), sample_every=200,
+                             store_states=True)
+    assert not traj.mirror_half
+    coords = np.array([basis.coords(rho) for rho in traj.states])
+    assert np.linalg.norm(split.part(coords, odd=True), axis=1).max() < 1e-12
+
+
+@pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
+def test_even_half_run_matches_the_whole_run(system):
+    """With the mirror, evolve_fixed_step steps the even half: every
+    observable is within 1e-10 of the whole run, the populations of
+    mirror-paired levels are bitwise equal, populations that are exactly 0
+    in the whole run stay 0, and the kept states are the whole run's."""
+    p, liouv = system()
+    rho0 = model.mixed_ground_state(p.variant)
+    target = model.default_target(p.variant)
+    u = model.mirror(p.variant)
+    s_z = model.build_operators(p.variant)["S_z"]
+    obs = {"s_z": s_z, "s_z_squared": s_z @ s_z}  # mirror-odd and mirror-even
+    runs = [evolve_fixed_step(rho0, liouv, 10.0, 0.1 / liouv.norm_bound(), sample_every=100,
+                              target=target, store_states=True, observables=obs,
+                              symmetry=symmetry)
+            for symmetry in (None, u)]
+    whole, half = runs
+    assert half.mirror_half and not whole.mirror_half
+    for name in ("fidelity", "purity", "populations", "trace_deviation"):
+        assert np.abs(getattr(half, name) - getattr(whole, name)).max() < 1e-10, name
+    for name in obs:
+        assert np.abs(half.expectations[name] - whole.expectations[name]).max() < 1e-10
+    assert np.abs(np.array(half.states) - np.array(whole.states)).max() < 1e-10
+    assert np.abs(half.final_state - whole.final_state).max() < 1e-10
+    partner = np.abs(u).argmax(axis=0)
+    assert np.array_equal(half.populations, half.populations[:, partner])
+    zeros = whole.populations == 0
+    assert zeros.any() and np.all(half.populations[zeros] == 0)
+
+
+def test_odd_initial_state_runs_whole():
+    """An initial state with an odd part (|+1><+1| alone: the mirror maps
+    it to |-1><-1|) runs whole, bit for bit the run without the mirror."""
+    p, liouv = fig2_system()
+    rho0 = np.zeros((p.dim, p.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    dt = 0.1 / liouv.norm_bound()
+    runs = [evolve_fixed_step(rho0, liouv, 2.0, dt, sample_every=50, symmetry=symmetry)
+            for symmetry in (None, model.mirror(p.variant))]
+    assert not runs[1].mirror_half
+    assert np.array_equal(runs[0].populations, runs[1].populations)
+    assert np.array_equal(runs[0].purity, runs[1].purity)
+
+
+def test_broken_mirror_runs_whole_bit_for_bit():
+    p = ds.SystemParams(gamma_minus=31.0)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    rho0 = model.mixed_ground_state(p.variant)
+    dt = 0.1 / liouv.norm_bound()
+    runs = [evolve_fixed_step(rho0, liouv, 2.0, dt, sample_every=50, symmetry=symmetry,
+                              target=model.default_target(p.variant))
+            for symmetry in (None, model.mirror(p.variant))]
+    assert not runs[1].mirror_half
+    assert np.array_equal(runs[0].fidelity, runs[1].fidelity)
+    assert np.array_equal(runs[0].populations, runs[1].populations)

@@ -128,14 +128,15 @@ def test_fig2_default_dt_sits_on_the_column_stacked_guard(tmp_path):
     FAST_FIG2 + "t_end = 4\n",
 ], ids=["rk4-adaptive", "rk4-fixed", "propagator-adaptive", "propagator-fixed"])
 def test_continuous_run_makes_the_real_generator_once(tmp_path, monkeypatch, text):
-    """A fig2 run writes L in the Hermitian basis twice: once for the run
-    (its sample map and residual check) and once for the steady state."""
+    """A fig2 run writes L in the Hermitian basis once: the run (its sample
+    map and residual check) and the steady state share it."""
     calls = []
-    real = engine.Liouvillian.real
-    monkeypatch.setattr(engine.Liouvillian, "real", lambda self: calls.append(1) or real(self))
+    real = linalg.HermitianBasis.real
+    monkeypatch.setattr(linalg.HermitianBasis, "real",
+                        lambda self, mat: calls.append(1) or real(self, mat))
     code, _ = run_cli(tmp_path, "fig2", text)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):
@@ -752,3 +753,78 @@ def test_package_and_cli_runs_load_no_scipy(tmp_path):
                          text=True, env=env, check=True)
     assert out.stdout.splitlines() == [
         "import darksteady False", "import darksteady.cli False", "steady False", "fig3 False"]
+
+
+def _run_halves(tmp_path, monkeypatch, name, text):
+    """(data.csv rows, summary) of a run as shipped and of the same run
+    forced whole: no initial state counts as mirror-even."""
+    out = []
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(engine.MirrorSplit, "even_start", lambda self, x: None)
+            (tmp_path / str(forced)).mkdir()
+            code, path = run_cli(tmp_path / str(forced), name, text)
+        assert code == 0
+        out.append((path / "data.csv", (path / "summary.txt").read_text()))
+    return out
+
+
+_HALF_RUNS = {
+    "fig2-rk4-adaptive": ("fig2", "experiment = fig2\n"),
+    "fig2-rk4-fixed": ("fig2", "experiment = fig2\nt_end = 3\n"),
+    "fig2-propagator": ("fig2", FAST_FIG2),
+    "evolve": ("evolve", "experiment = evolve\n[params]\nt2_star = 10\n"),
+    "two-nuclei": ("two-nuclei", "experiment = two-nuclei\nt_end = 30\n"
+                   "[params]\nasymmetry = 1, 0.8\n"),
+    "fig3-markovian": ("fig3", "experiment = fig3\ncycles = 300\n[params]\nt2_star = 10\n"),
+    "t2-inset": ("t2-inset", "experiment = t2-inset\ncycles = 60\n"),
+}
+
+
+@pytest.mark.parametrize("case", _HALF_RUNS)
+def test_even_half_outputs_match_the_whole_run(tmp_path, monkeypatch, case):
+    """Runs carried in the mirror-even half say so in summary.txt and write
+    every data.csv cell within 1e-10 of the whole run.  The populations of
+    mirror-paired levels are bitwise equal, and those that are exactly 0
+    in the whole run stay 0."""
+    name, text = _HALF_RUNS[case]
+    (half, half_summary), (whole, whole_summary) = _run_halves(tmp_path, monkeypatch, name, text)
+    assert "mirror_half = true" in half_summary
+    assert "mirror_half = false" in whole_summary
+    header, rows = read_rows(half)
+    assert read_rows(whole)[0] == header
+    cells, whole_cells = np.array(rows, dtype=float), np.array(read_rows(whole)[1], dtype=float)
+    assert np.abs(cells - whole_cells).max() <= 1e-10
+    pops = [i for i, col in enumerate(header) if col.startswith("p_")]
+    if pops:
+        variant = resolve_params(parse_config(extract_header_config(half.read_text()))).variant
+        partner = np.abs(experiments.model.mirror(variant)).argmax(axis=0)
+        got = np.array(rows)[:, pops]
+        assert np.array_equal(got, got[:, partner])
+        zeros = whole_cells[:, pops] == 0
+        assert zeros.any() and np.all(cells[:, pops][zeros] == 0)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("fig2", "experiment = fig2\n[params]\ngamma_minus = 31\n"),
+    ("fig2", FAST_FIG2 + "[params]\ngamma_minus = 31\n"),
+    ("two-nuclei", "experiment = two-nuclei\nt_end = 30\n[params]\ngamma_minus = 31\n"),
+    ("fig3", "experiment = fig3\n[params]\ngamma_minus = 31\nt2_star = 10\n"),
+    ("t2-inset", "experiment = t2-inset\ncycles = 60\n[params]\ngamma_minus = 31\n"),
+], ids=["fig2-rk4", "fig2-propagator", "two-nuclei", "fig3-markovian", "t2-inset"])
+def test_mirror_breaking_run_is_the_whole_run(tmp_path, monkeypatch, name, text):
+    """With gamma_minus != gamma_plus the generator and the pump do not
+    commute with the mirror: the run is whole, its data.csv byte-identical
+    to a forced-whole run, and summary.txt says mirror_half = false."""
+    (half, half_summary), (whole, whole_summary) = _run_halves(tmp_path, monkeypatch, name, text)
+    assert half.read_bytes() == whole.read_bytes()
+    assert half_summary == whole_summary
+    assert "mirror_half = false" in half_summary
+
+
+def test_quasistatic_runs_report_whole_propagation(tmp_path):
+    code, out = run_cli(tmp_path, "fig3", "experiment = fig3\ncycles = 5\n[params]\nt2_star = 10\n"
+                        "[pulse]\nnoise_mode = quasistatic\nnoise_samples = 2\n")
+    assert code == 0
+    assert "mirror_half = false" in (out / "summary.txt").read_text()

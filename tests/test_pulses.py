@@ -249,36 +249,43 @@ def test_quasistatic_noise_seeded():
 ])
 def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples, dd_filter):
     """A quasi-static run is, bit for bit, the sum of the runs under each
-    drawn detuning, in draw order, divided by their count; a Markovian run
-    is the run of the maps with no detuning.  300 cycles reach the GEMM
-    blocks of engine.iterate.  With the filter on, the nuclear rotation's
-    map is one shared by all samples."""
+    drawn detuning, in draw order, divided by their count, with whole maps
+    (one sample too); a Markovian run is, bit for bit, the run of the maps
+    with no detuning in the mirror-even half, and within 1e-10 of the run
+    of the whole maps.  300 cycles reach the GEMM blocks of
+    engine.iterate.  With the filter on, the nuclear rotation's map is one
+    shared by all samples."""
     p = ds.SystemParams(t2_star=10.0)
     seq = standard_cycle(p, tau=0.02, cycles=300, correction=True, dd_filter=dd_filter)
     rho0 = model.mixed_ground_state(p.variant)
     basis = linalg.HermitianBasis(p.dim)
+    x0 = basis.coords(rho0)
+    split = engine.MirrorSplit(model.mirror(p.variant), p.dim)
 
-    def run(detuning=None):
-        head, step = next(pulses._cycle_maps(seq, p, [detuning]))
-        return list(engine.iterate(basis.coords(rho0), step, seq.cycles, first=head))
+    def run(detuning=None, split=None):
+        head, step, _ = next(pulses._cycle_maps(seq, p, [detuning], split))
+        start = x0 if split is None else split.even_start(x0)
+        return list(engine.iterate(start, step, seq.cycles, first=head))
 
-    def observed(blocks):
+    def observed(blocks, split=None):
         return engine.Trajectory.from_coords(blocks, float, basis,
-                                             model.default_target(p.variant))
+                                             model.default_target(p.variant), split=split)
 
     deltas = np.random.default_rng(5).normal(0.0, np.sqrt(2.0) / p.t2_star, samples)
     total = run(float(deltas[0]))
     for delta in deltas[1:]:
         for acc, block in zip(total, run(float(delta))):
             acc += block
-    cases = [
-        (run_sequence(rho0, seq, p, noise_mode="quasistatic", noise_samples=samples, seed=5),
-         observed([acc / samples for acc in total])),
-        (run_sequence(rho0, seq, p), observed(run())),
-    ]
-    for got, expect in cases:
+    quasi = run_sequence(rho0, seq, p, noise_mode="quasistatic", noise_samples=samples, seed=5)
+    markov = run_sequence(rho0, seq, p)
+    for got, expect in ((quasi, observed([acc / samples for acc in total])),
+                        (markov, observed(run(split=split), split))):
         assert np.array_equal(got.fidelity, expect.fidelity)
         assert np.array_equal(got.purity, expect.purity)
+    assert not quasi.mirror_half and markov.mirror_half
+    whole = observed(run())
+    assert np.abs(markov.fidelity - whole.fidelity).max() <= 1e-10
+    assert np.abs(markov.purity - whole.purity).max() <= 1e-10
 
 
 @pytest.mark.parametrize("dd_filter", [True, False])
@@ -358,7 +365,7 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
             v = mat @ v
             if i == record_at:
                 expect.append(v)
-    head, step = next(pulses._cycle_maps(seq, p, [detuning]))
+    head, step, _ = next(pulses._cycle_maps(seq, p, [detuning]))
     got = np.concatenate(list(engine.iterate(expect[0], step, cycles, first=head)))
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
@@ -515,3 +522,44 @@ def test_segment_maps_are_cptp(kind, t2_star, quasistatic, dd_filter, data):
     c = choi(real, linalg.HermitianBasis(p.dim))
     assert np.abs(c - c.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(c).min() >= -1e-10
+
+
+@pytest.mark.parametrize("dd_filter", [True, False])
+def test_whole_markovian_run_stays_in_the_mirror_even_half(dd_filter):
+    """The premise of the split for pulsed runs: from the mixed ground
+    state, the odd part of a whole Markovian run stays below 1e-12."""
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, tau=0.02, cycles=300, correction=True, dd_filter=dd_filter)
+    x0 = linalg.HermitianBasis(p.dim).coords(model.mixed_ground_state(p.variant))
+    head, step, _ = next(pulses._cycle_maps(seq, p, [None]))
+    rows = np.concatenate(list(engine.iterate(x0, step, seq.cycles, first=head)))
+    split = engine.MirrorSplit(model.mirror(p.variant), p.dim)
+    assert np.linalg.norm(split.part(rows, odd=True), axis=1).max() < 1e-12
+
+
+@pytest.mark.parametrize("gamma_minus", [30.0, 31.0], ids=["mirror", "broken"])
+def test_markovian_run_builds_its_maps_once_in_either_half(gamma_minus, monkeypatch):
+    """One expm per generator (the pump and the dephased free evolution)
+    and one Liouvillian each, whether the maps split or not; a pump with
+    unequal decays does not split, and the run is then bit for bit the run
+    of the whole maps."""
+    p = ds.SystemParams(t2_star=10.0, gamma_minus=gamma_minus)
+    seq = standard_cycle(p, tau=0.02, cycles=40, correction=True)
+    rho0 = model.mixed_ground_state(p.variant)
+    calls = []
+    for name in ("expm", "build_liouvillian"):
+        module = linalg if name == "expm" else pulses
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    traj = run_sequence(rho0, seq, p)
+    assert sorted(calls) == ["build_liouvillian"] * 2 + ["expm"] * 2
+    assert traj.mirror_half == (gamma_minus == 30.0)
+    if not traj.mirror_half:
+        basis = linalg.HermitianBasis(p.dim)
+        head, step, _ = next(pulses._cycle_maps(seq, p, [None]))
+        whole = engine.Trajectory.from_coords(
+            engine.iterate(basis.coords(rho0), step, seq.cycles, first=head), float, basis,
+            model.default_target(p.variant))
+        assert np.array_equal(traj.fidelity, whole.fidelity)
+        assert np.array_equal(traj.populations, whole.populations)
