@@ -19,8 +19,12 @@ coordinate vector and L is a real matrix with the same eigenvalues
 (``Liouvillian.real``), so every map, step and steady-state solve
 is real arithmetic, and so is observation (:meth:`Trajectory.from_coords`):
 a density matrix is made only for a final state and for states a caller keeps.
-Given a symmetry such as ``model.mirror``, :func:`steady_state` also splits
-that real matrix into the blocks of the symmetry's even and odd states.
+Given a symmetry such as ``model.mirror`` (:class:`MirrorSplit`), that real
+matrix splits into the blocks of the symmetry's even and odd states when it
+commutes with it.  :func:`steady_state` then decomposes both blocks, and
+:func:`evolve_fixed_step` (like the experiments' continuous runs and the
+Markovian pulsed runs) propagates a mirror-even initial state in the even
+block alone, half the coordinates, and observes it there.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4

@@ -547,11 +547,13 @@ def test_markovian_run_builds_its_maps_once_in_either_half(gamma_minus, monkeypa
     seq = standard_cycle(p, tau=0.02, cycles=40, correction=True)
     rho0 = model.mixed_ground_state(p.variant)
     calls = []
-    for name in ("expm", "build_liouvillian"):
-        module = linalg if name == "expm" else pulses
+
+    def counted(module, name):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
-                            calls.append(_n) or _f(*a, **k))
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    counted(linalg, "expm")
+    counted(pulses, "build_liouvillian")
     traj = run_sequence(rho0, seq, p)
     assert sorted(calls) == ["build_liouvillian"] * 2 + ["expm"] * 2
     assert traj.mirror_half == (gamma_minus == 30.0)
