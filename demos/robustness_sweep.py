@@ -19,11 +19,12 @@ print("E (MHz)  Omega (MHz)  steady F      gap (1/us)")
 for e in e_values:
     for om in omega_values:
         p = ds.SystemParams(omega_e=om, omega_n=om, e_plus=e, e_minus=-e)
-        liouv = engine.build_liouvillian(
-            model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-        )
         # The mirror holds (e_minus = -e_plus, equal decays): two half-size blocks.
-        res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
+        liouv = engine.build_liouvillian(
+            model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout,
+            symmetry=model.mirror(p.variant),
+        )
+        res = engine.steady_state(liouv)
         f = engine.fidelity(res.rho, target)
         print(f"{e:7.1f}  {om:11.2f}  {f:.10f}  {res.spectral_gap:.4f}")
 

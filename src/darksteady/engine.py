@@ -19,12 +19,12 @@ coordinate vector and L is a real matrix with the same eigenvalues
 (``Liouvillian.real``), so every map, step and steady-state solve
 is real arithmetic, and so is observation (:meth:`Trajectory.from_coords`):
 a density matrix is made only for a final state and for states a caller keeps.
-Given a symmetry such as ``model.mirror`` (:class:`MirrorSplit`), that real
-matrix splits into the blocks of the symmetry's even and odd states when it
-commutes with it.  :func:`steady_state` then decomposes both blocks, and
-:func:`evolve_fixed_step` (like the experiments' continuous runs and the
-Markovian pulsed runs) propagates a mirror-even initial state in the even
-block alone, half the coordinates, and observes it there.
+Given a symmetry such as ``model.mirror`` (``Liouvillian.symmetry``), that
+real matrix is split once into the blocks of the symmetry's even and odd
+states when it commutes with it (``Liouvillian.halves``, :class:`MirrorSplit`).
+:func:`steady_state` then decomposes both blocks, and :func:`evolve_fixed_step`
+and :func:`evolve_propagator` propagate a mirror-even initial state in the
+even block alone, half the coordinates, and observe it there.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4
@@ -82,8 +82,8 @@ _STEP_GUARD = 0.1
 _NULL_TOL_REL = 1e-10
 _FIDELITY_IMAG_TOL = 1e-12
 _CLIP_WEIGHT_TOL = 1e-8
-# steady_state splits L by a symmetry only if no entry between its even and
-# odd blocks exceeds this times ||L||_1.
+# Liouvillian.halves splits L by its symmetry only if no entry between the
+# even and odd blocks exceeds this times ||L||_1.
 _MIRROR_REL = 1e-12
 # A run goes in the mirror-even half only if the odd part of its initial
 # coordinates is at most this times their norm.
@@ -100,11 +100,13 @@ _CHAIN_BLOCKS = 4
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense superoperator matrix (d^2 x d^2, units 1/us) plus bookkeeping."""
+    """Dense superoperator matrix (d^2 x d^2, units 1/us) plus bookkeeping;
+    ``symmetry`` is None or a d x d signed permutation U = U^-1 to split by."""
 
     matrix: np.ndarray
     dim: int
     layout: SpaceLayout
+    symmetry: np.ndarray | None = None
 
     def norm_bound(self):
         """Max column sum of |L|, an upper bound on the spectral radius."""
@@ -121,6 +123,20 @@ class Liouvillian:
             real.flags.writeable = False
             object.__setattr__(self, "_real", real)
         return real
+
+    def halves(self):
+        """(split, blocks): the :class:`MirrorSplit` of ``symmetry`` and the
+        (2, n/2, n/2) stack of ``real()``'s blocks on its even and odd states
+        (U rho U^dag = +rho or -rho; the dark state is even), or None without
+        a symmetry or when L does not split (:meth:`MirrorSplit.blocks`
+        against ||L||_1).  Made once and shared, read-only, like ``real()``."""
+        if "_halves" not in self.__dict__:
+            split = None if self.symmetry is None else MirrorSplit(self.symmetry, self.dim)
+            blocks = split and split.blocks(self.real(), self.norm_bound())
+            if blocks is not None:
+                blocks.flags.writeable = False
+            object.__setattr__(self, "_halves", None if blocks is None else (split, blocks))
+        return self.__dict__["_halves"]
 
 
 @dataclass(frozen=True)
@@ -221,10 +237,11 @@ class SteadyStateResult:
     spectral_gap: float
 
 
-def build_liouvillian(h, cs, layout=None):
+def build_liouvillian(h, cs, layout=None, symmetry=None):
     """Assemble the master-equation generator from H and collapse operators.
 
-    Without a ``layout`` the space is treated as one flat factor.  L is
+    Without a ``layout`` the space is treated as one flat factor;
+    ``symmetry`` is kept as ``Liouvillian.symmetry``.  L is
     written into one d^2 x d^2 array viewed as (d, d, d, d) with entry
     [a, b, a', b'] = L[a*d + b, a'*d + b']: the sum of conj(C_k) kron C_k
     is one product of the (K, d^2) stack of the C_k with its conjugate,
@@ -254,7 +271,7 @@ def build_liouvillian(h, cs, layout=None):
     view[...] = (stack.conj().T @ stack).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     np.einsum("jijk->jik", view)[...] += -1j * h_eff  # [a, b, b'] at a = a'
     np.einsum("jili->jli", view)[...] += (1j * h_eff.conj())[:, :, None]  # [a, a', b] at b = b'
-    return Liouvillian(matrix=mat, dim=d, layout=layout)
+    return Liouvillian(matrix=mat, dim=d, layout=layout, symmetry=symmetry)
 
 
 def _check_state(rho, d, what="rho0"):
@@ -402,7 +419,7 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
 
 
 def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
-                      store_states=False, observables=None, symmetry=None):
+                      store_states=False, observables=None):
     """Integrate vec(rho) with fixed-step classical RK4.
 
     Samples are taken at t = 0, every ``sample_every`` steps, and at t_end.
@@ -411,14 +428,10 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     used is t_end/n for the smallest n with t_end/n <= dt, so the final
     sample lands exactly on t_end (a dt so small that t_end / dt overflows
     raises DomainError); steps act on real coordinates
-    (``Liouvillian.real``).  ``expectations`` holds Tr(A rho) per sample for each named
-    Hermitian A of ``observables``; ``final_state`` is the state at t_end.
-
-    ``symmetry`` is an optional signed permutation matrix U with U^2 = I,
-    as in :func:`steady_state`.  If L commutes with the map rho -> U rho
-    U^dag and rho0 is U-even, rho(t) stays U-even, and the run steps only
-    the even block of L in the mirror-adapted basis (:class:`MirrorSplit`),
-    half the coordinates; otherwise it runs whole, as without it.
+    (``Liouvillian.real``), or on the even half of ``Liouvillian.halves``
+    when rho0 is even (:func:`_even_half`), since then rho(t) stays even.
+    ``expectations`` holds Tr(A rho) per sample for each named Hermitian A
+    of ``observables``; ``final_state`` is the state at t_end.
     """
     rho0 = _check_state(rho0, liouv.dim)
     t_end = float(t_end)
@@ -435,7 +448,7 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     sample_every = min(max(1, int(sample_every)), n_steps)
     full, rest = divmod(n_steps, sample_every)
     basis = HermitianBasis(liouv.dim)
-    gen, x0, split = _even_half(liouv, basis.coords(rho0), symmetry)
+    gen, x0, split = _even_half(liouv, basis.coords(rho0))
     blocks = iterate(x0, _rk4_power(gen, h, sample_every), full + bool(rest),
                      last=_rk4_power(gen, h, rest) if rest else None)
     return Trajectory.from_coords(blocks, lambda k: min(k * sample_every, n_steps) * h,
@@ -444,7 +457,8 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
 
 
 def evolve_propagator(rho0, liouv, t):
-    """Exact-in-time propagation via the matrix exponential of t*L."""
+    """Exact-in-time propagation via the matrix exponential of t*L, in the
+    even half of ``Liouvillian.halves`` when rho0 is even."""
     rho0 = _check_state(rho0, liouv.dim)
     t = float(t)
     if t < 0:
@@ -452,7 +466,9 @@ def evolve_propagator(rho0, liouv, t):
     if t == 0.0:
         return rho0.astype(complex)
     basis = HermitianBasis(liouv.dim)
-    return basis.states(linalg.expm(liouv.real(), t) @ basis.coords(rho0))
+    gen, x0, split = _even_half(liouv, basis.coords(rho0))
+    x = linalg.expm(gen, t) @ x0
+    return basis.states(x if split is None else split.lift(x))
 
 
 class MirrorSplit:
@@ -552,23 +568,19 @@ class MirrorSplit:
         return out
 
 
-def _even_half(liouv, x0, symmetry):
-    """(gen, x0, split): the real generator and the initial coordinates x0
-    in the mirror-even half of ``symmetry``, a :class:`MirrorSplit` as
-    ``split``; or as they are, with split None, without a symmetry, when
-    the generator does not split (:meth:`MirrorSplit.blocks`) or when x0's
-    odd part exceeds 1e-14 ||x0||."""
-    gen = liouv.real()
-    if symmetry is not None:
-        split = MirrorSplit(symmetry, liouv.dim)
-        y0 = split.even_start(x0)
-        blocks = None if y0 is None else split.blocks(gen, liouv.norm_bound())
-        if blocks is not None:
-            return blocks[0], y0, split
-    return gen, x0, None
+def _even_half(liouv, x0):
+    """(gen, x0, split): the even block of ``liouv.halves()`` and the
+    initial coordinates x0 in its half, with its :class:`MirrorSplit` as
+    ``split``; or the real generator and x0 as they are, with split None,
+    when L has no halves or x0's odd part exceeds 1e-14 ||x0||."""
+    split, blocks = liouv.halves() or (None, None)
+    y0 = None if split is None else split.even_start(x0)
+    if y0 is None:
+        return liouv.real(), x0, None
+    return blocks[0], y0, split
 
 
-def steady_state(liouv, symmetry=None):
+def steady_state(liouv):
     """Solve L vec(rho) = 0 and certify uniqueness.
 
     L is first written in the orthonormal basis of Hermitian matrices
@@ -586,28 +598,15 @@ def steady_state(liouv, symmetry=None):
     stationary basis attached: Hermitian matrices, from a real orthonormal
     basis of the null vectors' span.
 
-    ``symmetry`` is an optional d x d signed permutation matrix U with
-    U^2 = I, such as ``model.mirror(variant)``.  If rho -> U rho U^dag
-    commutes with L, the real matrix is block-diagonal in the basis of
-    U-even and U-odd states (U rho U^dag = +rho or -rho; the dark state is
-    even).  The one ``eig_full`` call then decomposes the two half-size
-    blocks as one stack in about half the time, the null count and the gap
-    come from the eigenvalues of both, and each null vector is mapped back
-    from the rows of its own block.  The blocks are used only after a
-    check that no entry between them exceeds 1e-12 * ||L||_1, and only
-    when they have the same size (the mirror is traceless, so each holds
-    n/2 coordinates); otherwise (for the mirror, gamma_plus != gamma_minus
-    or e_minus != -e_plus) L is decomposed whole, exactly as without a
-    symmetry.
+    With ``Liouvillian.halves`` the one ``eig_full`` call decomposes the
+    two half-size blocks as one stack in about half the time; the null
+    count and the gap come from both, and each null vector is mapped back
+    from its own block.  Without them (for the mirror, gamma_plus !=
+    gamma_minus or e_minus != -e_plus) L is decomposed whole.
     """
-    bound = liouv.norm_bound()
-    tol = _NULL_TOL_REL * bound
-    gen, split = liouv.real(), None
-    if symmetry is not None:
-        split = MirrorSplit(symmetry, liouv.dim)
-        blocks = split.blocks(gen, bound)
-        gen, split = (gen, None) if blocks is None else (blocks, split)
-    vals, vecs = linalg.eig_full(gen)
+    tol = _NULL_TOL_REL * liouv.norm_bound()
+    split, blocks = liouv.halves() or (None, None)
+    vals, vecs = linalg.eig_full(liouv.real() if split is None else blocks)
     null_mask = np.abs(vals) <= tol
     n_null = int(null_mask.sum())
     decaying = vals.real[vals.real < -tol]

@@ -148,16 +148,17 @@ def _write_outputs(outdir, files):
 
 
 def _liouvillian(p):
-    return engine.build_liouvillian(
-        model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout
-    )
+    """The generator of ``p``, with the variant's mirror as its symmetry: its
+    steady state and runs share one split (engine.Liouvillian.halves)."""
+    return engine.build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p),
+                                    p.layout, model.mirror(p.variant))
 
 
-def _continuous_run(cfg, p, liouv, rho0, target, observables=None):
+def _continuous_run(cfg, liouv, rho0, target, observables=None):
     """Sample a continuous run every _SAMPLE_INTERVAL, observing each sample
     as it is taken (``observables`` as in engine.Trajectory.from_coords).
-    It is carried in the mirror-even half of ``model.mirror(p.variant)``
-    when L and rho0 allow it, as in engine.evolve_fixed_step.
+    It is carried in the mirror-even half of ``liouv.halves()`` when rho0
+    allows it, as in engine.evolve_fixed_step.
 
     It runs to cfg.t_end or, when that is unset, to convergence: the
     residual is checked every _CHECK_EVERY samples, and once it is below
@@ -167,7 +168,6 @@ def _continuous_run(cfg, p, liouv, rho0, target, observables=None):
     """
     resolved = {}
     n = None
-    symmetry = model.mirror(p.variant)
     if cfg.integrator == "rk4":
         # Default step sits at the stability guard; callers may go smaller.
         # With ||L||_1 = 0 every step is stable: one per sample.
@@ -178,7 +178,7 @@ def _continuous_run(cfg, p, liouv, rho0, target, observables=None):
         if cfg.t_end is not None:
             traj = engine.evolve_fixed_step(
                 rho0, liouv, cfg.t_end, dt, sample_every=sample_every, target=target,
-                observables=observables, symmetry=symmetry,
+                observables=observables,
             )
             resolved["t_end"] = cfg.t_end
             return traj, resolved, None
@@ -191,7 +191,7 @@ def _continuous_run(cfg, p, liouv, rho0, target, observables=None):
             delta = cfg.t_end / n
     basis = HermitianBasis(liouv.dim)
     # One per run: the sample map and the residual check.
-    gen, x0, split = engine._even_half(liouv, basis.coords(rho0), symmetry)
+    gen, x0, split = engine._even_half(liouv, basis.coords(rho0))
     step = engine._rk4_power(gen, dt, sample_every) if cfg.integrator == "rk4" else expm(gen, delta)
     converged = None
 
@@ -227,10 +227,10 @@ def _unique_pairs(res, target):
     ]
 
 
-def _certificate_pairs(p, liouv, target):
+def _certificate_pairs(liouv, target):
     """Steady-state summary fields; tolerant of a degenerate null space."""
     try:
-        res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
+        res = engine.steady_state(liouv)
     except NonUniqueSteadyState as exc:
         return [
             ("steady_state_unique", "false"),
@@ -335,10 +335,10 @@ def _run_fig2(cfg):
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
-    samples, resolved, converged = _continuous_run(cfg, p, liouv, rho0, target)
+    samples, resolved, converged = _continuous_run(cfg, liouv, rho0, target)
 
     # fig2 asserts a unique attractor, so NonUniqueSteadyState propagates.
-    res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
+    res = engine.steady_state(liouv)
     cert = _unique_pairs(res, target)
     endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
 
@@ -367,8 +367,8 @@ def _run_evolve(cfg):
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=10.0)
     # Certified before the run: the certificate ends on a small BLAS product,
     # after which formatting data.csv runs slower until a numpy ufunc runs.
-    cert = _certificate_pairs(p, liouv, target)
-    samples, resolved, _ = _continuous_run(horizon_cfg, p, liouv, rho0, target)
+    cert = _certificate_pairs(liouv, target)
+    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
     data = _time_series_csv(cfg, "evolve", resolved, p, samples)
     summary = _summary_text(
@@ -390,7 +390,7 @@ def _run_steady(cfg):
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     # NonUniqueSteadyState propagates (exit 4).
-    res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
+    res = engine.steady_state(liouv)
     cert = _unique_pairs(res, target)
     residual = engine.stationarity_residual(liouv, res.rho)
 
@@ -420,7 +420,7 @@ def _sweep_rows(cfg, grid):
         target = model.default_target(p.variant)
         liouv = _liouvillian(p)
         try:
-            res = engine.steady_state(liouv, symmetry=model.mirror(p.variant))
+            res = engine.steady_state(liouv)
             row = list(combo) + [
                 engine.fidelity(res.rho, target),
                 engine.purity(res.rho),
@@ -573,8 +573,8 @@ def _run_two_nuclei(cfg):
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
     observables = {"singlet_population": model.nuclear_singlet_projector()}
-    cert = _certificate_pairs(p, liouv, target)
-    samples, resolved, _ = _continuous_run(horizon_cfg, p, liouv, rho0, target, observables)
+    cert = _certificate_pairs(liouv, target)
+    samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
 
     data = _time_series_csv(cfg, "two-nuclei", resolved, p, samples)
     summary = _summary_text(

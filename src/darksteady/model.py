@@ -302,7 +302,7 @@ def mirror(variant):
     operators onto themselves up to sign whenever gamma_plus = gamma_minus,
     whatever the drives, the asymmetry and T2*.  Then rho -> U rho U^dag
     commutes with the Liouvillian (a weak symmetry, Buca & Prosen, NJP 14,
-    073007 (2012)), which ``engine.steady_state`` uses to split it in two.
+    073007 (2012)), which ``engine.Liouvillian.halves`` splits it by.
     """
     u = np.ones((1, 1))
     for levels in _factors(variant):

@@ -18,13 +18,13 @@ the electron rotation to that same degraded angle.
 
 Rotations are instantaneous unitaries; their ``duration`` fields are pure
 wall-clock bookkeeping (10 ns electron pulse, 10 us nuclear pulse) and enter
-the dynamics only through T2* noise during an unfiltered nuclear pulse.  By
-default the decoupling filters that noise (``dd_filter=True``), so it acts
-during FreeEvolution only.  A cycle's maps are one function of a detuning:
-None applies a finite T2* as Markovian dephasing, and a number is a static
-electron detuning in its place.  A quasi-static run averages, in draw order,
-the runs of its drawn detunings, which share the rotation maps that no
-detuning changes.
+the dynamics only through T2* noise or a static detuning during an
+unfiltered nuclear pulse.  By default the decoupling filters that noise
+(``dd_filter=True``), so it acts during FreeEvolution only.  A cycle's maps
+are one function of a detuning: None applies a finite T2* as Markovian
+dephasing, and a number is a static electron detuning in its place.  A
+quasi-static run averages, in draw order, the runs of its drawn detunings,
+which share the rotation maps that no detuning changes.
 
 Every segment map is a real matrix on coordinates in the orthonormal
 basis of Hermitian matrices (:class:`linalg.HermitianBasis`): generators
@@ -259,11 +259,11 @@ def _generator(h, cs, p, duration):
     return build_liouvillian(h, cs, p.layout).real(), duration
 
 
-def _bare_rotation(seg, p, dd_filter):
+def _bare_rotation(seg, dd_filter):
     """Whether ``seg``'s map is the same under every detuning: an electron
-    rotation, or a nuclear one without unfiltered T2* noise."""
+    rotation, or a nuclear one filtered by the decoupling or of no duration."""
     if isinstance(seg, NuclearRotation):
-        return p.t2_star is None or dd_filter or seg.duration == 0
+        return dd_filter or seg.duration == 0
     return isinstance(seg, ElectronRotation)
 
 
@@ -271,9 +271,9 @@ def _segment_factors(seg, p, *, electron_angle=None, detuning=None, dd_filter=Tr
     """Map of one segment as a list of factors, the last applied first:
     (m, None) for a real map m on coordinates in ``HermitianBasis(p.dim)``
     and (g, t) for exp(t g) of a real generator g, which
-    :func:`_segment_map` exponentiates.  With ``detuning`` None a finite
-    T2* acts as Markovian dephasing; a number is a static electron
-    detuning (rad/us) that acts in its place."""
+    :func:`_segment_map` exponentiates.  ``detuning`` None applies a finite
+    T2* as Markovian dephasing; a number, with or without T2*, is a static
+    electron detuning (rad/us) wherever the decoupling exposes the electron."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
@@ -296,7 +296,7 @@ def _segment_factors(seg, p, *, electron_angle=None, detuning=None, dd_filter=Tr
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
         mat = basis.unitary(subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant))
-        if _bare_rotation(seg, p, dd_filter):
+        if _bare_rotation(seg, dd_filter) or (detuning is None and p.t2_star is None):
             return [(mat, None)]
         # Unfiltered noise accumulates over the pulse's wall-clock time.
         sz = model.build_operators(p.variant)["S_z"]
@@ -390,7 +390,7 @@ def _cycle_maps(seq, p, detunings, split=None):
                                 dd_filter=seq.dd_filter)
 
     shared = {i: build(i, seg, None) for i, seg in enumerate(seq.segments)
-              if _bare_rotation(seg, p, seq.dd_filter)}
+              if _bare_rotation(seg, seq.dd_filter)}
     end = _record_end(seq)
     for detuning in detunings:
         # The pump is rebuilt too: perfbench pins its builds per sample (ROADMAP item 1).

@@ -49,6 +49,12 @@ def decay_only_system():
     return p, liouv
 
 
+def with_mirror(p, liouv):
+    """``liouv`` with the mirror of p's variant as its symmetry (a new
+    Liouvillian, so nothing made for ``liouv`` carries over)."""
+    return replace(liouv, symmetry=model.mirror(p.variant))
+
+
 def excited_state():
     rho = np.zeros((12, 12), dtype=complex)
     rho[11, 11] = 1.0  # |A1, n0>
@@ -671,8 +677,8 @@ def test_steady_state_matches_complex_path(system):
     """The whole real generator and its two mirror blocks alike."""
     p, liouv = system()
     n_null, gap, rho = complex_path(liouv)
-    for symmetry in (None, model.mirror(p.variant)):
-        res = steady_state(liouv, symmetry=symmetry)
+    for generator in (liouv, with_mirror(p, liouv)):
+        res = steady_state(generator)
         assert res.null_dimension == n_null == 1
         assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
         assert np.abs(res.rho - rho).max() < 1e-12
@@ -696,10 +702,10 @@ def test_steady_state_memory_bound():
     split."""
     p, liouv = asymmetric_two_nuclei_system()
     n = liouv.matrix.shape[0]
-    for symmetry in (model.mirror(p.variant), None):
+    for generator in (with_mirror(p, liouv), liouv):
         tracemalloc.start()
         try:
-            steady_state(liouv, symmetry=symmetry)
+            steady_state(generator)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -712,7 +718,7 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
     original = linalg.eig_full
     n = liouv.dim ** 2
     # split: an even and an odd block of n/2 each, as one stack
-    for symmetry, shape in ((None, (n, n)), (model.mirror(p.variant), (2, n // 2, n // 2))):
+    for generator, shape in ((liouv, (n, n)), (with_mirror(p, liouv), (2, n // 2, n // 2))):
         operands = []
 
         def recording(a):
@@ -720,7 +726,7 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
             return original(a)
 
         monkeypatch.setattr(linalg, "eig_full", recording)
-        steady_state(liouv, symmetry=symmetry)
+        steady_state(generator)
         assert [(a.dtype, a.shape) for a in operands] == [(np.float64, shape)]
 
 
@@ -783,7 +789,7 @@ def test_broken_mirror_takes_the_whole_generator_bit_for_bit(change, monkeypatch
         return results[-1]
 
     monkeypatch.setattr(linalg, "eig_full", recording)
-    split = steady_state(liouv, symmetry=model.mirror(p.variant))
+    split = steady_state(with_mirror(p, liouv))
     whole = steady_state(liouv)
     assert np.array_equal(operands[0], liouv.real())
     vals, vecs = np.linalg.eig(liouv.real())
@@ -818,7 +824,7 @@ def test_symmetry_with_blocks_of_unequal_size_takes_the_whole_generator(monkeypa
 
     monkeypatch.setattr(linalg, "eig_full", recording)
     with pytest.raises(NonUniqueSteadyState) as split:
-        steady_state(liouv, symmetry=swap)
+        steady_state(replace(liouv, symmetry=swap))
     with pytest.raises(NonUniqueSteadyState) as whole:
         steady_state(liouv)
     assert len(operands) == 2 and np.array_equal(operands[0], gen)
@@ -835,10 +841,11 @@ def test_zero_generator_is_reported_non_unique(mirrored):
     zero = dict.fromkeys(("omega_e", "omega_n", "g", "e_plus", "e_minus", "gamma_plus",
                           "gamma_minus", "gamma_zero"), 0.0)
     p = ds.SystemParams(**zero)
-    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout,
+                              symmetry=model.mirror(p.variant) if mirrored else None)
     assert liouv.norm_bound() == 0.0
     with pytest.raises(NonUniqueSteadyState) as info:
-        steady_state(liouv, symmetry=model.mirror(p.variant) if mirrored else None)
+        steady_state(liouv)
     exc = info.value
     assert exc.null_dimension == len(exc.stationary_basis) == p.dim ** 2
     assert exc.spectral_gap == math.inf
@@ -847,7 +854,7 @@ def test_zero_generator_is_reported_non_unique(mirrored):
 def test_unique_steady_state_is_mirror_even():
     for p, liouv in (fig2_system(), asymmetric_two_nuclei_system()):
         u = model.mirror(p.variant)
-        rho = steady_state(liouv, symmetry=u).rho
+        rho = steady_state(replace(liouv, symmetry=u)).rho
         assert np.abs(u @ rho @ u.T - rho).max() < 1e-12
 
 
@@ -855,9 +862,10 @@ def test_split_keeps_the_degenerate_two_nuclei_attractor():
     """The symmetric two-nuclei default: 3 null eigenvalues, and 3
     stationary Hermitian basis matrices, from the two blocks."""
     p = ds.SystemParams(variant=model.VARIANT_TWO)
-    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout,
+                              symmetry=model.mirror(p.variant))
     with pytest.raises(NonUniqueSteadyState) as info:
-        steady_state(liouv, symmetry=model.mirror(p.variant))
+        steady_state(liouv)
     exc = info.value
     assert exc.null_dimension == 3 and len(exc.stationary_basis) == 3
     for b in exc.stationary_basis:
@@ -872,9 +880,9 @@ def test_symmetry_that_is_not_a_signed_involution_is_rejected():
     p, liouv = fig2_system()
     cycle = np.roll(np.eye(p.dim), 1, axis=0)  # a 12-cycle, not its own inverse
     with pytest.raises(DomainError, match="signed permutation"):
-        steady_state(liouv, symmetry=cycle)
+        steady_state(replace(liouv, symmetry=cycle))
     with pytest.raises(DomainError, match="signed permutation"):
-        steady_state(liouv, symmetry=np.full((p.dim, p.dim), 1 / math.sqrt(p.dim)))
+        steady_state(replace(liouv, symmetry=np.full((p.dim, p.dim), 1 / math.sqrt(p.dim))))
 
 
 @st.composite
@@ -912,11 +920,12 @@ def system_params(draw):
 @example(p=ds.SystemParams(variant=model.VARIANT_TWO, asymmetry=(1.0, 0.8), omega_e=1.3,
                            asymmetric_hyperfine=True, gamma_minus=20.0))
 def test_split_certificate_matches_complex_path(p):
-    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
-    n_null, gap, rho = complex_path(liouv)
     u = model.mirror(p.variant)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout,
+                              symmetry=u)
+    n_null, gap, rho = complex_path(liouv)
     try:
-        res = steady_state(liouv, symmetry=u)
+        res = steady_state(liouv)
     except NonUniqueSteadyState as exc:
         assert exc.null_dimension == n_null > 1
         assert exc.spectral_gap == pytest.approx(gap, rel=1e-10)
@@ -943,11 +952,17 @@ def test_late_time_fidelity_monotone():
 
 
 def test_real_generator_is_made_once_and_read_only():
-    _, liouv = fig2_system()
+    """So are the mirror's halves of a Liouvillian built with it."""
+    p, liouv = fig2_system()
     real = liouv.real()
     assert liouv.real() is real
     with pytest.raises(ValueError):
         real[0, 0] = 1.0
+    liouv = with_mirror(p, liouv)
+    halves = liouv.halves()
+    assert liouv.halves() is halves
+    with pytest.raises(ValueError):
+        halves[1][0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
@@ -966,21 +981,22 @@ def test_whole_run_stays_in_the_mirror_even_half(system):
 
 
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
-def test_even_half_run_matches_the_whole_run(system):
+def test_even_half_run_matches_the_whole_run(system, monkeypatch):
     """With the mirror, evolve_fixed_step steps the even half: every
     observable is within 1e-10 of the whole run, the populations of
     mirror-paired levels are bitwise equal, populations that are exactly 0
-    in the whole run stay 0, and the kept states are the whole run's."""
+    in the whole run stay 0, and the kept states are the whole run's.
+    evolve_propagator exponentiates the even block, and its state is
+    within 1e-10 of the whole one's."""
     p, liouv = system()
     rho0 = model.mixed_ground_state(p.variant)
     target = model.default_target(p.variant)
     u = model.mirror(p.variant)
     s_z = model.build_operators(p.variant)["S_z"]
     obs = {"s_z": s_z, "s_z_squared": s_z @ s_z}  # mirror-odd and mirror-even
-    runs = [evolve_fixed_step(rho0, liouv, 10.0, 0.1 / liouv.norm_bound(), sample_every=100,
-                              target=target, store_states=True, observables=obs,
-                              symmetry=symmetry)
-            for symmetry in (None, u)]
+    runs = [evolve_fixed_step(rho0, generator, 10.0, 0.1 / liouv.norm_bound(), sample_every=100,
+                              target=target, store_states=True, observables=obs)
+            for generator in (liouv, replace(liouv, symmetry=u))]
     whole, half = runs
     assert half.mirror_half and not whole.mirror_half
     for name in ("fidelity", "purity", "populations", "trace_deviation"):
@@ -993,6 +1009,14 @@ def test_even_half_run_matches_the_whole_run(system):
     assert np.array_equal(half.populations, half.populations[:, partner])
     zeros = whole.populations == 0
     assert zeros.any() and np.all(half.populations[zeros] == 0)
+    operands = []
+    original = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a, s: operands.append(a.shape) or original(a, s))
+    states = [evolve_propagator(rho0, generator, 10.0)
+              for generator in (liouv, replace(liouv, symmetry=u))]
+    n = liouv.dim ** 2
+    assert operands == [(n, n), (n // 2, n // 2)]
+    assert np.abs(states[1] - states[0]).max() < 1e-10
 
 
 def test_odd_initial_state_runs_whole():
@@ -1002,8 +1026,8 @@ def test_odd_initial_state_runs_whole():
     rho0 = np.zeros((p.dim, p.dim), dtype=complex)
     rho0[0, 0] = 1.0
     dt = 0.1 / liouv.norm_bound()
-    runs = [evolve_fixed_step(rho0, liouv, 2.0, dt, sample_every=50, symmetry=symmetry)
-            for symmetry in (None, model.mirror(p.variant))]
+    runs = [evolve_fixed_step(rho0, generator, 2.0, dt, sample_every=50)
+            for generator in (liouv, with_mirror(p, liouv))]
     assert not runs[1].mirror_half
     assert np.array_equal(runs[0].populations, runs[1].populations)
     assert np.array_equal(runs[0].purity, runs[1].purity)
@@ -1014,9 +1038,9 @@ def test_broken_mirror_runs_whole_bit_for_bit():
     liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
     rho0 = model.mixed_ground_state(p.variant)
     dt = 0.1 / liouv.norm_bound()
-    runs = [evolve_fixed_step(rho0, liouv, 2.0, dt, sample_every=50, symmetry=symmetry,
+    runs = [evolve_fixed_step(rho0, generator, 2.0, dt, sample_every=50,
                               target=model.default_target(p.variant))
-            for symmetry in (None, model.mirror(p.variant))]
+            for generator in (liouv, with_mirror(p, liouv))]
     assert not runs[1].mirror_half
     assert np.array_equal(runs[0].fidelity, runs[1].fidelity)
     assert np.array_equal(runs[0].populations, runs[1].populations)

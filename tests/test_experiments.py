@@ -128,15 +128,20 @@ def test_fig2_default_dt_sits_on_the_column_stacked_guard(tmp_path):
     FAST_FIG2 + "t_end = 4\n",
 ], ids=["rk4-adaptive", "rk4-fixed", "propagator-adaptive", "propagator-fixed"])
 def test_continuous_run_makes_the_real_generator_once(tmp_path, monkeypatch, text):
-    """A fig2 run writes L in the Hermitian basis once: the run (its sample
-    map and residual check) and the steady state share it."""
-    calls = []
+    """A fig2 run writes L in the Hermitian basis once and splits it by the
+    mirror once: the run (its sample map and residual check) and the
+    steady state share both."""
+    calls, splits = [], []
     real = linalg.HermitianBasis.real
     monkeypatch.setattr(linalg.HermitianBasis, "real",
                         lambda self, mat: calls.append(1) or real(self, mat))
+    blocks = engine.MirrorSplit.blocks
+    monkeypatch.setattr(engine.MirrorSplit, "blocks",
+                        lambda self, *args: splits.append(1) or blocks(self, *args))
     code, _ = run_cli(tmp_path, "fig2", text)
     assert code == 0
     assert len(calls) == 1
+    assert len(splits) == 1
 
 
 def test_fixed_horizon_beyond_limit_is_config_error(tmp_path, monkeypatch):

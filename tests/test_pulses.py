@@ -345,14 +345,15 @@ def test_dd_filter_gates_nuclear_noise():
 
 @pytest.mark.parametrize("record_segment", [0, 2, None])
 @pytest.mark.parametrize("cycles", [0, 1, 5])
-@pytest.mark.parametrize("noise_mode", ["markovian", "quasistatic"])
+@pytest.mark.parametrize("noise_mode", ["markovian", "quasistatic", "static"])
 def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise_mode):
     """One composed map per cycle gives the states that applying each
-    segment map in turn gives, at every record point."""
-    p = ds.SystemParams(t2_star=10.0)
+    segment map in turn gives, at every record point ("static": a detuning
+    without T2*)."""
+    p = ds.SystemParams(t2_star=None if noise_mode == "static" else 10.0)
     seq = replace(standard_cycle(p, tau=0.02, cycles=cycles, dd_filter=False),
                   record_segment=record_segment)
-    detuning = 0.3 if noise_mode == "quasistatic" else None
+    detuning = None if noise_mode == "markovian" else 0.3
     overrides = pulses._electron_overrides(seq, p)
     maps = [pulses._segment_propagator(seg, p, electron_angle=overrides.get(i),
                                        detuning=detuning, dd_filter=seq.dd_filter)
@@ -370,6 +371,19 @@ def test_composed_cycle_matches_segment_by_segment(record_segment, cycles, noise
     assert len(got) == cycles + 1
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() < 1e-12
+
+
+def test_static_detuning_acts_in_an_unfiltered_nuclear_pulse_without_t2_star():
+    """A number is a static electron detuning whatever T2*: with the filter
+    off, the nuclear map under detuning 0.3 is bitwise the same with
+    t2_star None and 10, and not the map without a detuning."""
+    nuclear = NuclearRotation(np.pi / 2, dd_interval=0.02, duration=10.0)
+    detuned = [pulses._segment_propagator(nuclear, ds.SystemParams(t2_star=t2), detuning=0.3,
+                                          dd_filter=False)
+               for t2 in (None, 10.0)]
+    assert np.array_equal(detuned[0], detuned[1])
+    bare = pulses._segment_propagator(nuclear, ds.SystemParams(), dd_filter=False)
+    assert not np.array_equal(detuned[0], bare)
 
 
 def unitary_superop(u):
