@@ -22,8 +22,10 @@ a density matrix is made only for a final state and for states a caller keeps.
 Given a symmetry such as ``model.mirror`` (``Liouvillian.symmetry``), that
 real matrix is split once into the blocks of the symmetry's even and odd
 states when it commutes with it (``Liouvillian.halves``, :class:`MirrorSplit`).
-:func:`steady_state` then decomposes both blocks, and :func:`evolve_fixed_step`
-and :func:`evolve_propagator` propagate a mirror-even initial state in the
+:func:`steady_state` then takes eigenvectors of the even block, where a
+unique steady state lies, and only the eigenvalues of the odd one unless
+it has a null eigenvalue; :func:`evolve_fixed_step` and
+:func:`evolve_propagator` propagate a mirror-even initial state in the
 even block alone, half the coordinates, and observe it there.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
@@ -98,31 +100,41 @@ _OBSERVE_BLOCK = 64
 _CHAIN_BLOCKS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Dense superoperator matrix (d^2 x d^2, units 1/us) plus bookkeeping;
-    ``symmetry`` is None or a d x d signed permutation U = U^-1 to split by."""
+    ``symmetry`` is None or a d x d signed permutation U = U^-1 to split by.
+
+    ``norm_bound``, ``real`` and ``halves`` are made on their first call and
+    stored on the instance, so a Liouvillian compares and hashes by
+    identity, not by its arrays."""
 
     matrix: np.ndarray
     dim: int
     layout: SpaceLayout
     symmetry: np.ndarray | None = None
 
+    def _once(self, name, make):
+        # The stored value of ``name``, made by make() on the first call.
+        if name not in self.__dict__:
+            object.__setattr__(self, name, make())
+        return self.__dict__[name]
+
     def norm_bound(self):
         """Max column sum of |L|, an upper bound on the spectral radius."""
-        return float(np.abs(self.matrix).sum(axis=0).max())
+        return self._once("_norm_bound",
+                          lambda: float(np.abs(self.matrix).sum(axis=0).max()))
 
     def real(self):
         """L in the real Hermitian basis, ``HermitianBasis(dim).real(matrix)``:
         a real matrix with the eigenvalues of L, made on the first call and
         shared by every later one, so it is read-only.  Raises
         NumericalError if L does not preserve Hermiticity."""
-        real = self.__dict__.get("_real")
-        if real is None:
+        def make():
             real = HermitianBasis(self.dim).real(self.matrix)
             real.flags.writeable = False
-            object.__setattr__(self, "_real", real)
-        return real
+            return real
+        return self._once("_real", make)
 
     def halves(self):
         """(split, blocks): the :class:`MirrorSplit` of ``symmetry`` and the
@@ -130,13 +142,14 @@ class Liouvillian:
         (U rho U^dag = +rho or -rho; the dark state is even), or None without
         a symmetry or when L does not split (:meth:`MirrorSplit.blocks`
         against ||L||_1).  Made once and shared, read-only, like ``real()``."""
-        if "_halves" not in self.__dict__:
+        def make():
             split = None if self.symmetry is None else MirrorSplit(self.symmetry, self.dim)
             blocks = split and split.blocks(self.real(), self.norm_bound())
-            if blocks is not None:
-                blocks.flags.writeable = False
-            object.__setattr__(self, "_halves", None if blocks is None else (split, blocks))
-        return self.__dict__["_halves"]
+            if blocks is None:
+                return None
+            blocks.flags.writeable = False
+            return split, blocks
+        return self._once("_halves", make)
 
 
 @dataclass(frozen=True)
@@ -598,17 +611,30 @@ def steady_state(liouv):
     stationary basis attached: Hermitian matrices, from a real orthonormal
     basis of the null vectors' span.
 
-    With ``Liouvillian.halves`` the one ``eig_full`` call decomposes the
-    two half-size blocks as one stack in about half the time; the null
-    count and the gap come from both, and each null vector is mapped back
-    from its own block.  Without them (for the mirror, gamma_plus !=
-    gamma_minus or e_minus != -e_plus) L is decomposed whole.
+    With ``Liouvillian.halves`` only the half-size blocks are decomposed,
+    and eigenvectors only of a block that has a null eigenvalue: one
+    ``eig_full`` call on the even block, where a unique steady state lies,
+    and ``linalg.eigenvalues`` on the odd one, which is decomposed with
+    vectors too only when one of its eigenvalues is null.  The null count
+    and the gap come from both blocks, and each null vector is mapped back
+    from its own block, the even block's first.  Without halves (for the
+    mirror, gamma_plus != gamma_minus or e_minus != -e_plus) L is
+    decomposed whole.
     """
     tol = _NULL_TOL_REL * liouv.norm_bound()
-    split, blocks = liouv.halves() or (None, None)
-    vals, vecs = linalg.eig_full(liouv.real() if split is None else blocks)
-    null_mask = np.abs(vals) <= tol
-    n_null = int(null_mask.sum())
+    halves = liouv.halves()
+    if halves is None:
+        vals, vecs = linalg.eig_full(liouv.real())
+        coords = vecs[:, np.abs(vals) <= tol]
+    else:  # back from the mirror-adapted basis: Q y, y in its own block
+        split, blocks = halves
+        parts = [linalg.eig_full(blocks[0]), (linalg.eigenvalues(blocks[1]), None)]
+        if np.any(np.abs(parts[1][0]) <= tol):  # only then are odd vectors read
+            parts[1] = linalg.eig_full(blocks[1])
+        vals = np.concatenate([part[0] for part in parts])
+        coords = np.vstack([split.lift(v[:, np.abs(w) <= tol].T, odd)
+                            for odd, (w, v) in enumerate(parts) if v is not None]).T
+    n_null = coords.shape[1]
     decaying = vals.real[vals.real < -tol]
     gap = float((-decaying).min()) if decaying.size else math.inf
     if n_null == 0:
@@ -616,14 +642,6 @@ def steady_state(liouv):
             f"no eigenvalue within the null tolerance {tol:.3e}; "
             f"smallest |lambda| = {np.abs(vals).min():.3e}"
         )
-    if split is None:
-        coords = vecs[:, null_mask]
-    else:  # back from the mirror-adapted basis: Q y, y in its own block
-        block, col = np.nonzero(null_mask)
-        coords = np.empty((n_null, split.n), dtype=complex)
-        for odd in (0, 1):
-            coords[block == odd] = split.lift(vecs[odd, :, col[block == odd]], odd)
-        coords = coords.T
     if n_null > 1:
         # Null eigenvalues may come as conjugate pairs with complex vectors;
         # their span has a real orthonormal basis, of Hermitian matrices.

@@ -712,22 +712,34 @@ def test_steady_state_memory_bound():
         assert peak < 4 * n * n * 16
 
 
+def recorded(monkeypatch, name):
+    """The operands of every later ``linalg.<name>`` call, in order."""
+    operands = []
+    original = getattr(linalg, name)
+
+    def recording(a):
+        operands.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, name, recording)
+    return operands
+
+
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
 def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
+    """Whole, eig_full gets L.real(); split, it gets the even block of n/2
+    alone, and the odd block goes to linalg.eigenvalues, with no vectors."""
     p, liouv = system()
-    original = linalg.eig_full
     n = liouv.dim ** 2
-    # split: an even and an odd block of n/2 each, as one stack
-    for generator, shape in ((liouv, (n, n)), (with_mirror(p, liouv), (2, n // 2, n // 2))):
-        operands = []
-
-        def recording(a):
-            operands.append(a)
-            return original(a)
-
-        monkeypatch.setattr(linalg, "eig_full", recording)
-        steady_state(generator)
-        assert [(a.dtype, a.shape) for a in operands] == [(np.float64, shape)]
+    full, values = recorded(monkeypatch, "eig_full"), recorded(monkeypatch, "eigenvalues")
+    steady_state(liouv)
+    assert [(a.dtype, a.shape) for a in full] == [(np.float64, (n, n))] and values == []
+    full.clear()
+    mirrored = with_mirror(p, liouv)
+    steady_state(mirrored)
+    blocks = mirrored.halves()[1]
+    assert [(a.dtype, a.shape) for a in full + values] == [(np.float64, (n // 2, n // 2))] * 2
+    assert np.array_equal(full[0], blocks[0]) and np.array_equal(values[0], blocks[1])
 
 
 def adapted_basis(split):
@@ -851,6 +863,37 @@ def test_zero_generator_is_reported_non_unique(mirrored):
     assert exc.spectral_gap == math.inf
 
 
+def hs_projector(basis):
+    """The orthogonal projector onto the span of the Hermitian matrices of
+    ``basis``, on column-stacked density matrices."""
+    q = np.linalg.qr(np.stack([ds.vectorize(b) for b in basis], axis=1))[0]
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_odd_null_eigenvalue_takes_the_odd_block_vectors(variant, monkeypatch):
+    """L = 0 has null eigenvalues in the odd block too: after its
+    eigenvalues, that block also goes to eig_full, and the stationary basis
+    is orthonormal and spans what the whole generator's does."""
+    zero = dict.fromkeys(("omega_e", "omega_n", "g", "e_plus", "e_minus", "gamma_plus",
+                          "gamma_minus", "gamma_zero"), 0.0)
+    p = ds.SystemParams(variant=variant, **zero)
+    liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
+    full = recorded(monkeypatch, "eig_full")
+    with pytest.raises(NonUniqueSteadyState) as split:
+        steady_state(with_mirror(p, liouv))
+    n = p.dim ** 2
+    assert [a.shape for a in full] == [(n // 2, n // 2)] * 2
+    with pytest.raises(NonUniqueSteadyState) as whole:
+        steady_state(liouv)
+    assert split.value.null_dimension == whole.value.null_dimension == n
+    assert split.value.spectral_gap == whole.value.spectral_gap == math.inf
+    basis = split.value.stationary_basis
+    gram = np.einsum("aij,bij->ab", np.conj(basis), basis)  # Tr(A^dag B)
+    assert np.abs(gram - np.eye(n)).max() < 1e-12
+    assert np.abs(hs_projector(basis) - hs_projector(whole.value.stationary_basis)).max() < 1e-12
+
+
 def test_unique_steady_state_is_mirror_even():
     for p, liouv in (fig2_system(), asymmetric_two_nuclei_system()):
         u = model.mirror(p.variant)
@@ -949,6 +992,23 @@ def test_late_time_fidelity_monotone():
     assert above.size > 10
     tail = f[above[0]:]
     assert np.all(np.diff(tail) > -1e-9)
+
+
+def test_liouvillian_compares_and_hashes_by_identity():
+    """Two builds of one generator are two objects: they compare unequal
+    without reading their arrays, and hash."""
+    a, b = fig2_system()[1], fig2_system()[1]
+    assert a == a and a != b and a not in [b]
+    assert a in {a} and hash(a) != hash(b)
+
+
+def test_norm_bound_is_made_once():
+    """A second call returns the stored value: it does not see a change
+    made to the matrix in between."""
+    liouv = fig2_system()[1]
+    bound = liouv.norm_bound()
+    liouv.matrix[...] *= 2
+    assert liouv.norm_bound() == bound
 
 
 def test_real_generator_is_made_once_and_read_only():

@@ -14,6 +14,7 @@ from darksteady.linalg import (
     SpaceLayout,
     dagger,
     eig_full,
+    eigenvalues,
     expm,
     kron,
     partial_trace,
@@ -445,6 +446,57 @@ def test_eig_full_of_one_component_is_the_dense_call():
 def test_eig_full_dimension_cap():
     with pytest.raises(DimensionError):
         eig_full(np.eye(513))
+
+
+@given(n=st.integers(1, 24), k=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1),
+       complex_=st.booleans())
+def test_eigenvalues_are_those_of_eig_full(n, k, seed, complex_):
+    """On a random real or complex matrix or stack, the sorted eigenvalues
+    are eig_full's to 1e-12 of their largest, a real operand staying real."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if k is None else (k, n, n)
+    a = random_complex(rng, *shape) if complex_ else rng.normal(size=shape)
+    got = eigenvalues(a)
+    want = eig_full(a)[0]
+    assert got.dtype == complex and got.shape == want.shape
+    order = np.lexsort((got.imag, got.real), axis=-1)
+    got = np.take_along_axis(got, order, axis=-1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_eigenvalues_map_a_lapack_failure_to_numerical_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(NumericalError, match="did not converge"):
+        eigenvalues(np.eye(3))
+
+
+@pytest.mark.parametrize("shift", [1e-6, np.nan], ids=["small", "nan"])
+@pytest.mark.parametrize("shape", [(40, 40), (2, 40, 40)])
+def test_eigenvalues_check_the_sum_against_the_trace(shape, shift, monkeypatch):
+    """One value shifted by 1e-6 of ||a||, or made NaN, in the last matrix
+    of a stack, is caught by the trace check."""
+    a = np.random.default_rng(24).normal(size=shape)
+    original = np.linalg.eigvals
+
+    def shifted(m):
+        vals = original(m).astype(complex)
+        vals[..., -1] += shift * np.linalg.norm(m)
+        return vals
+
+    eigenvalues(a)
+    monkeypatch.setattr(np.linalg, "eigvals", shifted)
+    with pytest.raises(NumericalError, match="trace"):
+        eigenvalues(a)
+
+
+def test_eigenvalues_operand_checks():
+    with pytest.raises(DimensionError, match="512"):
+        eigenvalues(np.eye(513))
+    with pytest.raises(DimensionError, match="square"):
+        eigenvalues(np.ones((3, 4)))
 
 
 def test_vectorize_round_trip():
