@@ -137,18 +137,20 @@ class Liouvillian:
         return self._once("_real", make)
 
     def halves(self):
-        """(split, blocks): the :class:`MirrorSplit` of ``symmetry`` and the
-        (2, n/2, n/2) stack of ``real()``'s blocks on its even and odd states
-        (U rho U^dag = +rho or -rho; the dark state is even), or None without
-        a symmetry or when L does not split (:meth:`MirrorSplit.blocks`
-        against ||L||_1).  Made once and shared, read-only, like ``real()``."""
+        """(split, even, odd): the :class:`MirrorSplit` of ``symmetry`` and
+        ``real()``'s blocks on its even and odd states (U rho U^dag = +rho or
+        -rho; the dark state is even), n_even and n - n_even wide, or None
+        without a symmetry or when L does not split
+        (:meth:`MirrorSplit.blocks` against ||L||_1).  Made once and shared,
+        both blocks read-only, like ``real()``."""
         def make():
             split = None if self.symmetry is None else MirrorSplit(self.symmetry, self.dim)
             blocks = split and split.blocks(self.real(), self.norm_bound())
             if blocks is None:
                 return None
-            blocks.flags.writeable = False
-            return split, blocks
+            for block in blocks:
+                block.flags.writeable = False
+            return split, *blocks
         return self._once("_halves", make)
 
 
@@ -276,8 +278,12 @@ def build_liouvillian(h, cs, layout=None, symmetry=None):
     if layout.dim != d:
         raise DimensionError(f"layout product {layout.dim} does not match dimension {d}")
     h_eff = h.astype(complex)
-    for c in cs:
-        h_eff = h_eff - 0.5j * (c.conj().T @ c)
+    with np.errstate(invalid="ignore"):  # checked below
+        for c in cs:
+            h_eff = h_eff - 0.5j * (c.conj().T @ c)
+    # A non-finite entry of H or of a C_k makes H_eff non-finite.
+    if not np.all(np.isfinite(h_eff)):
+        raise DomainError("the hamiltonian and collapse operators must be finite")
     stack = np.array(cs, dtype=complex).reshape(len(cs), d * d)
     mat = np.empty((d * d, d * d), dtype=complex)
     view = mat.reshape(d, d, d, d)
@@ -524,15 +530,13 @@ class MirrorSplit:
                                 np.concatenate([np.where(paired, wa, 1.0), wb[paired]])))
 
     def blocks(self, mat, bound=None):
-        """The even and odd diagonal blocks of Q^T mat Q for a real n x n
-        ``mat``, as one (2, n/2, n/2) stack, or None when an entry between
-        them exceeds 1e-12 * ``bound`` (mat does not commute with the
-        mirror; ``bound`` defaults to mat's largest column sum) or the
-        blocks differ in size."""
+        """(even, odd): the even and odd diagonal blocks of Q^T mat Q for a
+        real n x n ``mat``, n_even = ``self.even`` and n - n_even wide, or
+        None when an entry between them exceeds 1e-12 * ``bound`` (mat does
+        not commute with the mirror; ``bound`` defaults to mat's largest
+        column sum)."""
         i1, i2, w1, w2 = self._cols
         even = self.even
-        if 2 * even != len(mat):
-            return None
         if bound is None:
             bound = linalg._norm1(mat)
         w1, w2 = w1[:, None], w2[:, None]
@@ -549,10 +553,12 @@ class MirrorSplit:
         np.take(half, i2, axis=0, out=tmp, mode="clip")
         tmp *= w2
         rows += tmp
-        off = max(np.abs(rows[:even, even:]).max(), np.abs(rows[even:, :even]).max())
+        # initial=0: the odd half is empty when U = +-I.
+        off = max(np.abs(rows[:even, even:]).max(initial=0.0),
+                  np.abs(rows[even:, :even]).max(initial=0.0))
         if off > _MIRROR_REL * bound:
             return None
-        return np.stack([rows[:even, :even].T, rows[even:, even:].T])
+        return rows[:even, :even].T.copy(), rows[even:, even:].T.copy()
 
     def part(self, x, odd=False):
         """Q^T x in the even half, or the odd one: the coordinates of x
@@ -586,11 +592,11 @@ def _even_half(liouv, x0):
     initial coordinates x0 in its half, with its :class:`MirrorSplit` as
     ``split``; or the real generator and x0 as they are, with split None,
     when L has no halves or x0's odd part exceeds 1e-14 ||x0||."""
-    split, blocks = liouv.halves() or (None, None)
+    split, even, _ = liouv.halves() or (None, None, None)
     y0 = None if split is None else split.even_start(x0)
     if y0 is None:
         return liouv.real(), x0, None
-    return blocks[0], y0, split
+    return even, y0, split
 
 
 def steady_state(liouv):
@@ -627,10 +633,10 @@ def steady_state(liouv):
         vals, vecs = linalg.eig_full(liouv.real())
         coords = vecs[:, np.abs(vals) <= tol]
     else:  # back from the mirror-adapted basis: Q y, y in its own block
-        split, blocks = halves
-        parts = [linalg.eig_full(blocks[0]), (linalg.eigenvalues(blocks[1]), None)]
+        split, even, odd = halves
+        parts = [linalg.eig_full(even), (linalg.eigenvalues(odd), None)]
         if np.any(np.abs(parts[1][0]) <= tol):  # only then are odd vectors read
-            parts[1] = linalg.eig_full(blocks[1])
+            parts[1] = linalg.eig_full(odd)
         vals = np.concatenate([part[0] for part in parts])
         coords = np.vstack([split.lift(v[:, np.abs(w) <= tol].T, odd)
                             for odd, (w, v) in enumerate(parts) if v is not None]).T

@@ -8,10 +8,10 @@ imports scipy.  ``expm`` splits its operand into the connected components
 of its nonzero pattern and exponentiates them as one stack of small blocks
 (a diagonal operand is the case of width 1), so a generator that is
 block-diagonal up to a permutation, such as the optical pump's, costs a
-fraction of a dense one.  ``eig_full`` decomposes a matrix or a stack of
-them in one LAPACK call; ``eigenvalues`` computes no vectors, in about
-half its time, for a caller that reads only the spectrum (the odd block
-of the steady-state generator in its mirror-adapted basis, see
+fraction of a dense one.  ``eig_full`` decomposes one matrix in one
+LAPACK call; ``eigenvalues`` computes no vectors, in about half its time,
+for a caller that reads only the spectrum (the odd block of the
+steady-state generator in its mirror-adapted basis, see
 ``engine.steady_state``).  ``expm``, ``eig_full`` and ``eigenvalues``
 keep a real input real; other operands are promoted to complex128.  State
 spaces here are at most 16-dimensional and superoperators at most
@@ -316,30 +316,25 @@ def _pade_exp(a):
 
 
 def _eig_operand(a, what):
-    """a as a real (a real input) or complex128 square matrix or (k, n, n)
-    stack, with n <= 512; else DimensionError, naming ``what``."""
-    a = np.asarray(a, dtype=float if np.isrealobj(a) else complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"{what} operand must be a square matrix or a stack of them, "
-                             f"got shape {a.shape}")
-    n = a.shape[-1]
-    if n > _EIG_MAX_DIM:
-        raise DimensionError(f"{what} supports dimension <= {_EIG_MAX_DIM}, got {n}")
+    """a as a real (a real input) or complex128 square matrix with n <= 512;
+    else DimensionError, naming ``what``."""
+    a = _as_square(a, f"{what} operand", dtype=float if np.isrealobj(a) else complex)
+    if len(a) > _EIG_MAX_DIM:
+        raise DimensionError(f"{what} supports dimension <= {_EIG_MAX_DIM}, got {len(a)}")
     return a
 
 
 def eig_full(a):
-    """All eigenpairs of a general real or complex matrix, or of each
-    matrix of a (k, n, n) stack, in one ``numpy.linalg.eig`` call on the
-    operand as given.
+    """All eigenpairs of a general real or complex square matrix, in one
+    ``numpy.linalg.eig`` call.
 
     A real input stays real (LAPACK ``dgeev``, whose complex eigenvalues
     come in exact conjugate pairs); anything else is promoted to complex128.
-    Returns ``(values, vectors)``, both complex, with ``vectors[..., :, k]``
-    the unit eigenvector for ``values[..., k]``.  The pairs of each matrix
-    are sorted by (real, imaginary) part so the output order is
-    reproducible.  Residuals ``||a v - lambda v||`` are verified against
-    ``1e-8 * ||a||`` of the whole operand, a block of columns at a time.
+    Returns ``(values, vectors)``, both complex, with ``vectors[:, k]`` the
+    unit eigenvector for ``values[k]``.  The pairs are sorted by (real,
+    imaginary) part so the output order is reproducible.  Residuals
+    ``||a v - lambda v||`` are verified against ``1e-8 * ||a||``, a block
+    of columns at a time; a NaN residual fails the check too.
     """
     a = _eig_operand(a, "eig_full")
     try:
@@ -347,34 +342,32 @@ def eig_full(a):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}")
     worst = _eig_residual(a, vals, vecs)
-    if worst > _EIG_RESIDUAL_REL * np.linalg.norm(a):
+    if not worst <= _EIG_RESIDUAL_REL * np.linalg.norm(a):  # a NaN fails too
         raise NumericalError(
             f"eigenpair residual {worst:.3e} exceeds {_EIG_RESIDUAL_REL:.0e}*||a||"
         )
     # numpy returns real arrays when every eigenvalue of a real a is real.
-    order = np.lexsort((vals.imag, vals.real), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return vals.astype(complex, copy=False), vecs.astype(complex, copy=False)
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order].astype(complex, copy=False), vecs[:, order].astype(complex, copy=False)
 
 
 def eigenvalues(a):
-    """The eigenvalues of a general real or complex matrix, or of each
-    matrix of a (k, n, n) stack, without vectors: one
-    ``numpy.linalg.eigvals`` call (LAPACK ``dgeev`` or ``zgeev`` computing
-    no vectors), about half the time of :func:`eig_full` at n = 128.
+    """The eigenvalues of a general real or complex square matrix, without
+    vectors: one ``numpy.linalg.eigvals`` call (LAPACK ``dgeev`` or
+    ``zgeev`` computing no vectors), about half the time of
+    :func:`eig_full` at n = 128.
 
-    Operands are checked and promoted as by :func:`eig_full`.  Returns a
+    The operand is checked and promoted as by :func:`eig_full`.  Returns a
     complex array in LAPACK's order, not sorted.  With no vectors there is
-    no residual; each matrix's sum of eigenvalues is checked against its
-    trace instead, to ``1e-8 * ||a||`` of the whole operand.
+    no residual; the sum of the eigenvalues is checked against the trace
+    instead, to ``1e-8 * ||a||``.
     """
     a = _eig_operand(a, "eigenvalues")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}")
-    worst = float(np.abs(vals.sum(axis=-1) - np.trace(a, axis1=-2, axis2=-1)).max())
+    worst = abs(vals.sum() - np.trace(a))
     if not worst <= _EIG_RESIDUAL_REL * np.linalg.norm(a):  # a NaN fails too
         raise NumericalError(
             f"eigenvalue sum is {worst:.3e} from the trace, above "
@@ -385,16 +378,16 @@ def eigenvalues(a):
 
 def _eig_residual(a, vals, vecs):
     """The largest ||a v - lambda v|| over the eigenpairs (vals, vecs) of
-    a matrix or of each matrix of a (k, w, w) stack, a block of columns at
-    a time, so that the check holds no second copy of the eigenvectors."""
+    a, a block of columns at a time, so that the check holds no second copy
+    of the eigenvectors; NaN if one of them is NaN."""
     worst = 0.0
-    for lo in range(0, a.shape[-1], _EIG_RESIDUAL_BLOCK):
-        v = vecs[..., lo:lo + _EIG_RESIDUAL_BLOCK]
+    for lo in range(0, len(a), _EIG_RESIDUAL_BLOCK):
+        v = vecs[:, lo:lo + _EIG_RESIDUAL_BLOCK]
         # A real a takes two real products, not a complex copy of itself.
         av = a @ v.real + 1j * (a @ v.imag) if np.isrealobj(a) else a @ v
-        av -= v * vals[..., None, lo:lo + _EIG_RESIDUAL_BLOCK]
-        worst = max(worst, float(np.linalg.norm(av, axis=-2).max()))
-    return worst
+        av -= v * vals[lo:lo + _EIG_RESIDUAL_BLOCK]
+        worst = np.maximum(worst, np.linalg.norm(av, axis=0).max())  # keeps a NaN
+    return float(worst)
 
 
 def partial_trace(rho, layout, keep):

@@ -331,10 +331,10 @@ def _even_factors(factors, split):
     None if one does not commute with the mirror (MirrorSplit.blocks)."""
     out = []
     for m, t in factors:
-        blocks = split.blocks(m)
-        if blocks is None:
+        even, _ = split.blocks(m) or (None, None)
+        if even is None:
             return None
-        out.append((blocks[0], t))
+        out.append((even, t))
     return out
 
 

@@ -75,6 +75,18 @@ def test_build_liouvillian_shape_checks():
         build_liouvillian(np.zeros((12, 11)), [])
 
 
+@pytest.mark.parametrize("where", ["hamiltonian", "collapse"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.inf)], ids=["nan", "inf", "inf-j"])
+def test_build_liouvillian_rejects_a_non_finite_operator(value, where):
+    """One non-finite entry of H or of one collapse operator is a
+    DomainError, not a generator whose runs give NaN without an error."""
+    p = ds.SystemParams()
+    h, cs = model.build_hamiltonian(p), [c.astype(complex) for c in model.build_collapse_ops(p)]
+    (h if where == "hamiltonian" else cs[1])[3, 5] = value
+    with pytest.raises(DomainError, match="finite"):
+        build_liouvillian(h, cs, p.layout)
+
+
 def kronecker_formula(h, cs):
     """L of the module docstring, its terms in the docstring's order:
     -i (I kron H_eff) + i (conj(H_eff) kron I) + sum_k conj(C_k) kron C_k."""
@@ -728,7 +740,8 @@ def recorded(monkeypatch, name):
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
 def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
     """Whole, eig_full gets L.real(); split, it gets the even block of n/2
-    alone, and the odd block goes to linalg.eigenvalues, with no vectors."""
+    alone, and the odd block goes to linalg.eigenvalues, with no vectors:
+    each is the block that Liouvillian.halves() names."""
     p, liouv = system()
     n = liouv.dim ** 2
     full, values = recorded(monkeypatch, "eig_full"), recorded(monkeypatch, "eigenvalues")
@@ -737,9 +750,9 @@ def test_steady_state_takes_one_real_eig_full(system, monkeypatch):
     full.clear()
     mirrored = with_mirror(p, liouv)
     steady_state(mirrored)
-    blocks = mirrored.halves()[1]
+    _, even, odd = mirrored.halves()
     assert [(a.dtype, a.shape) for a in full + values] == [(np.float64, (n // 2, n // 2))] * 2
-    assert np.array_equal(full[0], blocks[0]) and np.array_equal(values[0], blocks[1])
+    assert np.array_equal(full[0], even) and np.array_equal(values[0], odd)
 
 
 def adapted_basis(split):
@@ -753,8 +766,8 @@ def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     """The index forms of the mirror on the coordinates, of Q^T L Q and of
     the even and odd parts and their lifts equal the dense products, Q is
     orthogonal and its halves are the mirror's even and odd states, the
-    even-odd blocks are below 1e-12 ||L||_1, and the stack holds the two
-    diagonal blocks of n/2 each."""
+    even-odd blocks are below 1e-12 ||L||_1, and blocks() gives the two
+    diagonal blocks, of n/2 each."""
     p, liouv = asymmetric_two_nuclei_system()
     gen = liouv.real()
     basis = linalg.HermitianBasis(liouv.dim)
@@ -778,10 +791,11 @@ def test_mirror_split_blocks_are_the_generator_in_the_adapted_basis():
     bound = liouv.norm_bound()
     assert np.abs(dense[:even, even:]).max() < 1e-12 * bound
     assert np.abs(dense[even:, :even]).max() < 1e-12 * bound
-    blocks = split.blocks(gen, bound)
-    assert blocks.shape == (2, n // 2, n // 2) and even == n // 2
-    assert np.abs(blocks[0] - dense[:even, :even]).max() < 1e-12 * bound
-    assert np.abs(blocks[1] - dense[even:, even:]).max() < 1e-12 * bound
+    even_block, odd_block = split.blocks(gen, bound)
+    assert even == n // 2
+    assert even_block.shape == (even, even) and odd_block.shape == (n - even, n - even)
+    assert np.abs(even_block - dense[:even, :even]).max() < 1e-12 * bound
+    assert np.abs(odd_block - dense[even:, even:]).max() < 1e-12 * bound
 
 
 @pytest.mark.parametrize("change", [{"gamma_minus": 20.0}, {"e_minus": -9.0},
@@ -812,38 +826,40 @@ def test_broken_mirror_takes_the_whole_generator_bit_for_bit(change, monkeypatch
     assert split.spectral_gap == whole.spectral_gap
 
 
-def test_symmetry_with_blocks_of_unequal_size_takes_the_whole_generator(monkeypatch):
-    """The nuclear swap of the symmetric two-nuclei default commutes with L,
-    but its even and odd blocks hold 160 and 96 coordinates: the one
-    eig_full call gets L.real() itself, and the certificate is that of no
-    symmetry."""
+def test_nuclear_swap_splits_into_blocks_of_unequal_size():
+    """The nuclear swap of the symmetric two-nuclei default commutes with L
+    and splits it into blocks of 160 and 96 coordinates.  The split
+    certificate is the whole generator's: 3 null eigenvalues, the same gap
+    and the same stationary space; and a propagator run from the mixed
+    ground state, in the 160-wide even half, is the whole run."""
     p = ds.SystemParams(variant=model.VARIANT_TWO)
     liouv = build_liouvillian(model.build_hamiltonian(p), model.build_collapse_ops(p), p.layout)
-    swap = np.kron(np.eye(4), np.eye(4)[[0, 2, 1, 3]])
-    split = engine.MirrorSplit(swap, p.dim)
-    even, gen = split.even, liouv.real()
-    dense = adapted_basis(split).T @ gen @ adapted_basis(split)
-    # the swap is a symmetry: only the sizes rule the split out
-    assert even == 160
-    assert max(np.abs(dense[:even, even:]).max(), np.abs(dense[even:, :even]).max()) < (
-        1e-12 * liouv.norm_bound())
-    operands = []
-    original = linalg.eig_full
-
-    def recording(a):
-        operands.append(a)
-        return original(a)
-
-    monkeypatch.setattr(linalg, "eig_full", recording)
-    with pytest.raises(NonUniqueSteadyState) as split:
-        steady_state(replace(liouv, symmetry=swap))
+    swapped = replace(liouv, symmetry=np.kron(np.eye(4), np.eye(4)[[0, 2, 1, 3]]))
+    split, even, odd = swapped.halves()
+    assert even.shape == (160, 160) and odd.shape == (96, 96)
+    with pytest.raises(NonUniqueSteadyState) as half:
+        steady_state(swapped)
     with pytest.raises(NonUniqueSteadyState) as whole:
         steady_state(liouv)
-    assert len(operands) == 2 and np.array_equal(operands[0], gen)
-    assert split.value.null_dimension == whole.value.null_dimension == 3
-    assert split.value.spectral_gap == whole.value.spectral_gap
-    for a, b in zip(split.value.stationary_basis, whole.value.stationary_basis):
-        assert np.array_equal(a, b)
+    assert half.value.null_dimension == whole.value.null_dimension == 3
+    assert half.value.spectral_gap == pytest.approx(whole.value.spectral_gap, rel=1e-10)
+    assert np.abs(hs_projector(half.value.stationary_basis)
+                  - hs_projector(whole.value.stationary_basis)).max() < 1e-12
+    rho0 = model.mixed_ground_state(p.variant)
+    assert engine._even_half(swapped, linalg.HermitianBasis(p.dim).coords(rho0))[2] is split
+    got, want = evolve_propagator(rho0, swapped, 5.0), evolve_propagator(rho0, liouv, 5.0)
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_identity_symmetry_has_an_empty_odd_half():
+    """U = I fixes every coordinate: the even block is L.real() itself, the
+    odd block is 0 x 0, and the certificate is the whole one, bit for bit."""
+    p, liouv = fig2_system()
+    identity = replace(liouv, symmetry=np.eye(p.dim))
+    _, even, odd = identity.halves()
+    assert np.array_equal(even, liouv.real()) and odd.shape == (0, 0)
+    split, whole = steady_state(identity), steady_state(liouv)
+    assert np.array_equal(split.rho, whole.rho) and split.spectral_gap == whole.spectral_gap
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["whole", "mirror"])
@@ -972,6 +988,8 @@ def test_split_certificate_matches_complex_path(p):
     except NonUniqueSteadyState as exc:
         assert exc.null_dimension == n_null > 1
         assert exc.spectral_gap == pytest.approx(gap, rel=1e-10)
+        for b in exc.stationary_basis:
+            assert np.linalg.norm(liouv.matrix @ ds.vectorize(b)) <= 1e-12 * liouv.norm_bound()
         return
     assert res.null_dimension == n_null == 1
     assert res.spectral_gap == pytest.approx(gap, rel=1e-10)
@@ -1021,8 +1039,9 @@ def test_real_generator_is_made_once_and_read_only():
     liouv = with_mirror(p, liouv)
     halves = liouv.halves()
     assert liouv.halves() is halves
-    with pytest.raises(ValueError):
-        halves[1][0, 0, 0] = 1.0
+    for block in halves[1:]:
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("system", [fig2_system, asymmetric_two_nuclei_system])
