@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,6 +331,8 @@ def stationarity_residual(liouv, rho):
 
 
 def _check_step(liouv, dt):
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     bound = liouv.norm_bound()
     if dt * bound > _STEP_GUARD * (1.0 + 1e-12):
         suggested = _STEP_GUARD / bound
@@ -374,10 +377,14 @@ def rk4_map(liouv, dt, steps):
     map keeps the trace to rounding of E, not of I, for any dt and steps.
 
     dt must satisfy dt * ||L||_1 <= 0.1, with ||L||_1 the column-stacked
-    ``liouv.norm_bound()``, or StepSizeError is raised with a suggested step.
+    ``liouv.norm_bound()``, or StepSizeError is raised with a suggested step;
+    a dt that is not finite and > 0, or ``steps`` that is not an integer
+    >= 0, raises DomainError.
     """
     dt = float(dt)
     _check_step(liouv, dt)
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
     return _rk4_power(liouv.real(), dt, int(steps))
 
 
@@ -446,7 +453,8 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     or StepSizeError is raised with a suggested step.  The step actually
     used is t_end/n for the smallest n with t_end/n <= dt, so the final
     sample lands exactly on t_end (a dt so small that t_end / dt overflows
-    raises DomainError); steps act on real coordinates
+    raises DomainError, as do a t_end or dt that is not finite and > 0 and a
+    sample_every that is not finite); steps act on real coordinates
     (``Liouvillian.real``), or on the even half of ``Liouvillian.halves``
     when rho0 is even (:func:`_even_half`), since then rho(t) stays even.
     ``expectations`` holds Tr(A rho) per sample for each named Hermitian A
@@ -455,13 +463,13 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
     rho0 = _check_state(rho0, liouv.dim)
     t_end = float(t_end)
     dt = float(dt)
-    if t_end <= 0:
-        raise DomainError(f"t_end must be > 0, got {t_end}")
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not 0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
+    if not math.isfinite(sample_every):
+        raise DomainError(f"sample_every must be finite, got {sample_every}")
+    _check_step(liouv, dt)
     if not math.isfinite(t_end / dt):
         raise DomainError(f"dt = {dt} is too small: t_end / dt overflows")
-    _check_step(liouv, dt)
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     h = t_end / n_steps
     sample_every = min(max(1, int(sample_every)), n_steps)

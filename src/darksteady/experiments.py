@@ -15,9 +15,9 @@ uniqueness certificate where one is computed.  ``plot.gp`` is a gnuplot
 script referencing only data.csv; plotting is optional and external.
 
 All drivers are deterministic for a fixed config and seed.  Files are
-written only after a run's numbers are computed; data.csv rows are
-formatted as they are written, and anything partially written is removed
-on failure.
+written only after a run's numbers are computed.  The rows of data.csv
+come from one 2-D float table and are formatted a block of rows at a time
+as they are written; anything partially written is removed on failure.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
 # (all propagation in long sequences) to about 7-8 s (all map builds).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
+_CSV_BLOCK = 1024  # data.csv rows per .tolist()
 
 
 def _fmt_cell(value):
@@ -65,18 +66,22 @@ def _fmt_cell(value):
     return "%.12g" % float(value)
 
 
-def _csv_lines(header_lines, columns, rows):
-    """The lines of a data.csv, each formatted as it is taken.  Rows hold
-    numbers only, their ints (counts, flags) below 1e12, so one format
-    string per row writes what _fmt_cell writes per cell."""
+def _csv_lines(header_lines, columns, table):
+    """The lines of a data.csv, with one line per row of the 2-D float
+    ``table``, formatted _CSV_BLOCK rows at a time.  Its ints (counts,
+    flags) are below 1e12, so one format string per row writes what
+    _fmt_cell writes per cell."""
     for line in [*header_lines, ",".join(columns)]:
         yield line + "\n"
     fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-    for row in rows:
-        yield fmt % tuple(row)
+    for start in range(0, len(table), _CSV_BLOCK):
+        for row in table[start:start + _CSV_BLOCK].tolist():
+            yield fmt % tuple(row)
 
 
-def _summary_text(pairs):
+def _summary_text(cfg, pairs):
+    """summary.txt: the experiment's name, then ``pairs``."""
+    pairs = [("experiment", cfg.experiment), *pairs]
     return "\n".join(f"{key} = {_fmt_cell(value)}" for key, value in pairs) + "\n"
 
 
@@ -86,13 +91,13 @@ def _mirror_pair(*trajectories):
     return ("mirror_half", "true" if all(t.mirror_half for t in trajectories) else "false")
 
 
-def _header_lines(cfg, experiment, resolved, p, pulse=None, grid=None):
+def _header_lines(cfg, resolved, p, pulse=None, grid=None):
     """Notes plus the resolved config: the [run] keys with ``resolved``
     added, [params] from the SystemParams ``p`` and, for pulsed runs,
     [pulse] from the resolved PulseOptions ``pulse``."""
     notes = [_UNIT_NOTE, _SIGN_NOTE] + ([_RECORD_NOTE] if pulse is not None else [])
     lines = [f"## darksteady {__version__}"] + [f"## {note}" for note in notes]
-    run = {"experiment": experiment, "seed": cfg.seed, "integrator": cfg.integrator}
+    run = {"experiment": cfg.experiment, "seed": cfg.seed, "integrator": cfg.integrator}
     run.update(resolved)
     cfg_text = render_config(
         run=run,
@@ -172,7 +177,8 @@ def _continuous_run(cfg, liouv, rho0, target, observables=None):
         # Default step sits at the stability guard; callers may go smaller.
         # With ||L||_1 = 0 every step is stable: one per sample.
         bound = liouv.norm_bound()
-        dt = cfg.dt if cfg.dt is not None else (0.1 / bound if bound else _SAMPLE_INTERVAL)
+        dt = cfg.dt if cfg.dt is not None else (engine._STEP_GUARD / bound if bound
+                                                else _SAMPLE_INTERVAL)
         resolved["dt"] = dt
         sample_every = max(1, int(round(_SAMPLE_INTERVAL / dt)))
         if cfg.t_end is not None:
@@ -260,7 +266,7 @@ def _plot_script(xlabel, ylabel, spec):
 _FP_PLOT = _plot_script("time (us)", "F, P", [("1:2", "fidelity"), ("1:3", "purity")])
 
 
-def _time_series_csv(cfg, experiment, resolved, p, samples):
+def _time_series_csv(cfg, resolved, p, samples):
     """data.csv of a continuous run: time, fidelity, purity, the columns of
     ``samples.expectations``, one population per basis level and trace_dev."""
     columns = (
@@ -269,14 +275,10 @@ def _time_series_csv(cfg, experiment, resolved, p, samples):
         + [f"p_{lab}" for lab in model.basis_labels(p.variant)]
         + ["trace_dev"]
     )
-    rows = (
-        [t, samples.fidelity[i], samples.purity[i]]
-        + [values[i] for values in samples.expectations.values()]
-        + samples.populations[i].tolist()
-        + [samples.trace_deviation[i]]
-        for i, t in enumerate(samples.times)
-    )
-    return _csv_lines(_header_lines(cfg, experiment, resolved, p), columns, rows)
+    table = np.column_stack([samples.times, samples.fidelity, samples.purity,
+                             *samples.expectations.values(), samples.populations,
+                             samples.trace_deviation])
+    return _csv_lines(_header_lines(cfg, resolved, p), columns, table)
 
 
 def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
@@ -321,17 +323,17 @@ def _pulsed_setup(cfg, p, default_tau, default_cycles, t2_stars):
 # experiments
 
 
-def _variant_params(cfg, variant, experiment, **defaults):
+def _variant_params(cfg, variant, **defaults):
     """SystemParams of an experiment that runs one variant only; explicit
     config keys win over ``defaults``."""
     explicit = cfg.param_overrides.get("variant")
     if explicit is not None and explicit != variant:
-        raise ConfigError(f"{experiment} runs the {variant} variant, got {explicit}")
+        raise ConfigError(f"{cfg.experiment} runs the {variant} variant, got {explicit}")
     return resolve_params(cfg, {"variant": variant, **defaults})
 
 
 def _run_fig2(cfg):
-    p = _variant_params(cfg, VARIANT_SINGLE, "fig2")
+    p = _variant_params(cfg, VARIANT_SINGLE)
     target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
@@ -342,10 +344,10 @@ def _run_fig2(cfg):
     cert = _unique_pairs(res, target)
     endpoint_gap = float(np.abs(samples.final_state - res.rho).max())
 
-    data = _time_series_csv(cfg, "fig2", resolved, p, samples)
+    data = _time_series_csv(cfg, resolved, p, samples)
     summary = _summary_text(
+        cfg,
         [
-            ("experiment", "fig2"),
             ("final_time_us", samples.times[-1]),
             ("converged_time_us", converged if converged is not None else "none"),
             ("final_fidelity", samples.fidelity[-1]),
@@ -370,10 +372,10 @@ def _run_evolve(cfg):
     cert = _certificate_pairs(liouv, target)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target)
 
-    data = _time_series_csv(cfg, "evolve", resolved, p, samples)
+    data = _time_series_csv(cfg, resolved, p, samples)
     summary = _summary_text(
+        cfg,
         [
-            ("experiment", "evolve"),
             ("final_time_us", samples.times[-1]),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),
@@ -394,16 +396,11 @@ def _run_steady(cfg):
     cert = _unique_pairs(res, target)
     residual = engine.stationarity_residual(liouv, res.rho)
 
-    header = _header_lines(cfg, "steady", {}, p)
     columns = ["fidelity", "purity", "spectral_gap_per_us", "null_dimension"]
     values = dict(cert)
-    row = [values["steady_fidelity"], values["steady_purity"], res.spectral_gap,
-           res.null_dimension]
-    data = _csv_lines(header, columns, [row])
-    summary = _summary_text(
-        [("experiment", "steady")] + cert
-        + [("stationarity_residual_per_us", residual)]
-    )
+    row = [values[k] for k in ("steady_fidelity", "steady_purity", *columns[2:])]
+    data = _csv_lines(_header_lines(cfg, {}, p), columns, np.array([row]))
+    summary = _summary_text(cfg, cert + [("stationarity_residual_per_us", residual)])
     plot = _plot_script("index", "fidelity", [("0:1", "steady fidelity")])
     return {"data.csv": data, "summary.txt": summary, "plot.gp": plot}
 
@@ -417,36 +414,32 @@ def _sweep_rows(cfg, grid):
         for name, value in zip(names, combo):
             merged.update(_param_fields(name, value))
         p = resolve_params(replace(cfg, param_overrides=merged))
-        target = model.default_target(p.variant)
+        # Bound to a local, the point's Liouvillian lives until the next one
+        # is built.  Passed straight to _certificate_pairs, it was freed
+        # before, and a 3 x 3 two-nuclei sweep took 0.144-0.156 s against
+        # 0.132-0.135 s (best of 30 in one process, 2-vCPU Xeon, numpy
+        # 2.4.6, OpenBLAS).  The cause is not verified.
         liouv = _liouvillian(p)
-        try:
-            res = engine.steady_state(liouv)
-            row = list(combo) + [
-                engine.fidelity(res.rho, target),
-                engine.purity(res.rho),
-                res.spectral_gap,
-                1,
-            ]
-        except NonUniqueSteadyState as exc:
-            row = list(combo) + [math.nan, math.nan, exc.spectral_gap, 0]
-        rows.append(row)
-    return names, rows
+        cert = dict(_certificate_pairs(liouv, model.default_target(p.variant)))
+        rows.append([*combo, cert.get("steady_fidelity", math.nan),
+                     cert.get("steady_purity", math.nan), cert["spectral_gap_per_us"],
+                     cert["steady_state_unique"] == "true"])
+    return names, np.array(rows, dtype=float)
 
 
-def _sweep_files(cfg, grid, experiment):
-    names, rows = _sweep_rows(cfg, grid)
-    p_base = resolve_params(cfg)
-    header = _header_lines(cfg, experiment, {}, p_base, grid=dict(grid))
+def _sweep_files(cfg, grid):
+    names, table = _sweep_rows(cfg, grid)
+    header = _header_lines(cfg, {}, resolve_params(cfg), grid=dict(grid))
     columns = names + ["fidelity", "purity", "spectral_gap_per_us", "unique"]
-    data = _csv_lines(header, columns, rows)
-    unique_fids = [r[len(names)] for r in rows if r[-1] == 1]
+    data = _csv_lines(header, columns, table)
+    unique_fids = table[table[:, -1] == 1, len(names)]
     summary = _summary_text(
+        cfg,
         [
-            ("experiment", experiment),
-            ("grid_points", len(rows)),
-            ("nonunique_points", len(rows) - len(unique_fids)),
-            ("min_fidelity", min(unique_fids) if unique_fids else "none"),
-            ("max_fidelity", max(unique_fids) if unique_fids else "none"),
+            ("grid_points", len(table)),
+            ("nonunique_points", len(table) - len(unique_fids)),
+            ("min_fidelity", unique_fids.min() if len(unique_fids) else "none"),
+            ("max_fidelity", unique_fids.max() if len(unique_fids) else "none"),
         ]
     )
     ycol = len(names) + 1
@@ -457,7 +450,7 @@ def _sweep_files(cfg, grid, experiment):
 def _run_sweep(cfg):
     if not cfg.grid:
         raise ConfigError("sweep needs a [grid] section with at least one axis")
-    return _sweep_files(cfg, cfg.grid, "sweep")
+    return _sweep_files(cfg, cfg.grid)
 
 
 _DEFAULT_INSET_GRID = (("e", (5.0, 10.0, 20.0)), ("omega", (0.5, 1.0, 2.0)))
@@ -465,11 +458,11 @@ _DEFAULT_INSET_GRID = (("e", (5.0, 10.0, 20.0)), ("omega", (0.5, 1.0, 2.0)))
 
 def _run_fig2_inset(cfg):
     grid = cfg.grid if cfg.grid else _DEFAULT_INSET_GRID
-    return _sweep_files(cfg, grid, "fig2-inset")
+    return _sweep_files(cfg, grid)
 
 
 def _run_fig3(cfg):
-    p = _variant_params(cfg, VARIANT_SINGLE, "fig3")
+    p = _variant_params(cfg, VARIANT_SINGLE)
     if cfg.pulse.correction:
         raise ConfigError(
             "fig3 computes corrected and uncorrected curves itself; "
@@ -478,42 +471,27 @@ def _run_fig3(cfg):
     opts, cycles, cycle, noise = _pulsed_setup(cfg, p, 0.02, 200, (p.t2_star,) * 3)
     tau = opts.tau
     rho0 = model.mixed_ground_state(p.variant)
-    ideal = pulses.run_sequence(rho0, cycle(0.0, False), p, **noise)
-    uncorr = pulses.run_sequence(rho0, cycle(tau, False), p, **noise)
-    corr = pulses.run_sequence(rho0, cycle(tau, True), p, **noise)
+    runs = {
+        name: pulses.run_sequence(rho0, cycle(t, correction), p, **noise)
+        for name, t, correction in [("ideal", 0.0, False), ("uncorrected", tau, False),
+                                    ("corrected", tau, True)]
+    }
+    ideal = runs["ideal"]
 
-    header = _header_lines(cfg, "fig3", {"cycles": cycles}, p, pulse=opts)
-    columns = [
-        "cycle", "time_us",
-        "fidelity_ideal", "fidelity_uncorrected", "fidelity_corrected",
-        "purity_ideal", "purity_uncorrected", "purity_corrected",
-    ]
-    rows = (
-        [
-            int(ideal.cycles[i]), ideal.times[i],
-            ideal.fidelity[i], uncorr.fidelity[i], corr.fidelity[i],
-            ideal.purity[i], uncorr.purity[i], corr.purity[i],
-        ]
-        for i in range(len(ideal.times))
-    )
-    data = _csv_lines(header, columns, rows)
+    columns = (["cycle", "time_us"] + [f"fidelity_{name}" for name in runs]
+               + [f"purity_{name}" for name in runs])
+    table = np.column_stack([ideal.cycles, ideal.times, *(r.fidelity for r in runs.values()),
+                             *(r.purity for r in runs.values())])
+    data = _csv_lines(_header_lines(cfg, {"cycles": cycles}, p, pulse=opts), columns, table)
 
     tail = max(1, cycles // 5)
     eps = pulses.dd_error(p.g, p.omega_n, tau)
     summary = _summary_text(
-        [
-            ("experiment", "fig3"),
-            ("cycles", cycles),
-            ("tau_us", tau),
-            ("dd_error_rad", eps),
-            ("plateau_ideal", float(np.mean(ideal.fidelity[-tail:]))),
-            ("plateau_uncorrected", float(np.mean(uncorr.fidelity[-tail:]))),
-            ("plateau_corrected", float(np.mean(corr.fidelity[-tail:]))),
-            ("max_ideal", float(ideal.fidelity.max())),
-            ("max_uncorrected", float(uncorr.fidelity.max())),
-            ("max_corrected", float(corr.fidelity.max())),
-            _mirror_pair(ideal, uncorr, corr),
-        ]
+        cfg,
+        [("cycles", cycles), ("tau_us", tau), ("dd_error_rad", eps)]
+        + [(f"plateau_{name}", float(np.mean(r.fidelity[-tail:]))) for name, r in runs.items()]
+        + [(f"max_{name}", float(r.fidelity.max())) for name, r in runs.items()]
+        + [_mirror_pair(*runs.values())]
     )
     plot = _plot_script(
         "optical cycle N", "fidelity",
@@ -527,7 +505,7 @@ _DEFAULT_T2_VALUES = (1.0, 5.0, 10.0, 50.0, 100.0)
 
 def _run_t2_inset(cfg):
     # Feasibility defaults: slower hyperfine g = 2 MHz, ~2 ms of cycles.
-    p = _variant_params(cfg, VARIANT_SINGLE, "t2-inset", g=2.0)
+    p = _variant_params(cfg, VARIANT_SINGLE, g=2.0)
     t2_values = _DEFAULT_T2_VALUES
     for name, values in cfg.grid:
         if name != "t2_star":
@@ -543,14 +521,14 @@ def _run_t2_inset(cfg):
     noiseless = pulses.run_sequence(rho0, seq, replace(p, t2_star=None), **noise)
 
     header = _header_lines(
-        cfg, "t2-inset", {"cycles": cycles}, p, pulse=opts,
+        cfg, {"cycles": cycles}, p, pulse=opts,
         grid={"t2_star": tuple(t2 for t2, _ in rows)},
     )
-    data = _csv_lines(header, ["t2_star_us", "max_fidelity"], rows)
+    data = _csv_lines(header, ["t2_star_us", "max_fidelity"], np.array(rows))
     diffs = [b[1] - a[1] for a, b in zip(rows, rows[1:])]
     summary = _summary_text(
+        cfg,
         [
-            ("experiment", "t2-inset"),
             ("cycles", cycles),
             ("noiseless_max_fidelity", float(noiseless.fidelity.max())),
             ("monotone_in_t2", "true" if all(d >= -1e-12 for d in diffs) else "false"),
@@ -562,13 +540,12 @@ def _run_t2_inset(cfg):
 
 
 def _run_two_nuclei(cfg):
-    base = _variant_params(cfg, VARIANT_TWO, "two-nuclei")
+    base = _variant_params(cfg, VARIANT_TWO)
     # Matched drive: the two nuclei couple collectively with a sqrt(2)
     # enhancement, so darkness needs omega_e = sqrt(2) * mean drive.
     mean_asym = sum(base.asymmetry) / len(base.asymmetry)
-    p = _variant_params(cfg, VARIANT_TWO, "two-nuclei",
-                        omega_e=math.sqrt(2.0) * base.omega_n * mean_asym)
-    target = model.target_states(p.variant).psi_dark_two
+    p = _variant_params(cfg, VARIANT_TWO, omega_e=math.sqrt(2.0) * base.omega_n * mean_asym)
+    target = model.default_target(p.variant)
     liouv = _liouvillian(p)
     rho0 = model.mixed_ground_state(p.variant)
     horizon_cfg = cfg if cfg.t_end is not None else replace(cfg, t_end=120.0)
@@ -576,10 +553,10 @@ def _run_two_nuclei(cfg):
     cert = _certificate_pairs(liouv, target)
     samples, resolved, _ = _continuous_run(horizon_cfg, liouv, rho0, target, observables)
 
-    data = _time_series_csv(cfg, "two-nuclei", resolved, p, samples)
+    data = _time_series_csv(cfg, resolved, p, samples)
     summary = _summary_text(
+        cfg,
         [
-            ("experiment", "two-nuclei"),
             ("final_time_us", samples.times[-1]),
             ("final_fidelity", samples.fidelity[-1]),
             ("final_purity", samples.purity[-1]),

@@ -463,14 +463,13 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     walls = [seg.duration for seg in seq.segments]
     record_offset = float(sum(walls[:_record_end(seq)]))
     cycle_duration = float(sum(walls))
-    times = [0.0] + [(c - 1) * cycle_duration + record_offset for c in range(1, seq.cycles + 1)]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        times = [float(c) for c in range(seq.cycles + 1)]
+    cycles = np.arange(seq.cycles + 1, dtype=float)
+    times = np.r_[0.0, np.arange(seq.cycles) * cycle_duration + record_offset]
+    if (np.diff(times) <= 0).any():
+        times = cycles
 
-    return Trajectory.from_coords(
-        blocks, times.__getitem__, basis, target, cycles=np.arange(seq.cycles + 1, dtype=float),
-        split=split,
-    )
+    return Trajectory.from_coords(blocks, times.tolist().__getitem__, basis, target,
+                                  cycles=cycles, split=split)
 
 
 def standard_cycle(p, tau=0.0, cycles=200, correction=False, pump_duration=0.1,

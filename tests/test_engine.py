@@ -249,6 +249,17 @@ def test_rk4_small_step_map_matches_the_propagator():
     assert np.array_equal(engine.rk4_map(liouv, 1e-9, 0), np.eye(144))
 
 
+@pytest.mark.parametrize("dt, steps", [(1e-5, -3), (1e-5, 2.5), (1e-5, None), (math.nan, 2),
+                                       (math.inf, 2), (-1e-5, 2), (0.0, 2)])
+def test_rk4_map_rejects_bad_time_arguments(dt, steps):
+    """A step that is not finite and > 0, or a step count that is not an
+    integer >= 0, is a domain error; a negative count would never end the
+    repeated squaring of _rk4_power."""
+    _, liouv = fig2_system()
+    with pytest.raises(DomainError):
+        engine.rk4_map(liouv, dt, steps)
+
+
 def test_rk4_step_count_overflow_is_domain_error():
     _, liouv = fig2_system()
     rho0 = model.mixed_ground_state(model.VARIANT_SINGLE)
@@ -511,6 +522,15 @@ def test_evolve_argument_validation():
         evolve_fixed_step(rho0, liouv, -1.0, 0.001)
     with pytest.raises(DomainError):
         evolve_fixed_step(rho0, liouv, 1.0, 0.0)
+    # Times that are not finite, and a step back in time, are domain errors
+    # that name the argument, before any step is sized or taken.
+    for t_end, dt, sample_every, name in [
+        (math.nan, 1e-5, 1, "t_end"), (math.inf, 1e-5, 1, "t_end"), (1.0, math.nan, 1, "dt"),
+        (1.0, math.inf, 1, "dt"), (1.0, -1e-5, 1, "dt"), (1.0, 1e-5, math.inf, "sample_every"),
+        (1.0, 1e-5, math.nan, "sample_every"),
+    ]:
+        with pytest.raises(DomainError, match=f"{name} must"):
+            evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=sample_every)
     with pytest.raises(DimensionError):
         evolve_fixed_step(np.eye(5), liouv, 1.0, 0.001)
     with pytest.raises(DomainError):

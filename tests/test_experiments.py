@@ -443,17 +443,30 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
 
 
 def test_csv_rows_format_as_cells():
-    """One format string per data.csv row writes each number as the summary's
-    per-cell formatting does: ints as integers, floats to 12 digits."""
+    """One format string per row of a data.csv table writes each number as
+    the summary's per-cell formatting does: integral values (counts, flags)
+    as integers, floats to 12 digits, in blocks of rows or not."""
     rows = [
         [0, np.int64(40000), 1.0, np.float64(1 / 3), math.nan, math.inf, -0.0],
         [7, np.int64(-2), 1e-300, np.float64(-2.5e17), -math.inf, 123456789012.5, 0.1],
     ]
     columns = list("abcdefg")
-    lines = list(experiments._csv_lines(["# x = 1"], columns, rows))
+    lines = list(experiments._csv_lines(["# x = 1"], columns, np.array(rows, dtype=float)))
     assert lines[:2] == ["# x = 1\n", "a,b,c,d,e,f,g\n"]
     assert lines[2:] == [",".join(map(experiments._fmt_cell, row)) + "\n" for row in rows]
     assert lines[2] == "0,40000,1,0.333333333333,nan,inf,-0\n"
+    # Longer than two blocks, with -0.0, nan, inf and an integral value.
+    n = 2 * experiments._CSV_BLOCK + 3
+    table = np.random.default_rng(0).normal(size=(n, 4)) * 10.0 ** np.arange(-3, 9, 3)
+    table[::7, 0], table[1::7, 1], table[2::7, 2], table[3::7, 3] = -0.0, math.nan, math.inf, 5
+    lines = list(experiments._csv_lines([], list("abcd"), table))
+    assert len(lines) == n + 1
+    assert lines[1:] == [",".join(map(experiments._fmt_cell, row)) + "\n"
+                         for row in table.tolist()]
+    assert [lines[1 + k].split(",")[k] for k in range(4)] == ["-0", "nan", "inf", "5\n"]
+    # A row of the wrong width is an error, not a reshaped table.
+    with pytest.raises(TypeError):
+        list(experiments._csv_lines([], list("abc"), table))
 
 
 def test_two_nuclei_explicit_drive_wins(tmp_path):
@@ -467,10 +480,11 @@ def test_two_nuclei_explicit_drive_wins(tmp_path):
     assert p.omega_e == 2.0
 
 
-def test_two_nuclei_rejects_single_variant(tmp_path):
+def test_two_nuclei_rejects_single_variant(tmp_path, capsys):
     text = "experiment = two-nuclei\n[params]\nvariant = single-nucleus-spin1\n"
     code, _ = run_cli(tmp_path, "two-nuclei", text)
     assert code == 2
+    assert "two-nuclei runs the" in capsys.readouterr().err
 
 
 def test_experiment_mismatch_is_config_error(tmp_path):
@@ -582,6 +596,9 @@ def test_header_reruns_to_identical_data(tmp_path, name):
                         f"experiment = {name}\n" + FAST_CONFIGS[name])
     assert code == 0
     data = (out / "data.csv").read_bytes()
+    # The experiment is named first in summary.txt and in the header.
+    assert (out / "summary.txt").read_text().startswith(f"experiment = {name}\n")
+    assert f"\n# experiment = {name}\n" in data.decode()
     code, out = run_cli(tmp_path / "again", name,
                         extract_header_config(data.decode()))
     assert code == 0
