@@ -398,7 +398,8 @@ def _run_steady(cfg):
 
     columns = ["fidelity", "purity", "spectral_gap_per_us", "null_dimension"]
     values = dict(cert)
-    row = [values[k] for k in ("steady_fidelity", "steady_purity", *columns[2:])]
+    row = [values[k] for k in ("steady_fidelity", "steady_purity", "spectral_gap_per_us",
+                               "null_dimension")]
     data = _csv_lines(_header_lines(cfg, {}, p), columns, np.array([row]))
     summary = _summary_text(cfg, cert + [("stationarity_residual_per_us", residual)])
     plot = _plot_script("index", "fidelity", [("0:1", "steady fidelity")])

@@ -1,11 +1,11 @@
 """Hash the output files of the reference configs of a BENCH_*.json.
 
-    python3 tools/output_hashes.py BENCH_30.json --src src [NAME ...]
+    python3 tools/output_hashes.py BENCH_30.json --src src
 
 Reads ``outputs.configs`` of the given file (name -> {"config": text, ...}),
-runs each config, or only the NAMEs given, through ``darksteady.cli.main``
-imported from the given ``src/`` directory, one after another in this
-process, and prints one JSON object to stdout:
+runs each config through ``darksteady.cli.main`` imported from the given
+``src/`` directory, one after another in this process, and prints one JSON
+object to stdout:
 ``{name: {"data.csv": sha256[:12], "summary.txt": sha256[:12]}}``, with the
 exit code in place of the hashes for a run that failed.  Run it once with
 the ``src/`` of each side to compare two versions of the package.
@@ -31,20 +31,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("bench", help="a BENCH_*.json with outputs.configs")
     parser.add_argument("--src", required=True, help="the src/ directory to import darksteady from")
-    parser.add_argument("names", nargs="*", help="run only these configs")
-    args = parser.parse_intermixed_args(argv)
+    args = parser.parse_args(argv)
     with open(args.bench, encoding="utf-8") as fh:
         configs = json.load(fh)["outputs"]["configs"]
-    unknown = sorted(set(args.names) - set(configs))
-    if unknown:
-        parser.error(f"no such config: {', '.join(unknown)}")
     sys.path.insert(0, os.path.abspath(args.src))
     from darksteady import cli
     from darksteady.config import parse_config
 
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, name in enumerate(args.names or configs):
+        for i, name in enumerate(configs):
             text = configs[name]["config"]
             cfg_path, out_dir = os.path.join(tmp, f"{i}.ini"), os.path.join(tmp, f"{i}")
             with open(cfg_path, "w", encoding="utf-8") as fh:
