@@ -18,7 +18,9 @@ Propagation runs in the orthonormal basis of Hermitian matrices
 coordinate vector and L is a real matrix with the same eigenvalues
 (``Liouvillian.real``), so every map, step and steady-state solve
 is real arithmetic, and so is observation (:meth:`Trajectory.from_coords`):
-a density matrix is made only for a final state and for states a caller keeps.
+every observable, the populations among them, is a dot product with the
+coordinates, and a density matrix is made only for a final state and for
+states a caller keeps.
 Given a symmetry such as ``model.mirror`` (``Liouvillian.symmetry``), that
 real matrix is split once into the blocks of the symmetry's even and odd
 states when it commutes with it (``Liouvillian.halves``, :class:`MirrorSplit`).
@@ -26,7 +28,9 @@ states when it commutes with it (``Liouvillian.halves``, :class:`MirrorSplit`).
 unique steady state lies, and only the eigenvalues of the odd one unless
 it has a null eigenvalue; :func:`evolve_fixed_step` and
 :func:`evolve_propagator` propagate a mirror-even initial state in the
-even block alone, half the coordinates, and observe it there.
+even block alone, half the coordinates, and observe it there.  Coordinates
+are lifted back to the whole basis (:meth:`MirrorSplit.lift`) only where a
+density matrix is made.
 
 The fixed-step integrator is classical 4th-order Runge-Kutta.  For a linear
 autonomous system the four stages collapse to one matrix: the degree-4
@@ -190,34 +194,34 @@ class Trajectory:
         ``target`` (if given), purity, populations, |Tr rho - 1| and Tr(A
         rho) for each named operator A of ``observables`` per sample;
         ``times(k)`` is the time of sample k.  The basis is orthonormal, so
-        populations are x[:d], purity is ||x||^2, and fidelity and each
-        Tr(A rho) are dot products with the coordinates of |target><target|
-        and of A (a non-Hermitian A raises DomainError), one GEMM per block.
-        Only the final state becomes a density matrix, unless
-        ``keep_states``.
+        purity is ||x||^2, and fidelity and each Tr(A rho) are dot products
+        with the coordinates of |target><target| and of A (a non-Hermitian A
+        raises DomainError), one GEMM per block.  Populations are dot
+        products too, with the coordinates of the diagonal units |j><j|
+        (the first d basis elements), in a second product per block.  Only
+        the final state becomes a density matrix, unless ``keep_states``.
 
         With a :class:`MirrorSplit` ``split`` the rows are coordinates y in
         its mirror-even half.  Q is orthonormal too, so purity is ||y||^2,
         and the dot products take the even parts of the coordinates of the
-        target and of each A, made once per call.  Each population is one
-        entry of y, weighted 1/sqrt2 for a mirror-paired level and 1 for a
-        level the mirror fixes, and each kept state is made from Q y."""
+        target, of each A and of each |j><j|, made once per call; only the
+        final state and each kept state are made from Q y."""
         observables = observables or {}
         proj = [] if target is None else [np.outer(target, np.conj(target))]
         rows = np.reshape([basis.coords(a) for a in [*observables.values(), *proj]],
                           (-1, basis.dim ** 2))
+        units = np.eye(basis.dim, basis.dim ** 2)  # the coordinates of each |j><j|
         if split is not None:
-            rows = split.part(rows)
+            rows, units = split.part(rows), split.part(units)
 
-        def whole(y, stop=None):  # the whole coordinates (the first ``stop``) of rows y
-            return y[..., :stop] if split is None else split.lift(y, stop=stop)
+        def whole(y):  # the whole coordinates of rows y
+            return y if split is None else split.lift(y)
 
         kept, dots, purs, pops = [], [], [], []
         for block in blocks:
             dots.append(block @ rows.T)
             purs.append(np.einsum("ij,ij->i", block, block))
-            # A copy, so that no kept row holds on to the block.
-            pops.append(whole(block, basis.dim).copy())
+            pops.append(block @ units.T)
             if keep_states:
                 kept.extend(basis.states(whole(block).T))
         dots = np.concatenate(dots).T.copy()
@@ -399,13 +403,12 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
     v_k.  With ``count=None`` it runs until ``until(k, v_k)``, called in
     order of k before v_k's block is yielded, returns the total count (None
     goes on); a count inside a block truncates it, so the run is bitwise
-    the run of that count.  If ``until`` raises, the vectors before v_k are
-    yielded first."""
+    the run of that count.  ``last`` is for a given ``count``, and at count
+    1 ``first`` makes v_1.  An error raised by ``until`` propagates, and no
+    vector of the block it was called on is yielded."""
     width = _OBSERVE_BLOCK
     dtype = np.result_type(v, step)
-    # fixed: the last k that ``last`` may not make (v_1 if ``first`` made it,
-    # or a vector ``until`` has seen).
-    prev, power, fixed = None, None, int(first is not None)
+    prev, power = None, None
     for start in itertools.count(0, width):
         if last is not None and 0 < start == count:
             yield (last @ prev[-1])[None]  # v_count alone: no step product
@@ -428,15 +431,10 @@ def iterate(v, step, count=None, first=None, last=None, until=None):
         stop = start + len(block)
         k = max(start, 1)
         while count is None and k < stop:
-            try:
-                count = until(k, block[k - start])
-            except Exception:
-                yield block[:k - start]
-                raise
-            fixed, k = k, k + 1
+            count, k = until(k, block[k - start]), k + 1
         if count is not None and count < stop:
             block = block[:count + 1 - start]
-            if last is not None and count > fixed:
+            if last is not None and count > (first is not None):
                 block[-1] = last @ (block[-2] if len(block) > 1 else prev[-1])
             yield block
             return
@@ -485,11 +483,12 @@ def evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=1, target=None,
 
 def evolve_propagator(rho0, liouv, t):
     """Exact-in-time propagation via the matrix exponential of t*L, in the
-    even half of ``Liouvillian.halves`` when rho0 is even."""
+    even half of ``Liouvillian.halves`` when rho0 is even.  A t that is not
+    finite and >= 0 raises DomainError."""
     rho0 = _check_state(rho0, liouv.dim)
     t = float(t)
-    if t < 0:
-        raise DomainError(f"propagation time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"propagation time must be finite and >= 0, got {t}")
     if t == 0.0:
         return rho0.astype(complex)
     basis = HermitianBasis(liouv.dim)
@@ -527,15 +526,6 @@ class MirrorSplit:
                                   np.ones(len(odd))])
         self.n, self.even = len(pi), len(pair) + len(even)
         self._cols = i1, i2, w1, w2
-        # Per half, the whole coordinates of its columns' nonzeros, the
-        # column of each and its weight: a fixed index carries one weight 1.
-        self._lifts = []
-        for half in (slice(None, self.even), slice(self.even, None)):
-            a, b, wa, wb = (x[half] for x in self._cols)
-            c, paired = np.arange(len(a)), a != b
-            self._lifts.append((np.concatenate([a, b[paired]]),
-                                np.concatenate([c, c[paired]]),
-                                np.concatenate([np.where(paired, wa, 1.0), wb[paired]])))
 
     def blocks(self, mat, bound=None):
         """(even, odd): the even and odd diagonal blocks of Q^T mat Q for a
@@ -568,11 +558,15 @@ class MirrorSplit:
             return None
         return rows[:even, :even].T.copy(), rows[even:, even:].T.copy()
 
+    def _half(self, odd):
+        # (i1, i2, w1, w2) of the columns of the even half, or the odd one.
+        half = slice(self.even, None) if odd else slice(None, self.even)
+        return [a[half] for a in self._cols]
+
     def part(self, x, odd=False):
         """Q^T x in the even half, or the odd one: the coordinates of x
         (last axis) on that half's columns."""
-        half = slice(self.even, None) if odd else slice(None, self.even)
-        i1, i2, w1, w2 = (a[half] for a in self._cols)
+        i1, i2, w1, w2 = self._half(odd)
         return x[..., i1] * w1 + x[..., i2] * w2
 
     def even_start(self, x):
@@ -582,16 +576,15 @@ class MirrorSplit:
             return None
         return self.part(x)
 
-    def lift(self, y, odd=False, stop=None):
+    def lift(self, y, odd=False):
         """Q y for coordinates y (last axis) in the even half, or the odd
-        one: the whole coordinates (the first ``stop`` of them), each one
-        entry of y times its weight (0 + w y, so no zero turns to -0)."""
-        idx, col, w = self._lifts[odd]
-        if stop is not None:
-            keep = idx < stop
-            idx, col, w = idx[keep], col[keep], w[keep]
-        out = np.zeros((*y.shape[:-1], self.n if stop is None else stop), dtype=y.dtype)
-        out[..., idx] += y[..., col] * w
+        one: the whole coordinates, two weighted scatters of y over the
+        half's columns.  A paired index gets 0 + w y, so no zero turns to
+        -0, and a fixed one 0.5 y + 0.5 y, which is y."""
+        i1, i2, w1, w2 = self._half(odd)
+        out = np.zeros((*y.shape[:-1], self.n), dtype=y.dtype)
+        out[..., i1] += y * w1
+        out[..., i2] += y * w2
         return out
 
 
@@ -625,29 +618,28 @@ def steady_state(liouv):
     stationary basis attached: Hermitian matrices, from a real orthonormal
     basis of the null vectors' span.
 
-    With ``Liouvillian.halves`` only the half-size blocks are decomposed,
-    and eigenvectors only of a block that has a null eigenvalue: one
-    ``eig_full`` call on the even block, where a unique steady state lies,
-    and ``linalg.eigenvalues`` on the odd one, which is decomposed with
-    vectors too only when one of its eigenvalues is null.  The null count
-    and the gap come from both blocks, and each null vector is mapped back
-    from its own block, the even block's first.  Without halves (for the
-    mirror, gamma_plus != gamma_minus or e_minus != -e_plus) L is
-    decomposed whole.
+    The blocks are decomposed in one loop: ``real()`` alone, or with
+    ``Liouvillian.halves`` its even and odd blocks (without halves, for the
+    mirror, gamma_plus != gamma_minus or e_minus != -e_plus).  The first
+    block, where a unique steady state lies, goes to one ``eig_full``
+    call; each later one to ``linalg.eigenvalues``, and to ``eig_full``
+    too only when one of its eigenvalues is null.  The null count and the
+    gap come from every block, and each null vector is mapped back from
+    its own block (:meth:`MirrorSplit.lift`), the first block's first.
     """
     tol = _NULL_TOL_REL * liouv.norm_bound()
-    halves = liouv.halves()
-    if halves is None:
-        vals, vecs = linalg.eig_full(liouv.real())
-        coords = vecs[:, np.abs(vals) <= tol]
-    else:  # back from the mirror-adapted basis: Q y, y in its own block
-        split, even, odd = halves
-        parts = [linalg.eig_full(even), (linalg.eigenvalues(odd), None)]
-        if np.any(np.abs(parts[1][0]) <= tol):  # only then are odd vectors read
-            parts[1] = linalg.eig_full(odd)
-        vals = np.concatenate([part[0] for part in parts])
-        coords = np.vstack([split.lift(v[:, np.abs(w) <= tol].T, odd)
-                            for odd, (w, v) in enumerate(parts) if v is not None]).T
+    split, *blocks = liouv.halves() or (None, liouv.real())
+    vals, coords = [], []
+    for i, block in enumerate(blocks):
+        w = linalg.eigenvalues(block) if i else None
+        if w is None or np.any(np.abs(w) <= tol):  # only then are its vectors read
+            w, v = linalg.eig_full(block)
+            null = v[:, np.abs(w) <= tol].T
+            # Back from the mirror-adapted basis: Q y, y in this block.
+            coords.append(null if split is None else split.lift(null, odd=i > 0))
+        vals.append(w)
+    vals = np.concatenate(vals)
+    coords = np.vstack(coords).T
     n_null = coords.shape[1]
     decaying = vals.real[vals.real < -tol]
     gap = float((-decaying).min()) if decaying.size else math.inf

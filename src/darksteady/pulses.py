@@ -38,11 +38,13 @@ fixed point is the nuclear-rotated image of the dark state; sampling at the
 cycle boundary would report the basis-rotated fidelity of 1/2 instead.
 
 Segments, ``PulseSequence`` and the value arguments of ``run_sequence``,
-``subspace_rotation`` and ``t2star_sweep`` are checked by the parsers of
-the config format (``errors``), through the ``_FIELDS`` table: a value is
-accepted exactly when the same text in a config file would be, and a bad
-one raises ConfigError naming the class or function in place of the
-section, e.g. ``[OpticalPump] duration: must be >= 0.0, got -0.1``.
+``subspace_rotation`` and ``t2star_sweep`` (``seed`` among them, an
+integer >= 0) are checked by the parsers of the config format
+(``errors``), through the ``_FIELDS`` table: a value is accepted exactly
+when the same text in a config file would be, and a bad one raises
+ConfigError naming the class or function in place of the section, e.g.
+``[OpticalPump] duration: must be >= 0.0, got -0.1`` or ``[run_sequence]
+seed: must be >= 0, got -1``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ _FIELDS = {
     "record_segment": _bounded(int, 0),
     "noise_mode": _choice(NOISE_MODES),
     "noise_samples": _bounded(int, 1),
+    "seed": _bounded(int, 0),
     "t2_values": _floats(0.0, strict=True),
 }
 
@@ -430,9 +433,9 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     whole.  A static detuning maps to its negative under the mirror, so
     quasi-static samples always run whole.
     """
-    noise_mode, noise_samples = _check_values(
+    noise_mode, noise_samples, seed = _check_values(
         "run_sequence", _FIELDS,
-        {"noise_mode": noise_mode, "noise_samples": noise_samples}).values()
+        {"noise_mode": noise_mode, "noise_samples": noise_samples, "seed": seed}).values()
     if target is None:
         target = model.default_target(p.variant)
     basis = HermitianBasis(p.dim)
@@ -512,8 +515,9 @@ def t2star_sweep(p, seq, t2_values, noise_mode="markovian", noise_samples=200,
 
 def _t2star_runs(p, seq, t2_values, noise_mode, noise_samples, seed):
     """Yield (t2_star, trajectory) of each run of :func:`t2star_sweep`."""
-    t2_list = sorted(_check_values("t2star_sweep", _FIELDS, {"t2_values": t2_values})["t2_values"])
+    t2_values, seed = _check_values("t2star_sweep", _FIELDS,
+                                    {"t2_values": t2_values, "seed": seed}).values()
     rho0 = model.mixed_ground_state(p.variant)
-    for t2 in t2_list:
+    for t2 in sorted(t2_values):
         yield t2, run_sequence(rho0, seq, replace(p, t2_star=t2), noise_mode=noise_mode,
                                noise_samples=noise_samples, seed=seed)

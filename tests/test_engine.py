@@ -313,15 +313,17 @@ def test_iterate_until_matches_fixed_count():
 
 
 def test_iterate_until_may_raise():
+    """An error raised by ``until`` propagates: the blocks before are
+    yielded whole, and nothing of the block in which it was raised."""
     def until(k, w):
-        if k == 3:
+        if k == 70:
             raise NumericalError("stop")
 
     got = []
     with pytest.raises(NumericalError, match="stop"):
         for block in engine.iterate(np.ones(2), 0.5 * np.eye(2), until=until):
             got.extend(block[:, 0])
-    assert got == [1.0, 0.5, 0.25]
+    assert got == [0.5 ** k for k in range(64)]
 
 
 def product_chain(v, step, count, first=None, last=None):
@@ -437,21 +439,28 @@ def test_quasistatic_short_run_is_the_product_chain(tmp_path, monkeypatch):
     assert data("chained") == blocked
 
 
+OBSERVED_RUNS = {"one-block": ("fig2", 47, 3), "three-blocks": ("fig2", 1497, 150),
+                 "two-nuclei": ("two-nuclei", 47, None), "gemm-block": ("fig2", 2997, 300)}
+
+
 @pytest.mark.parametrize(
-    "system, steps, cycles",
-    [("fig2", 47, 3), ("fig2", 1497, 150), ("two-nuclei", 47, None), ("fig2", 2997, 300)],
-    ids=["one-block", "three-blocks", "two-nuclei", "gemm-block"],
+    "system, steps, cycles, mirrored",
+    [(*case, mirrored) for mirrored in (False, True) for case in OBSERVED_RUNS.values()],
+    ids=[*OBSERVED_RUNS, *(f"{name}-mirror" for name in OBSERVED_RUNS)],
 )
-def test_observables_and_final_state_match_stored_states(system, steps, cycles):
+def test_observables_and_final_state_match_stored_states(system, steps, cycles, mirrored):
     """What a trajectory reads off the coordinates agrees with the stored
     states, over a run whose last interval is partial (a sample every 10
     steps); a pulsed run's final state is its last sample.  The second
     case observes 151 samples: two full blocks and a partial one; the
     third observes the nuclear singlet of two nuclei; the fourth observes
     301 samples, whose last block is one GEMM past the product blocks.
+    Each runs whole and, with the mirror, in the mirror-even half.
     Populations and the final state are exact; the rest are dot products
     on one side and matrix products on the other, so they agree to 1e-14."""
     p, liouv = fig2_system() if system == "fig2" else asymmetric_two_nuclei_system()
+    if mirrored:
+        liouv = with_mirror(p, liouv)
     target = model.default_target(p.variant)
     rho0 = model.mixed_ground_state(p.variant)
     observables = {"target": np.outer(target, target.conj())}
@@ -460,6 +469,7 @@ def test_observables_and_final_state_match_stored_states(system, steps, cycles):
     dt = 5e-5
     traj = evolve_fixed_step(rho0, liouv, steps * dt, dt, sample_every=10, target=target,
                              store_states=True, observables=observables)
+    assert traj.mirror_half == mirrored
     assert len(traj.states) == -(-steps // 10) + 1
     assert list(traj.expectations) == list(observables)
     for name, op in observables.items():
@@ -471,7 +481,8 @@ def test_observables_and_final_state_match_stored_states(system, steps, cycles):
         [abs(complex(np.trace(s)) - 1.0) for s in traj.states], abs=1e-14)
     assert np.array_equal(traj.populations, [np.diag(s).real for s in traj.states])
     assert np.array_equal(traj.final_state, traj.states[-1])
-    if cycles is None:  # the pulsed protocol runs on the spin-1 variant only
+    # The pulsed protocol runs on the spin-1 variant only, and without liouv.
+    if cycles is None or mirrored:
         return
 
     seq = pulses.standard_cycle(p, tau=0.02, cycles=cycles)
@@ -533,8 +544,9 @@ def test_evolve_argument_validation():
             evolve_fixed_step(rho0, liouv, t_end, dt, sample_every=sample_every)
     with pytest.raises(DimensionError):
         evolve_fixed_step(np.eye(5), liouv, 1.0, 0.001)
-    with pytest.raises(DomainError):
-        evolve_propagator(rho0, liouv, -0.5)
+    for t in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="propagation time must be finite and >= 0"):
+            evolve_propagator(rho0, liouv, t)
 
 
 def test_propagator_zero_time_is_identity():

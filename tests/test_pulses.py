@@ -1,5 +1,6 @@
 """Pulsed protocol: segment propagators, the standard cycle, error models."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,24 @@ def test_run_sequence_argument_checks():
         run_sequence(rho0, seq, p, noise_mode="telegraph")
     with pytest.raises(DimensionError):
         run_sequence(np.eye(5), seq, p)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "must be >= 0, got -1"),
+                                           (1.5, "expected an integer, got '1.5'")],
+                         ids=["negative", "fractional"])
+@pytest.mark.parametrize("entry", ["run_sequence", "t2star_sweep"])
+def test_pulsed_entry_points_check_the_seed(entry, seed, message):
+    """A seed that a config file could not hold raises ConfigError naming
+    the function, as for the other value arguments, also where quasi-static
+    noise would hand it to the random generator."""
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, cycles=2)
+    noise = {"noise_mode": "quasistatic", "noise_samples": 2, "seed": seed}
+    with pytest.raises(ConfigError, match=rf"\[{entry}\] seed: {re.escape(message)}"):
+        if entry == "run_sequence":
+            run_sequence(model.mixed_ground_state(p.variant), seq, p, **noise)
+        else:
+            t2star_sweep(p, seq, [5.0, 10.0], **noise)
 
 
 def test_correction_requires_matching_rotation_pairs():
