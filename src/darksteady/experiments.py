@@ -43,14 +43,15 @@ _SAMPLE_INTERVAL = 0.05  # us between CSV rows of continuous runs
 _RESIDUAL_TARGET = 1e-8  # operational "steady state reached" criterion
 _PAD_FRACTION = 0.2  # extra integration past convergence, shows the plateau
 _CHECK_EVERY = 20  # samples per residual check, i.e. every 1 us
-# One pulsed run propagates at most this many sample-cycles, at about 5-6 us
-# each on one core in sequences of up to 256 cycles and about 1-2 us in
+# One pulsed run propagates at most this many sample-cycles, at about 4-7 us
+# each on one core in sequences of up to 256 cycles and about 2 us in
 # longer ones, made by GEMM blocks (measured on a 2-vCPU Xeon, numpy 2.4.6,
-# OpenBLAS).  Building a sample's maps takes 1.8-1.9 ms in a run of 20
-# samples, which share the rotations, some 300-400 short sample-cycles or
-# 1,450-1,750 long ones, but counts as _MAPS_CYCLES of them (the default
-# t2-inset admits at most 804), so a run at the limit takes from about 1-2 s
-# (all propagation in long sequences) to about 7-8 s (all map builds).
+# OpenBLAS).  A sample's maps take 0.16-0.19 ms in a run of 20 samples,
+# which share every map that no detuning changes and add only the phases
+# of their detunings: some 25-45 short sample-cycles or 75-95 long ones.
+# They count as _MAPS_CYCLES, an overcount that only makes the bound
+# stricter (the default t2-inset admits at most 804), so a run at the limit
+# takes from under 1 s (all map builds) to about 2-4 s (all propagation).
 _MAX_SAMPLE_CYCLES = 1_000_000
 _MAPS_CYCLES = 250
 _CSV_BLOCK = 1024  # data.csv rows per .tolist()

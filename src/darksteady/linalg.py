@@ -551,6 +551,29 @@ class HermitianBasis:
             np.multiply(w[d:].imag, -2 * s, out=out[d + m:, cols])
         return out
 
+    def phase(self, h, t, x):
+        """The map rho -> u rho u^dag of u = exp(-i t h) for a diagonal h,
+        applied to the coordinates along the first axis of ``x`` (a vector,
+        or the rows of a 2-D array): the diagonal coordinates stay, and each
+        pair (sym_jk, anti_jk) turns by the angle (h_j - h_k) t, as
+        :meth:`unitary` of u would, with O(d^2) work per column.  An h with
+        an entry off its diagonal, or a diagonal that is not real, raises
+        DomainError: no term is dropped."""
+        h, x = np.asarray(h), np.asarray(x, dtype=float)
+        d, m = self.dim, self._j.size
+        if h.shape != (d, d) or x.shape[0] != d * d:
+            raise DimensionError(f"a {h.shape} Hamiltonian on {x.shape} coordinates is not {d}x{d}")
+        diag = np.diagonal(h)
+        if np.count_nonzero(h) != np.count_nonzero(diag) or np.any(np.imag(diag)):
+            raise DomainError("a phase needs a real diagonal Hamiltonian")
+        u = np.exp(-1j * t * diag.real)
+        # sym + i anti of the pair j < k is multiplied by conj(u_j) u_k.
+        turn = (u[self._j].conj() * u[self._k]).reshape((-1,) + (1,) * (x.ndim - 1))
+        z = turn * (x[d:d + m] + 1j * x[d + m:])
+        out = x.copy()
+        out[d:d + m], out[d + m:] = z.real, z.imag
+        return out
+
     def permutation(self, u):
         """The map rho -> u rho u^dag of a d x d signed permutation matrix u
         as a signed permutation of the coordinates: ``(pi, sigma)`` with

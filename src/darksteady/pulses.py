@@ -20,11 +20,15 @@ Rotations are instantaneous unitaries; their ``duration`` fields are pure
 wall-clock bookkeeping (10 ns electron pulse, 10 us nuclear pulse) and enter
 the dynamics only through T2* noise or a static detuning during an
 unfiltered nuclear pulse.  By default the decoupling filters that noise
-(``dd_filter=True``), so it acts during FreeEvolution only.  A cycle's maps
-are one function of a detuning: None applies a finite T2* as Markovian
-dephasing, and a number is a static electron detuning in its place.  A
-quasi-static run averages, in draw order, the runs of its drawn detunings,
-which share the rotation maps that no detuning changes.
+(``dd_filter=True``), so it acts during FreeEvolution (and Idle) only.  A
+cycle's maps are one function of a detuning: None applies a finite T2* as
+Markovian dephasing, and a number is a static electron detuning in its
+place.  A detuning commutes with the detuning-free generator of every
+segment that exposes the electron, so there its map is a phase after that
+generator's (``HermitianBasis.phase``).  A quasi-static run averages, in
+draw order, the runs of its drawn detunings: the detuning-free maps (pump,
+rotations, decay) are built, exponentiated and multiplied once per
+sequence, and each detuning adds only its phases.
 
 Every segment map is a real matrix on coordinates in the orthonormal
 basis of Hermitian matrices (:class:`linalg.HermitianBasis`): generators
@@ -162,7 +166,9 @@ class NuclearRotation(_Segment):
 
 @dataclass(frozen=True)
 class Idle(_Segment):
-    """Free decay (and dephasing if T2* set) with all coherent terms off."""
+    """Free decay with all coherent terms off, plus T2*: Markovian
+    dephasing, or under quasi-static noise the sample's static detuning,
+    which turns the electron's coherences as in FreeEvolution."""
 
     duration: float
 
@@ -262,70 +268,98 @@ def _generator(h, cs, p, duration):
     return build_liouvillian(h, cs, p.layout).real(), duration
 
 
-def _bare_rotation(seg, dd_filter):
-    """Whether ``seg``'s map is the same under every detuning: an electron
-    rotation, or a nuclear one filtered by the decoupling or of no duration."""
-    if isinstance(seg, NuclearRotation):
-        return dd_filter or seg.duration == 0
-    return isinstance(seg, ElectronRotation)
+def _segment_factors(seg, p, *, electron_angle=None, static=False, dd_filter=True):
+    """Map of one segment as (factors, phase), neither depending on a
+    detuning.  ``factors``, the last applied first, are (m, None) for a real
+    map m on coordinates in ``HermitianBasis(p.dim)`` and (g, t) for exp(t g)
+    of a real generator g, which :func:`_segment_map` exponentiates.
 
-
-def _segment_factors(seg, p, *, electron_angle=None, detuning=None, dd_filter=True):
-    """Map of one segment as a list of factors, the last applied first:
-    (m, None) for a real map m on coordinates in ``HermitianBasis(p.dim)``
-    and (g, t) for exp(t g) of a real generator g, which
-    :func:`_segment_map` exponentiates.  ``detuning`` None applies a finite
-    T2* as Markovian dephasing; a number, with or without T2*, is a static
-    electron detuning (rad/us) wherever the decoupling exposes the electron."""
+    Without ``static`` a finite T2* is Markovian dephasing and ``phase`` is
+    None.  With it, T2* is a static electron detuning delta wherever the
+    decoupling exposes the electron, with or without T2*: ``phase`` is then
+    (h, t) for a diagonal h, and the segment's map under delta is the phase
+    of h + delta S_z over t (HermitianBasis.phase) after the factors.  It is
+    None where the electron is shielded: in the pump (T2* is off there), the
+    rotations, and a nuclear pulse the decoupling filters or of no
+    duration.  delta S_z commutes with the generator of every exposed
+    segment, so the phase may follow it."""
     if isinstance(seg, OpticalPump):
         kwargs = dict(omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None)
         if seg.e_amplitude is not None:
             kwargs["e_plus"] = seg.e_amplitude
             kwargs["e_minus"] = -seg.e_amplitude
         p2 = replace(p, **kwargs)
-        return [_generator(model.build_hamiltonian(p2), model.decay_ops(p2), p, seg.duration)]
+        return [_generator(model.build_hamiltonian(p2), model.decay_ops(p2), p, seg.duration)], None
     basis = HermitianBasis(p.dim)
     if isinstance(seg, ElectronRotation):
         angle = seg.angle if electron_angle is None else electron_angle
-        return [(basis.unitary(subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)), None)]
+        return [(basis.unitary(subspace_rotation(("e0", "eD"), angle, seg.axis, p.variant)), None)], None
     if isinstance(seg, FreeEvolution):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0, e_minus=0.0)
         h = model.build_hamiltonian(p2)
-        if detuning:
-            h = h + detuning * model.build_operators(p.variant)["S_z"]
-        if detuning is None and p.t2_star is not None:
-            return [_generator(h, [model.dephasing_op(p2)], p, seg.duration)]
-        return [(basis.unitary(linalg.expm(-1j * h, seg.duration)), None)]
+        if static:
+            return [], (h, seg.duration)
+        if p.t2_star is not None:
+            return [_generator(h, [model.dephasing_op(p2)], p, seg.duration)], None
+        return [(basis.unitary(linalg.expm(-1j * h, seg.duration)), None)], None
     if isinstance(seg, NuclearRotation):
         eps = dd_error(p.g, p.omega_n, seg.dd_interval)
         mat = basis.unitary(subspace_rotation(("n0", "nD"), seg.angle - eps, seg.axis, p.variant))
-        if _bare_rotation(seg, dd_filter) or (detuning is None and p.t2_star is None):
-            return [(mat, None)]
+        if dd_filter or seg.duration == 0 or not static and p.t2_star is None:
+            return [(mat, None)], None
+        if static:
+            return [(mat, None)], (0.0, seg.duration)
         # Unfiltered noise accumulates over the pulse's wall-clock time.
         sz = model.build_operators(p.variant)["S_z"]
-        if detuning is None:
-            noise = _generator(np.zeros_like(sz), [model.dephasing_op(p)], p, seg.duration)
-        else:
-            noise = basis.unitary(linalg.expm(-1j * detuning * sz, seg.duration)), None
-        return [noise, (mat, None)]
+        return [_generator(np.zeros_like(sz), [model.dephasing_op(p)], p, seg.duration),
+                (mat, None)], None
     if isinstance(seg, Idle):
         p2 = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, e_plus=0.0, e_minus=0.0)
-        return [_generator(model.build_hamiltonian(p2), model.build_collapse_ops(p2), p,
-                           seg.duration)]
+        cs = model.decay_ops(p2) if static else model.build_collapse_ops(p2)
+        return ([_generator(model.build_hamiltonian(p2), cs, p, seg.duration)],
+                (0.0, seg.duration) if static else None)
     raise ConfigError(f"unknown pulse segment {seg!r}")
 
 
 def _segment_map(factors):
     """The product of a segment's factors (see _segment_factors), one expm
-    per generator."""
+    per generator; None for no factors (the identity)."""
     mats = [m if t is None else linalg.expm(m, t) for m, t in factors]
-    return functools.reduce(np.matmul, mats)
+    return functools.reduce(np.matmul, mats) if mats else None
 
 
-def _segment_propagator(seg, p, **kwargs):
+def _chain(ops):
+    """``ops`` in the order they apply, matrices, phases (h, t) and None
+    (the identity), as a chain: None dropped and each run of matrices
+    multiplied once, the later on the left."""
+    chain = []
+    for op in ops:
+        if isinstance(op, np.ndarray) and chain and isinstance(chain[-1], np.ndarray):
+            chain[-1] = op @ chain[-1]
+        elif op is not None:
+            chain.append(op)
+    return chain
+
+
+def _product(chain, detuning, basis, sz):
+    """The matrix of a chain (see _chain) under ``detuning``: each phase
+    (h, t) is that of h + detuning S_z over t on the rows of the product
+    so far."""
+    out, *ops = chain if isinstance(chain[0], np.ndarray) else [np.eye(basis.dim ** 2), *chain]
+    for op in ops:
+        out = (op @ out if isinstance(op, np.ndarray)
+               else basis.phase(op[0] + detuning * sz, op[1], out))
+    return out
+
+
+def _segment_propagator(seg, p, *, detuning=None, **kwargs):
     """Map of one segment, a real matrix on coordinates in
-    ``HermitianBasis(p.dim)``; the keywords are those of _segment_factors."""
-    return _segment_map(_segment_factors(seg, p, **kwargs))
+    ``HermitianBasis(p.dim)``, under ``detuning`` (None: Markovian T2*, a
+    number: a static detuning); the other keywords are those of
+    _segment_factors."""
+    factors, phase = _segment_factors(seg, p, static=detuning is not None, **kwargs)
+    return _product(_chain([_segment_map(factors), phase]), detuning, HermitianBasis(p.dim),
+                    model.build_operators(p.variant)["S_z"])
 
 
 def _even_factors(factors, split):
@@ -372,43 +406,41 @@ def _record_end(seq):
 
 
 def _cycle_maps(seq, p, detunings, split=None):
-    """Yield (head, step, split) for each detuning in turn: one cycle's
-    segment maps under it, as in :func:`_segment_propagator`, composed
-    once; the rotations that no detuning changes (:func:`_bare_rotation`)
-    are built once and shared.  ``head`` = M_r ... M_0 takes the initial
-    state to the first record point and ``step`` = head M_{n-1} ...
-    M_{r+1} one record point to the next, so engine.iterate applies one
-    map per cycle: a matrix-vector product for each of the first 256
-    cycles, then one GEMM per block of 64.
+    """Yield (head, step, split) for each detuning in turn: the maps of one
+    cycle under it, as in :func:`_segment_propagator`, composed.  ``head`` =
+    M_r ... M_0 takes the initial state to the first record point and
+    ``step`` = head M_{n-1} ... M_{r+1} one record point to the next, so
+    engine.iterate applies one map per cycle: a matrix-vector product for
+    each of the first 256 cycles, then one GEMM per block of 64.
 
-    Given a MirrorSplit ``split``, the maps are made in its even half if
-    every factor of every segment commutes with the mirror
-    (:func:`_even_factors`), and the third item is ``split``; otherwise,
-    and without one, they are whole and it is None.  Either way each
-    generator is built and exponentiated once."""
+    ``detunings`` is [None] (Markovian T2*) or static detunings.  Each
+    segment's map and phase (:func:`_segment_factors`) are built once per
+    call, and the maps multiplied once into the chains of head and step
+    (:func:`_chain`).  A detuning then costs a phase on the rows for each
+    exposed segment and a product for each shared map that follows one:
+    for the standard cycle two phases, and one product more with the
+    decoupling filter off.
+
+    Given a MirrorSplit ``split`` (Markovian runs), the maps are made in
+    its even half if every factor of every segment commutes with the
+    mirror (:func:`_even_factors`), and the third item is ``split``;
+    otherwise, and without one, they are whole and it is None."""
     overrides = _electron_overrides(seq, p)
-
-    def build(i, seg, detuning):
-        return _segment_factors(seg, p, electron_angle=overrides.get(i), detuning=detuning,
-                                dd_filter=seq.dd_filter)
-
-    shared = {i: build(i, seg, None) for i, seg in enumerate(seq.segments)
-              if _bare_rotation(seg, seq.dd_filter)}
-    end = _record_end(seq)
+    static = None not in detunings
+    factors, phases = zip(*[
+        _segment_factors(seg, p, electron_angle=overrides.get(i), static=static,
+                         dd_filter=seq.dd_filter) for i, seg in enumerate(seq.segments)])
+    even = split and [_even_factors(f, split) for f in factors]
+    half = split if even and None not in even else None
+    ops = [op for f, phase in zip(factors if half is None else even, phases)
+           for op in (_segment_map(f), phase)]
+    end = 2 * _record_end(seq)
+    head = _chain(ops[:end])
+    step = _chain(_chain(ops[end:]) + head)
+    basis = HermitianBasis(p.dim)
+    sz = model.build_operators(p.variant)["S_z"] if static else None
     for detuning in detunings:
-        # The pump is rebuilt too: perfbench pins its builds per sample (ROADMAP item 1).
-        factors = [shared[i] if i in shared else build(i, seg, detuning)
-                   for i, seg in enumerate(seq.segments)]
-        even = split and [_even_factors(f, split) for f in factors]
-        half = split if even and None not in even else None
-        maps = [_segment_map(f) for f in (factors if half is None else even)]
-        head = maps[0]
-        for mat in maps[1:end]:
-            head = mat @ head
-        step = head
-        for mat in reversed(maps[end:]):
-            step = step @ mat
-        yield head, step, half
+        yield _product(head, detuning, basis, sz), _product(step, detuning, basis, sz), half
 
 
 def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
@@ -423,8 +455,9 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
     ``noise_mode`` selects the T2* model: "markovian" uses the dephasing
     collapse operator; "quasistatic" draws ``noise_samples`` static electron
     detunings from N(0, sqrt(2)/T2*) with the given seed and averages the
-    resulting states; its rotation maps are built once and shared by every
-    sample.  Without a finite t2_star both modes coincide.
+    resulting states; every detuning-free map is built once and shared by
+    every sample, which adds only the phases of its detuning.  Without a
+    finite t2_star both modes coincide.
 
     A run of one map set (Markovian or noiseless) is carried in the
     mirror-even half of ``model.mirror(p.variant)`` (engine.MirrorSplit)
@@ -449,7 +482,7 @@ def run_sequence(rho0, seq, p, target=None, noise_mode="markovian",
         split = MirrorSplit(model.mirror(p.variant), p.dim)
         y0 = split.even_start(v0)
         split = None if y0 is None else split
-    # One run per detuning, its own maps built when it starts.
+    # One run per detuning, its maps made from those the detunings share.
     maps = _cycle_maps(seq, p, detunings, split)
     head, step, split = next(maps)
     # One detuning: each block is observed as it is made.

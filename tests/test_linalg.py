@@ -308,6 +308,34 @@ def test_hermitian_basis_unitary_is_the_orthogonal_image(d):
     assert np.abs(r.T @ r - np.eye(d * d)).max() < 1e-13
 
 
+@pytest.mark.parametrize("d", [12, 16])
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 10.0), scale=st.floats(0.0, 50.0))
+def test_hermitian_basis_phase_is_the_map_of_a_diagonal_unitary(d, seed, t, scale):
+    """phase(h, t, x) for a random real diagonal h is the map
+    unitary(expm(-i h, t)) applied to a vector of coordinates and to the
+    rows of a matrix, to 1e-14."""
+    rng = np.random.default_rng(seed)
+    basis = linalg.HermitianBasis(d)
+    h = np.diag(scale * rng.normal(size=d))
+    dense = basis.unitary(expm(-1j * h, t))
+    for x in (rng.normal(size=d * d), rng.normal(size=(d * d, 5))):
+        assert np.abs(basis.phase(h, t, x) - dense @ x).max() <= 1e-14
+
+
+def test_hermitian_basis_phase_needs_a_real_diagonal():
+    """An entry off the diagonal, however small, or a complex diagonal entry
+    raises DomainError instead of being dropped."""
+    basis = linalg.HermitianBasis(3)
+    x = np.ones(9)
+    off = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    off[0, 2] = off[2, 0] = 1e-300
+    for h in (off, np.diag([1.0, 2.0 + 1e-300j, 3.0])):
+        with pytest.raises(DomainError, match="real diagonal"):
+            basis.phase(h, 0.5, x)
+    with pytest.raises(DimensionError):
+        basis.phase(np.eye(2), 0.5, x)
+
+
 def test_hermitian_basis_rejects_what_breaks_hermiticity():
     d = 3
     basis = linalg.HermitianBasis(d)

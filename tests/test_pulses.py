@@ -291,8 +291,9 @@ def test_quasistatic_average_is_the_in_order_mean_of_one_detuning_runs(samples, 
 
 @pytest.mark.parametrize("dd_filter", [True, False])
 def test_rotation_maps_are_built_once_per_sequence(dd_filter, monkeypatch):
-    """The electron rotation, and the nuclear one unless it carries
-    unfiltered T2* noise, are built once for all quasi-static samples."""
+    """The electron and the nuclear rotation are built once for all
+    quasi-static samples, also when the nuclear pulse carries unfiltered
+    noise: a sample adds that noise as a phase."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -305,7 +306,107 @@ def test_rotation_maps_are_built_once_per_sequence(dd_filter, monkeypatch):
     samples = 5
     run_sequence(model.mixed_ground_state(p.variant), seq, p, noise_mode="quasistatic",
                  noise_samples=samples)
-    assert len(calls) == (2 if dd_filter else 1 + samples)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dd_filter", [True, False])
+def test_quasistatic_maps_are_built_once_per_sequence(dd_filter, monkeypatch):
+    """A quasi-static run of 1 and of 5 samples builds the same Liouvillians
+    and calls expm and HermitianBasis.unitary equally often: the pump's
+    Liouvillian and map, and the two rotations, once; a sample adds only
+    the phase of its detuning."""
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    counted(pulses, "build_liouvillian")
+    counted(linalg, "expm")
+    counted(linalg.HermitianBasis, "unitary")
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, tau=0.02, cycles=3, correction=True, dd_filter=dd_filter)
+    counts = []
+    for samples in (1, 5):
+        calls.clear()
+        run_sequence(model.mixed_ground_state(p.variant), seq, p, noise_mode="quasistatic",
+                     noise_samples=samples)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == ["build_liouvillian", "expm", "unitary", "unitary"]
+
+
+def dense_quasistatic_run(rho0, seq, p, samples, seed):
+    """The per-cycle fidelity and purity, and the last state, of a
+    quasi-static run of the standard cycle, each sample's segment maps built
+    whole from its detuning (scipy's expm, HermitianBasis.unitary) and
+    applied one after another."""
+    basis = linalg.HermitianBasis(p.dim)
+    sz = model.build_operators(p.variant)["S_z"]
+    pump_seg, electron, free, nuclear = seq.segments
+    pump_p = replace(p, omega_e=0.0, omega_n=0.0, g=0.0, t2_star=None,
+                     e_plus=pump_seg.e_amplitude, e_minus=-pump_seg.e_amplitude)
+    pump = scipy.linalg.expm(pump_seg.duration * engine.build_liouvillian(
+        model.build_hamiltonian(pump_p), model.decay_ops(pump_p), p.layout).real())
+    eps = dd_error(p.g, p.omega_n, nuclear.dd_interval)
+    e_angle = electron.angle - eps if seq.correction_enabled else electron.angle
+    r_e = basis.unitary(subspace_rotation(("e0", "eD"), e_angle, electron.axis))
+    r_n = basis.unitary(subspace_rotation(("n0", "nD"), nuclear.angle - eps, nuclear.axis))
+    h_free = model.build_hamiltonian(replace(p, omega_e=0.0, omega_n=0.0, e_plus=0.0,
+                                             e_minus=0.0))
+    x0 = basis.coords(rho0)
+    total = np.zeros((seq.cycles + 1, x0.size))
+    for delta in np.random.default_rng(seed).normal(0.0, np.sqrt(2.0) / p.t2_star, samples):
+        f = basis.unitary(scipy.linalg.expm(-1j * free.duration * (h_free + delta * sz)))
+        n = r_n
+        if not seq.dd_filter:
+            n = basis.unitary(scipy.linalg.expm(-1j * nuclear.duration * delta * sz)) @ r_n
+        x = x0
+        total[0] += x
+        for cycle in range(1, seq.cycles + 1):
+            x = f @ (r_e @ (pump @ x))
+            total[cycle] += x
+            x = n @ x
+    states = basis.states(total.T / samples)
+    psi = model.default_target(p.variant)
+    fidelity = [float((psi.conj() @ rho @ psi).real) for rho in states]
+    return np.array(fidelity), (total ** 2).sum(axis=1) / samples ** 2, states[-1]
+
+
+@pytest.mark.parametrize("tau, correction", [(0.0, False), (0.02, False), (0.02, True)],
+                         ids=["tau0", "tau0.02", "corrected"])
+@pytest.mark.parametrize("dd_filter", [True, False], ids=["filtered", "unfiltered"])
+def test_quasistatic_run_matches_dense_per_sample_maps(tau, correction, dd_filter):
+    """Shared maps with each sample's detuning applied as a phase give the
+    fidelities, purities and last state of whole per-sample maps to 1e-12.
+    The last state is compared too, because fidelity and purity do not see
+    a phase turned the wrong way (its image is the complex conjugate)."""
+    p = ds.SystemParams(t2_star=10.0)
+    seq = standard_cycle(p, tau=tau, cycles=40, correction=correction, dd_filter=dd_filter)
+    rho0 = model.mixed_ground_state(p.variant)
+    traj = run_sequence(rho0, seq, p, noise_mode="quasistatic", noise_samples=4, seed=7)
+    fidelity, purity, last = dense_quasistatic_run(rho0, seq, p, 4, 7)
+    assert np.abs(traj.fidelity - fidelity).max() <= 1e-12
+    assert np.abs(traj.purity - purity).max() <= 1e-12
+    assert np.abs(traj.final_state - last).max() <= 1e-12
+
+
+@pytest.mark.parametrize("noise_mode", ["markovian", "quasistatic"])
+def test_idle_dephases_as_free_evolution_does(noise_mode):
+    """On (|+1,n0> + |-1,n0>)/sqrt2, which no decay and no hyperfine term
+    touches, an Idle and a FreeEvolution of 0.5 us lose the same fidelity
+    to T2* = 1 us under either noise model: a static detuning turns the
+    electron's coherence in an Idle too."""
+    n0 = model.nuclear_spin1_state("0")
+    psi = (np.kron(model.electron_state("+1"), n0)
+           + np.kron(model.electron_state("-1"), n0)) / np.sqrt(2.0)
+    p = ds.SystemParams(t2_star=1.0)
+    fidelity = [
+        run_sequence(np.outer(psi, psi.conj()), PulseSequence(segments=(seg,), cycles=1), p,
+                     target=psi, noise_mode=noise_mode, noise_samples=4000, seed=1).fidelity[-1]
+        for seg in (Idle(0.5), FreeEvolution(0.5))]
+    assert abs(fidelity[0] - fidelity[1]) <= 1e-12
+    expect = 0.803265 if noise_mode == "markovian" else 0.685325
+    assert abs(fidelity[0] - expect) <= 1e-6
 
 
 def test_run_sequence_argument_checks():
@@ -442,6 +543,9 @@ def complex_segment_maps(p, delta):
         ("idle", Idle(0.1), {},
          generator_superop(model.build_hamiltonian(idle), model.build_collapse_ops(idle), p, 0.1),
          False),
+        ("idle-quasistatic", Idle(0.1), quasi,
+         unitary_superop(scipy.linalg.expm(-0.1j * delta * sz))
+         @ generator_superop(model.build_hamiltonian(idle), model.decay_ops(idle), p, 0.1), False),
     ]
 
 
@@ -521,7 +625,7 @@ def choi(real, basis):
 
 # (segment, T2* set, quasistatic, dd_filter): free evolution dephased,
 # detuned and noiseless, the nuclear rotation filtered and unfiltered in
-# both noise modes.
+# both noise modes, the idle dephased and detuned.
 CPTP_CASES = [
     ("pump", True, False, True),
     ("electron", True, True, True),
@@ -533,6 +637,7 @@ CPTP_CASES = [
     ("nuclear", True, True, True),
     ("nuclear", True, True, False),
     ("idle", True, False, True),
+    ("idle", True, True, True),
 ]
 
 
